@@ -16,6 +16,13 @@ project) toward a dependency (the component it uses):
 
 A must-versus-cannot conflict cannot exist in this model: rights never
 take ``must`` and obligations never take ``cannot``.
+
+The rules are evaluated as per-profile bitmasks over the terms in
+catalog order (:attr:`licterm.model.LicenseProfile.masks`):
+:func:`_rule_masks` gives each profile one mask per rule for the parent
+side and one for the dependency side, and a rule fires where the two
+intersect. :func:`check_profiles` decodes the intersecting bits into
+findings and :func:`build_matrix` only tests whether they are empty.
 """
 
 from __future__ import annotations
@@ -53,49 +60,59 @@ class ConflictFinding:
     dep_attitude: Attitude
 
 
+_ALL_RIGHTS = (1 << len(RIGHT_TERMS)) - 1
+_ALL_OBLIGATIONS = (1 << len(OBLIGATION_TERMS)) - 1
+_RULE_TERMS = (
+    (ConflictType.C1, RIGHT_TERMS),
+    (ConflictType.C2, OBLIGATION_TERMS),
+    (ConflictType.C3, RIGHT_TERMS),
+)
+
+
+def _rule_masks(
+    profile: LicenseProfile, strict_not_mentioned: bool
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The profile's (parent side, dependency side) masks for C1, C2, C3.
+
+    Rule k fires for a parent depending on a dependency exactly when
+    ``parent_side[k] & dep_side[k]`` is non-zero, and each set bit is
+    one conflicting term of ``_RULE_TERMS[k]``. The rules are stated
+    here and nowhere else.
+    """
+    can, cannot, must = profile.masks
+    not_can = _ALL_RIGHTS & ~can
+    parent_side = (can, _ALL_OBLIGATIONS & ~must, not_can)
+    dep_side = (
+        not_can if strict_not_mentioned else cannot,
+        must,
+        can if profile.copyleft is not CopyleftClass.NONE else 0,
+    )
+    return parent_side, dep_side
+
+
 def check_profiles(
     parent: LicenseProfile,
     dep: LicenseProfile,
     strict_not_mentioned: bool = False,
-    *,
-    c3_explicit_cannot_only: bool = False,
 ) -> list[ConflictFinding]:
     """All C1/C2/C3 findings for parent depending on dep.
 
     Findings are ordered by conflict type, then term catalog order.
     ``strict_not_mentioned`` extends C1 to rights the dependency never
     mentions; off by default because community opinion is split on
-    whether silence denies a right. ``c3_explicit_cannot_only`` narrows
-    C3 to rights the parent explicitly forbids; the default also fires
-    when the parent is silent, since an unmentioned right is not a
-    preserved right.
+    whether silence denies a right.
     """
+    parent_side = _rule_masks(parent, strict_not_mentioned)[0]
+    dep_side = _rule_masks(dep, strict_not_mentioned)[1]
     findings: list[ConflictFinding] = []
-    for term in RIGHT_TERMS:
-        pa, da = parent.terms[term], dep.terms[term]
-        if pa is Attitude.CAN and (
-            da is Attitude.CANNOT
-            or (strict_not_mentioned and da is Attitude.NOT_MENTIONED)
-        ):
-            findings.append(
-                ConflictFinding(ConflictType.C1, term, parent.spdx_id, dep.spdx_id, pa, da)
-            )
-    for term in OBLIGATION_TERMS:
-        pa, da = parent.terms[term], dep.terms[term]
-        if pa is Attitude.NOT_MENTIONED and da is Attitude.MUST:
-            findings.append(
-                ConflictFinding(ConflictType.C2, term, parent.spdx_id, dep.spdx_id, pa, da)
-            )
-    if dep.copyleft is not CopyleftClass.NONE:
-        for term in RIGHT_TERMS:
+    for (ctype, terms), p, d in zip(_RULE_TERMS, parent_side, dep_side):
+        hits = p & d
+        while hits:
+            low = hits & -hits
+            term = terms[low.bit_length() - 1]
             pa, da = parent.terms[term], dep.terms[term]
-            if da is not Attitude.CAN or pa is Attitude.CAN:
-                continue
-            if c3_explicit_cannot_only and pa is not Attitude.CANNOT:
-                continue
-            findings.append(
-                ConflictFinding(ConflictType.C3, term, parent.spdx_id, dep.spdx_id, pa, da)
-            )
+            findings.append(ConflictFinding(ctype, term, parent.spdx_id, dep.spdx_id, pa, da))
+            hits ^= low
     return findings
 
 
@@ -233,16 +250,6 @@ def _check_pair(
     return _check_leaves(parent, dep, ds, strict)
 
 
-def _dedupe(items):
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
-
-
 def check_expressions(
     parent: LicenseExpression,
     dep: LicenseExpression,
@@ -260,7 +267,7 @@ def check_expressions(
     return ExpressionVerdict(
         findings=tuple(result.findings),
         unknown_ids=tuple(sorted(result.unknown)),
-        warnings=tuple(_dedupe(result.warnings)),
+        warnings=tuple(dict.fromkeys(result.warnings)),
         parent_resolved=render(result.parent_choice),
         dep_resolved=render(result.dep_choice),
     )
@@ -287,90 +294,40 @@ class ConflictMatrix:
     c3_pairs: int
     degrees: dict[str, tuple[int, int, int]]
 
-    def pair_count(self, ctype: ConflictType) -> int:
-        return {
-            ConflictType.C1: self.c1_pairs,
-            ConflictType.C2: self.c2_pairs,
-            ConflictType.C3: self.c3_pairs,
-        }[ctype]
-
-
-@dataclass(frozen=True)
-class _ProfileMask:
-    """Bitmask form of a profile over the 11 right / 11 obligation slots."""
-
-    can: int
-    cannot: int
-    nm_rights: int
-    must: int
-    nm_obligations: int
-    copyleft: bool
-
-
-_RIGHT_BITS = {term: 1 << i for i, term in enumerate(RIGHT_TERMS)}
-_OBLIGATION_BITS = {term: 1 << i for i, term in enumerate(OBLIGATION_TERMS)}
-
-
-def _mask(profile: LicenseProfile) -> _ProfileMask:
-    can = cannot = nm_r = must = nm_o = 0
-    for term, bit in _RIGHT_BITS.items():
-        attitude = profile.terms[term]
-        if attitude is Attitude.CAN:
-            can |= bit
-        elif attitude is Attitude.CANNOT:
-            cannot |= bit
-        else:
-            nm_r |= bit
-    for term, bit in _OBLIGATION_BITS.items():
-        if profile.terms[term] is Attitude.MUST:
-            must |= bit
-        else:
-            nm_o |= bit
-    return _ProfileMask(
-        can, cannot, nm_r, must, nm_o, profile.copyleft is not CopyleftClass.NONE
-    )
-
 
 def build_matrix(ds: Dataset, strict_not_mentioned: bool = False) -> ConflictMatrix:
     """Evaluate the rules over every ordered pair of distinct licenses.
 
-    Uses a bitmask representation per profile so the full 453-license
+    Tests the rule masks of each ordered pair, so the full 453-license
     list (about 205k ordered pairs) stays well under a second. Neighbor
     sets for the degree statistic are tracked as integer bitsets.
     """
     ids = list(ds.profiles)
-    masks = [_mask(ds.profiles[i]) for i in ids]
     n = len(ids)
-    cans = [m.can for m in masks]
-    not_cans = [~m.can for m in masks]
-    c1_dep = [
-        m.cannot | (m.nm_rights if strict_not_mentioned else 0) for m in masks
-    ]
-    musts = [m.must for m in masks]
-    nm_obls = [m.nm_obligations for m in masks]
-    c3_dep = [m.can if m.copyleft else 0 for m in masks]
+    sides = [_rule_masks(ds.profiles[i], strict_not_mentioned) for i in ids]
+    c1_dep = [dep[0] for _, dep in sides]
+    c2_dep = [dep[1] for _, dep in sides]
+    c3_dep = [dep[2] for _, dep in sides]
 
     c1 = c2 = c3 = 0
     nbr1 = [0] * n
     nbr2 = [0] * n
     nbr3 = [0] * n
     for i in range(n):
-        can_i = cans[i]
-        nm_i = nm_obls[i]
-        not_can_i = not_cans[i]
+        p1, p2, p3 = sides[i][0]
         bit_i = 1 << i
         for j in range(n):
             if i == j:
                 continue
-            if can_i & c1_dep[j]:
+            if p1 & c1_dep[j]:
                 c1 += 1
                 nbr1[i] |= 1 << j
                 nbr1[j] |= bit_i
-            if nm_i & musts[j]:
+            if p2 & c2_dep[j]:
                 c2 += 1
                 nbr2[i] |= 1 << j
                 nbr2[j] |= bit_i
-            if c3_dep[j] & not_can_i:
+            if p3 & c3_dep[j]:
                 c3 += 1
                 nbr3[i] |= 1 << j
                 nbr3[j] |= bit_i

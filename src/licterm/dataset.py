@@ -53,9 +53,6 @@ class Dataset:
     def __contains__(self, spdx_id: str) -> bool:
         return spdx_id in self.profiles
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self.profiles)
-
 
 def lookup(ds: Dataset, spdx_id: str) -> LicenseProfile | None:
     """Exact, case-sensitive profile lookup; None when absent."""

@@ -13,6 +13,7 @@ class FormatError(LictermError):
     """
 
     def __init__(self, message: str, *, source: str = "", line: int | None = None):
+        self.message = message
         self.source = source
         self.line = line
         locator = source or "<input>"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class TermKind(Enum):
@@ -61,7 +62,6 @@ class Term(Enum):
 
 
 _RIGHT_TERMS = frozenset(list(Term)[:11])
-_OBLIGATION_TERMS = frozenset(list(Term)[11:])
 
 #: All 22 terms in catalog order (rights first, then obligations).
 TERM_ORDER: tuple[Term, ...] = tuple(Term)
@@ -140,8 +140,24 @@ class LicenseProfile:
     copyleft: CopyleftClass
     notes: str = ""
 
-    def attitude(self, term: Term) -> Attitude:
-        return self.terms.get(term, Attitude.NOT_MENTIONED)
+    @cached_property
+    def masks(self) -> tuple[int, int, int]:
+        """The ``(can, cannot, must)`` bitmasks, computed once per profile.
+
+        Bit ``i`` of ``can`` and ``cannot`` stands for ``RIGHT_TERMS[i]``
+        and bit ``i`` of ``must`` for ``OBLIGATION_TERMS[i]``. A term whose
+        bit is clear in all of its masks counts as not mentioned.
+        """
+        can = cannot = must = 0
+        for i, term in enumerate(RIGHT_TERMS):
+            if self.terms[term] is Attitude.CAN:
+                can |= 1 << i
+            elif self.terms[term] is Attitude.CANNOT:
+                cannot |= 1 << i
+        for i, term in enumerate(OBLIGATION_TERMS):
+            if self.terms[term] is Attitude.MUST:
+                must |= 1 << i
+        return can, cannot, must
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,7 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
         try:
             version = Semver.parse(version_str)
         except FormatError as exc:
-            raise FormatError(str(exc), source=source, line=lineno) from None
+            raise FormatError(exc.message, source=source, line=lineno) from None
         try:
             published = _dt.date.fromisoformat(published_str.strip())
         except ValueError:
@@ -303,34 +303,52 @@ def write_graph(
 
 
 def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
-    """Load a graph file; the returned records carry no dependency lists."""
+    """Load a graph file; the returned records carry no dependency lists.
+
+    Each package version an edge or unresolved line names needs a node
+    line above it. A malformed line is a format error at that line.
+    """
     source = str(path)
     text = Path(path).read_text(encoding="utf-8")
     records: list[VersionRecord] = []
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
+    # Matching version text suffices for scan, which looks nodes up by it.
+    node_versions: dict[str, set[str]] = defaultdict(set)
+
+    def require_node(package: str, version_text: str) -> None:
+        if version_text not in node_versions.get(package, ()):
+            raise FormatError(f"{package}@{version_text} has no node line above it")
+
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
         kind = fields[0]
-        if kind == "node" and len(fields) == 5:
-            try:
+        try:
+            if kind == "node" and len(fields) == 5:
                 version = Semver.parse(fields[2])
-                published = _dt.date.fromisoformat(fields[3])
-            except (FormatError, ValueError) as exc:
-                raise FormatError(str(exc), source=source, line=lineno) from None
-            records.append(VersionRecord(fields[1], version, published, fields[4], ()))
-        elif kind == "edge" and len(fields) == 6:
-            edges.append(
-                Edge(fields[1], Semver.parse(fields[2]), fields[3], Semver.parse(fields[4]), fields[5])
-            )
-        elif kind == "unresolved" and len(fields) == 6:
-            unresolved.append(
-                Unresolved(fields[1], Semver.parse(fields[2]), fields[3], fields[4], fields[5])
-            )
-        else:
-            raise FormatError(f"unrecognized line kind {kind!r}", source=source, line=lineno)
+                try:
+                    published = _dt.date.fromisoformat(fields[3])
+                except ValueError:
+                    raise FormatError(f"invalid date {fields[3]!r}") from None
+                records.append(VersionRecord(fields[1], version, published, fields[4], ()))
+                node_versions[fields[1]].add(fields[2])
+            elif kind == "edge" and len(fields) == 6:
+                edges.append(
+                    Edge(fields[1], Semver.parse(fields[2]), fields[3], Semver.parse(fields[4]), fields[5])
+                )
+                require_node(fields[1], fields[2])
+                require_node(fields[3], fields[4])
+            elif kind == "unresolved" and len(fields) == 6:
+                unresolved.append(
+                    Unresolved(fields[1], Semver.parse(fields[2]), fields[3], fields[4], fields[5])
+                )
+                require_node(fields[1], fields[2])
+            else:
+                raise FormatError(f"unrecognized line kind {kind!r}")
+        except FormatError as exc:
+            raise FormatError(exc.message, source=source, line=lineno) from None
     graph = DependencyGraph(
         nodes=frozenset((r.package, r.version) for r in records),
         edges=tuple(edges),

@@ -187,6 +187,16 @@ class TestPipeline:
         usage_years = {r["year"] for r in records if r["kind"] == "usage"}
         assert usage_years == {2019, 2020, 2021, 2022}
 
+    def test_scan_graph_missing_node_exits_5(self, capsys, tmp_path):
+        graph_path = tmp_path / "graph.dat"
+        graph_path.write_text(
+            "node\ta\t1.0.0\t2020-01-01\tMIT\nedge\ta\t1.0.0\tb\t1.0.0\t^1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "scan", str(graph_path))
+        assert code == 5
+        assert f"{graph_path}:2: b@1.0.0 has no node line above it" in err
+
     def test_changes_report(self, capsys, snapshot):
         code, out, err = run(capsys, "changes", str(snapshot))
         assert code == 0

@@ -104,18 +104,6 @@ class TestRuleShape:
             order = list(Term)
             assert terms == sorted(terms, key=order.index)
 
-    def test_narrow_c3_toggle(self, seed_dataset):
-        mit = seed_dataset.profiles["MIT"]
-        mpl = seed_dataset.profiles["MPL-2.0"]
-        broad = check_profiles(mit, mpl)
-        narrow = check_profiles(mit, mpl, c3_explicit_cannot_only=True)
-        # MIT never mentions patents, so the narrow reading drops that finding.
-        assert any(
-            f.ctype is ConflictType.C3 and f.term is Term.USE_PATENT_CLAIMS for f in broad
-        )
-        assert not any(f.ctype is ConflictType.C3 for f in narrow)
-        assert set(narrow) <= set(broad)
-
 
 class TestGnuListProperty:
     def test_permissive_licenses_conflict_with_gpl3(self, seed_dataset):

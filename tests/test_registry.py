@@ -5,6 +5,7 @@ import pytest
 from licterm.errors import DuplicateVersionError, FormatError
 from licterm.expression import Unresolvable, UnresolvableReason, render
 from licterm.registry import (
+    GRAPH_HEADER,
     Edge,
     VersionRecord,
     build_graph,
@@ -241,11 +242,47 @@ class TestGraphFile:
         write_graph(graph, list(reversed(records)), b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_read_rejects_garbage(self, tmp_path):
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["what\tis\tthis"], 2),
+            (["node\ta\t1.0.0\t2020-01-01\tMIT", "edge\ta\t1.0.0\tb\t1.0.0\t^1"], 3),
+            (
+                [
+                    "edge\ta\t1.0.0\tb\t1.0.0\t^1",
+                    "node\ta\t1.0.0\t2020-01-01\tMIT",
+                    "node\tb\t1.0.0\t2020-01-01\tMIT",
+                ],
+                2,
+            ),
+            (
+                [
+                    "node\ta\t1.0.0\t2020-01-01\tMIT",
+                    "node\tb\t1.0.0\t2020-01-01\tMIT",
+                    "edge\ta\t1.0.0\tb\tone\t^1",
+                ],
+                4,
+            ),
+            (["unresolved\ta\t1.x\tb\t^1\tno-match"], 2),
+            (["unresolved\ta\t1.0.0\tb\t^1\tno-match"], 2),
+        ],
+        ids=[
+            "unknown-kind",
+            "missing-edge-target",
+            "edge-above-its-nodes",
+            "bad-edge-version",
+            "bad-unresolved-version",
+            "unresolved-without-node",
+        ],
+    )
+    def test_read_rejects_garbage(self, tmp_path, lines, bad_line):
         path = tmp_path / "bad.dat"
-        path.write_text("what\tis\tthis\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        path.write_text("\n".join([GRAPH_HEADER, *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError) as excinfo:
             read_graph(path)
+        message = str(excinfo.value)
+        assert message.startswith(f"{path}:{bad_line}: ")
+        assert "<input>" not in message
 
     def test_parse_snapshot_from_file(self, tmp_path):
         path = tmp_path / "snap.dat"
