@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, ValidationError
-from .expression import KnownLicenses
+from .expression import KnownLicenses, fold_key
 from .model import (
     Attitude,
     CopyleftClass,
@@ -65,12 +65,8 @@ class AliasTable:
 
     entries: dict[str, str] = field(default_factory=dict)
 
-    @staticmethod
-    def normalize_key(raw: str) -> str:
-        return " ".join(raw.casefold().split())
-
     def resolve(self, raw: str) -> str | None:
-        return self.entries.get(self.normalize_key(raw))
+        return self.entries.get(fold_key(raw))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -227,7 +223,7 @@ def loads_aliases(
             raise ValidationError(
                 f"{source}:{lineno}: alias target {target!r} is not a known SPDX id"
             )
-        entries[AliasTable.normalize_key(raw)] = target
+        entries[fold_key(raw)] = target
     return AliasTable(entries)
 
 

@@ -248,7 +248,7 @@ def expression_ids(expr: LicenseExpression) -> set[str]:
 # ---------------------------------------------------------------------------
 
 
-def _fold(text: str) -> str:
+def fold_key(text: str) -> str:
     """Normalization key: case-folded, whitespace-collapsed."""
     return " ".join(text.casefold().split())
 
@@ -273,7 +273,7 @@ class KnownLicenses:
         self.ids.add(spdx_id)
         self._by_fold[spdx_id.casefold()] = spdx_id
         if full_name:
-            self._by_name[_fold(full_name)] = spdx_id
+            self._by_name[fold_key(full_name)] = spdx_id
         if copyleft:
             self._copyleft[spdx_id] = copyleft
 
@@ -284,7 +284,7 @@ class KnownLicenses:
         return self._by_fold.get(raw.casefold())
 
     def match_name(self, raw: str) -> str | None:
-        return self._by_name.get(_fold(raw))
+        return self._by_name.get(fold_key(raw))
 
     def or_later_variant(self, spdx_id: str) -> str | None:
         """The -or-later twin of an -only id (or of a bare paired base)."""
@@ -336,7 +336,7 @@ _LOWER_OP_RE = re.compile(r"\b(and|or|with)\b")
 
 
 def _classify_special(trimmed: str) -> UnresolvableReason | None:
-    folded = _fold(trimmed)
+    folded = fold_key(trimmed)
     if folded in _NO_LICENSE_FORMS:
         return UnresolvableReason.NO_LICENSE
     if _URL_RE.search(trimmed):

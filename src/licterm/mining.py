@@ -4,9 +4,8 @@ Each license is one transaction whose items are its (term, attitude)
 stances, skipping not-mentioned entries. An attitude is part of the
 item identity on purpose: "cannot place-warranty" and "can
 place-warranty" are different stances and conflating them would merge
-licenses that disagree. Mining uses FP-Growth and reports, for every
-itemset at or above the support threshold, the exact set of licenses
-containing it.
+licenses that disagree. Mining reports, for every itemset at or above
+the support threshold, the exact set of licenses containing it.
 """
 
 from __future__ import annotations
@@ -55,107 +54,42 @@ def profile_items(profile: LicenseProfile) -> frozenset[TermItem]:
     )
 
 
-# --- FP-tree -----------------------------------------------------------------
-
-
-class _Node:
-    __slots__ = ("item", "count", "parent", "children", "link")
-
-    def __init__(self, item, parent):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict = {}
-        self.link = None
-
-
-class _Tree:
-    def __init__(self):
-        self.root = _Node(None, None)
-        self.heads: dict = {}
-        self.tails: dict = {}
-
-    def insert(self, items, count):
-        node = self.root
-        for item in items:
-            child = node.children.get(item)
-            if child is None:
-                child = _Node(item, node)
-                node.children[item] = child
-                if item in self.tails:
-                    self.tails[item].link = child
-                else:
-                    self.heads[item] = child
-                self.tails[item] = child
-            child.count += count
-            node = child
-
-    def nodes(self, item):
-        node = self.heads.get(item)
-        while node is not None:
-            yield node
-            node = node.link
-
-
-def _fp_growth(tree: _Tree, suffix: tuple, min_support: int, out: dict) -> None:
-    # Walk items in ascending frequency so conditional trees stay small.
-    item_supports = {
-        item: sum(n.count for n in tree.nodes(item)) for item in tree.heads
-    }
-    for item in sorted(item_supports, key=lambda it: (item_supports[it], it)):
-        support = item_supports[item]
-        if support < min_support:
-            continue
-        pattern = suffix + (item,)
-        out[frozenset(pattern)] = support
-        conditional = _Tree()
-        for node in tree.nodes(item):
-            path = []
-            parent = node.parent
-            while parent is not None and parent.item is not None:
-                path.append(parent.item)
-                parent = parent.parent
-            if path:
-                conditional.insert(reversed(path), node.count)
-        if conditional.heads:
-            _fp_growth(conditional, pattern, min_support, out)
-
-
 def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
     """Every itemset supported by at least ``min_support`` licenses.
 
     Output is sorted by descending support, ascending itemset size,
-    then item spelling, and is independent of profile order. Supporting
-    license sets are exact; the itemset search uses FP-Growth.
+    then item spelling, and is independent of profile order. The search
+    runs depth-first over supporting-id sets: each itemset is extended
+    by one later item at a time and kept while the intersection of its
+    id sets still reaches ``min_support``, so every supporting set is
+    exact by construction.
     """
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
-    transactions = {
-        spdx_id: profile_items(profile) for spdx_id, profile in ds.profiles.items()
-    }
     inverted: dict[TermItem, set[str]] = defaultdict(set)
-    for spdx_id, items in transactions.items():
-        for item in items:
+    for spdx_id, profile in ds.profiles.items():
+        for item in profile_items(profile):
             inverted[item].add(spdx_id)
-    frequent_items = {
-        item for item, ids in inverted.items() if len(ids) >= min_support
-    }
-    order = {item: (-len(inverted[item]), item) for item in frequent_items}
-    tree = _Tree()
-    for items in transactions.values():
-        kept = sorted((i for i in items if i in frequent_items), key=order.__getitem__)
-        if kept:
-            tree.insert(kept, 1)
-    found: dict[frozenset[TermItem], int] = {}
-    _fp_growth(tree, (), min_support, found)
+    patterns: list[FrequentPattern] = []
 
-    patterns = []
-    for itemset, support in found.items():
-        supporting = frozenset(
-            set.intersection(*(inverted[item] for item in itemset))
-        )
-        assert len(supporting) == support, "FP-tree support disagrees with id sets"
-        patterns.append(FrequentPattern(itemset, support, supporting))
+    def extend(
+        prefix: frozenset[TermItem], candidates: list[tuple[TermItem, frozenset[str]]]
+    ) -> None:
+        # Each candidate pairs a later item with the ids supporting prefix + item.
+        for k, (item, ids) in enumerate(candidates):
+            itemset = prefix | {item}
+            patterns.append(FrequentPattern(itemset, len(ids), ids))
+            extend(
+                itemset,
+                [
+                    (other, both)
+                    for other, other_ids in candidates[k + 1:]
+                    if len(both := ids & other_ids) >= min_support
+                ],
+            )
+
+    frequent = sorted(item for item, ids in inverted.items() if len(ids) >= min_support)
+    extend(frozenset(), [(item, frozenset(inverted[item])) for item in frequent])
     patterns.sort(
         key=lambda p: (-p.support_count, len(p.items), p.sorted_items())
     )

@@ -10,7 +10,8 @@ is ``;``-joined ``name@range`` entries (the range follows the last
 ``@``, so scoped names like ``@scope/pkg`` work) and may be empty.
 ``license_raw`` may be empty and may not contain tabs. Lines starting
 with ``#`` and blank lines are skipped. Parsing is strict; a repeated
-(package, version) is an error.
+(package, version) is an error, with versions compared by precedence
+(build metadata does not tell two versions apart).
 
 The dependency graph materializes one edge per resolvable direct
 dependency; failures are kept as data with their reason rather than
@@ -100,7 +101,7 @@ def parse_snapshot(path: str | Path) -> list[VersionRecord]:
 
 def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionRecord]:
     records: list[VersionRecord] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[tuple[str, Semver]] = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -125,7 +126,7 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
             raise FormatError(
                 f"invalid date {published_str!r}", source=source, line=lineno
             ) from None
-        key = (package, str(version))
+        key = (package, version)  # by precedence: build metadata is ignored
         if key in seen:
             raise DuplicateVersionError(
                 f"duplicate record for {package}@{version}", source=source, line=lineno
@@ -305,12 +306,19 @@ def write_graph(
 def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     """Load a graph file; the returned records carry no dependency lists.
 
-    Each package version an edge or unresolved line names needs a node
-    line above it. A malformed line is a format error at that line.
+    Line 1 must be ``GRAPH_HEADER``. Each package version has one node
+    line (versions compared by precedence), above every edge or
+    unresolved line that names it. A malformed line is a format error at
+    that line.
     """
     source = str(path)
-    text = Path(path).read_text(encoding="utf-8")
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if lines[:1] != [GRAPH_HEADER]:
+        raise FormatError(
+            f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1
+        )
     records: list[VersionRecord] = []
+    nodes: set[tuple[str, Semver]] = set()
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
     # Matching version text suffices for scan, which looks nodes up by it.
@@ -320,7 +328,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
         if version_text not in node_versions.get(package, ()):
             raise FormatError(f"{package}@{version_text} has no node line above it")
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -328,6 +336,9 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
         try:
             if kind == "node" and len(fields) == 5:
                 version = Semver.parse(fields[2])
+                if (fields[1], version) in nodes:
+                    raise FormatError(f"duplicate node line for {fields[1]}@{version}")
+                nodes.add((fields[1], version))
                 try:
                     published = _dt.date.fromisoformat(fields[3])
                 except ValueError:
@@ -350,7 +361,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
         except FormatError as exc:
             raise FormatError(exc.message, source=source, line=lineno) from None
     graph = DependencyGraph(
-        nodes=frozenset((r.package, r.version) for r in records),
+        nodes=frozenset(nodes),
         edges=tuple(edges),
         unresolved=tuple(unresolved),
     )

@@ -25,13 +25,11 @@ class RangeSyntaxError(ValueError):
     """A version range string is outside the supported grammar."""
 
 
+# Dot-separated prerelease or build identifiers, none of them empty.
+_IDENTS = r"[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*"
+
 _VERSION_RE = re.compile(
-    r"""^
-    (0|[1-9]\d*)\.(0|[1-9]\d*)\.(0|[1-9]\d*)
-    (?:-([0-9A-Za-z.-]+))?
-    (?:\+([0-9A-Za-z.-]+))?
-    $""",
-    re.VERBOSE,
+    rf"^(0|[1-9]\d*)\.(0|[1-9]\d*)\.(0|[1-9]\d*)(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$"
 )
 
 
@@ -49,14 +47,11 @@ class Semver:
         m = _VERSION_RE.match(text.strip())
         if m is None:
             raise FormatError(f"not a semantic version: {text!r}")
-        prerelease = tuple(m.group(4).split(".")) if m.group(4) else ()
-        if any(not part for part in prerelease):
-            raise FormatError(f"empty prerelease identifier in {text!r}")
         return cls(
             int(m.group(1)),
             int(m.group(2)),
             int(m.group(3)),
-            prerelease,
+            tuple(m.group(4).split(".")) if m.group(4) else (),
             m.group(5) or "",
         )
 
@@ -136,7 +131,7 @@ class VersionRange:
 
 _PARTIAL_RE = re.compile(
     r"^[v=]?(\d+|[xX*])(?:\.(\d+|[xX*]))?(?:\.(\d+|[xX*]))?"
-    r"(?:-([0-9A-Za-z.-]+))?(?:\+([0-9A-Za-z.-]+))?$"
+    rf"(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$"
 )
 
 

@@ -86,6 +86,42 @@ def oracle_mine(transactions, min_support):
     return result
 
 
+def oracle_check_mined(transactions, min_support, patterns):
+    """Assert that ``patterns`` is exactly the family of frequent itemsets.
+
+    transactions: mapping id -> set of items. Unlike oracle_mine this
+    scales to dataset-sized universes: it checks by brute force that
+    every reported supporting set is exact and at least ``min_support``,
+    that every frequent single item is reported, and that each reported
+    pattern's one-item extensions are reported exactly when frequent.
+    Every frequent itemset is a frequent item grown one item at a time
+    through frequent subsets, so nothing frequent can be missing.
+    """
+    universe = {item for items in transactions.values() for item in items}
+    reported = {p.items: p for p in patterns}
+    assert len(reported) == len(patterns), "an itemset is reported twice"
+
+    def support(itemset):
+        return frozenset(tid for tid, items in transactions.items() if itemset <= items)
+
+    for pattern in patterns:
+        ids = support(pattern.items)
+        assert pattern.items, "the empty itemset is reported"
+        assert pattern.supporting_ids == ids, f"wrong ids for {sorted(pattern.items)}"
+        assert pattern.support_count == len(ids) >= min_support
+    for item in universe:
+        single = frozenset([item])
+        frequent = len(support(single)) >= min_support
+        assert (single in reported) == frequent, f"single {item} misreported"
+    for itemset, pattern in reported.items():
+        for item in universe - itemset:
+            grown = itemset | {item}
+            count = sum(item in transactions[tid] for tid in pattern.supporting_ids)
+            assert (grown in reported) == (count >= min_support), (
+                f"extension {sorted(grown)} misreported"
+            )
+
+
 def _precedence_key(v: Semver):
     pre = tuple(
         (0, int(part), "") if part.isdigit() else (1, 0, part)

@@ -5,6 +5,7 @@ import pytest
 from licterm.cli import main
 from licterm.dataset import dumps_dataset
 from licterm.model import TERM_ORDER
+from licterm.registry import GRAPH_HEADER
 
 
 def run(capsys, *argv):
@@ -190,12 +191,12 @@ class TestPipeline:
     def test_scan_graph_missing_node_exits_5(self, capsys, tmp_path):
         graph_path = tmp_path / "graph.dat"
         graph_path.write_text(
-            "node\ta\t1.0.0\t2020-01-01\tMIT\nedge\ta\t1.0.0\tb\t1.0.0\t^1\n",
+            f"{GRAPH_HEADER}\nnode\ta\t1.0.0\t2020-01-01\tMIT\nedge\ta\t1.0.0\tb\t1.0.0\t^1\n",
             encoding="utf-8",
         )
         code, out, err = run(capsys, "scan", str(graph_path))
         assert code == 5
-        assert f"{graph_path}:2: b@1.0.0 has no node line above it" in err
+        assert f"{graph_path}:3: b@1.0.0 has no node line above it" in err
 
     def test_changes_report(self, capsys, snapshot):
         code, out, err = run(capsys, "changes", str(snapshot))

@@ -15,7 +15,7 @@ from licterm.mining import (
 )
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER, make_terms
 
-from oracles import oracle_mine
+from oracles import oracle_check_mined, oracle_mine
 
 
 def _profile(spdx_id, **attitudes):
@@ -135,6 +135,24 @@ class TestMine:
         min_support = rng.randint(1, n)
         got = {p.items: p.supporting_ids for p in mine(ds, min_support)}
         assert got == oracle_mine(_as_oracle_input(ds), min_support)
+
+    @pytest.mark.parametrize("min_support", [5, 10, 17])
+    def test_bundled_dataset_passes_closure_oracle(self, seed_dataset, min_support):
+        patterns = mine(seed_dataset, min_support)
+        oracle_check_mined(_as_oracle_input(seed_dataset), min_support, patterns)
+
+    def test_closure_oracle_catches_wrong_output(self, seed_dataset):
+        transactions = _as_oracle_input(seed_dataset)
+        patterns = mine(seed_dataset, 10)
+        longest = max(patterns, key=lambda p: len(p.items))
+        wrong_ids = _pattern(longest.items, longest.supporting_ids - {min(longest.supporting_ids)})
+        for broken in (
+            [p for p in patterns if p is not longest],
+            [p for p in patterns if p is not patterns[-1]],
+            [wrong_ids if p is longest else p for p in patterns],
+        ):
+            with pytest.raises(AssertionError):
+                oracle_check_mined(transactions, 10, broken)
 
 
 def _restricted_random_profile(rng, spdx_id):

@@ -72,6 +72,19 @@ class TestSnapshotParsing:
         with pytest.raises(DuplicateVersionError):
             parse_snapshot_text(text)
 
+    def test_duplicate_by_precedence_rejected(self):
+        # Build metadata plays no part in precedence, so these are one version.
+        text = "\n".join(
+            [
+                line("a", "1.0.0+x", "2020-01-01", "MIT"),
+                line("b", "1.0.0", "2020-01-01", "MIT"),
+                line("a", "1.0.0+y", "2020-02-01", "ISC"),
+            ]
+        )
+        with pytest.raises(DuplicateVersionError) as exc:
+            parse_snapshot_text(text, source="s.dat")
+        assert str(exc.value).startswith("s.dat:3: ")
+
     def test_bad_field_count(self):
         with pytest.raises(FormatError):
             parse_snapshot_text("a\t1.0.0\t2020-01-01\tMIT")
@@ -245,10 +258,18 @@ class TestGraphFile:
     @pytest.mark.parametrize(
         "lines, bad_line",
         [
-            (["what\tis\tthis"], 2),
-            (["node\ta\t1.0.0\t2020-01-01\tMIT", "edge\ta\t1.0.0\tb\t1.0.0\t^1"], 3),
+            ([GRAPH_HEADER, "what\tis\tthis"], 2),
             (
                 [
+                    GRAPH_HEADER,
+                    "node\ta\t1.0.0\t2020-01-01\tMIT",
+                    "edge\ta\t1.0.0\tb\t1.0.0\t^1",
+                ],
+                3,
+            ),
+            (
+                [
+                    GRAPH_HEADER,
                     "edge\ta\t1.0.0\tb\t1.0.0\t^1",
                     "node\ta\t1.0.0\t2020-01-01\tMIT",
                     "node\tb\t1.0.0\t2020-01-01\tMIT",
@@ -257,14 +278,25 @@ class TestGraphFile:
             ),
             (
                 [
+                    GRAPH_HEADER,
                     "node\ta\t1.0.0\t2020-01-01\tMIT",
                     "node\tb\t1.0.0\t2020-01-01\tMIT",
                     "edge\ta\t1.0.0\tb\tone\t^1",
                 ],
                 4,
             ),
-            (["unresolved\ta\t1.x\tb\t^1\tno-match"], 2),
-            (["unresolved\ta\t1.0.0\tb\t^1\tno-match"], 2),
+            ([GRAPH_HEADER, "unresolved\ta\t1.x\tb\t^1\tno-match"], 2),
+            ([GRAPH_HEADER, "unresolved\ta\t1.0.0\tb\t^1\tno-match"], 2),
+            (["node\ta\t1.0.0\t2020-01-01\tMIT"], 1),
+            (["#% licterm-graph 2", "node\ta\t1.0.0\t2020-01-01\tMIT"], 1),
+            (
+                [
+                    GRAPH_HEADER,
+                    "node\ta\t1.0.0+x\t2020-01-01\tMIT",
+                    "node\ta\t1.0.0+y\t2020-02-01\tISC",
+                ],
+                3,
+            ),
         ],
         ids=[
             "unknown-kind",
@@ -273,11 +305,14 @@ class TestGraphFile:
             "bad-edge-version",
             "bad-unresolved-version",
             "unresolved-without-node",
+            "missing-header",
+            "other-format-version",
+            "duplicate-node-by-precedence",
         ],
     )
     def test_read_rejects_garbage(self, tmp_path, lines, bad_line):
         path = tmp_path / "bad.dat"
-        path.write_text("\n".join([GRAPH_HEADER, *lines]) + "\n", encoding="utf-8")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(FormatError) as excinfo:
             read_graph(path)
         message = str(excinfo.value)

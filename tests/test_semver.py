@@ -30,7 +30,10 @@ class TestSemverParse:
         assert version.build == "build.5"
         assert str(version) == "1.2.3-beta.1+build.5"
 
-    @pytest.mark.parametrize("bad", ["1.2", "1", "v1.2.3", "1.2.3.4", "01.2.3", "", "x"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1.2", "1", "v1.2.3", "1.2.3.4", "01.2.3", "", "x", "1.0.0-a..b", "1.0.0+a..b"],
+    )
     def test_rejects_non_semver(self, bad):
         with pytest.raises(FormatError):
             Semver.parse(bad)
@@ -112,6 +115,8 @@ class TestRangeExamples:
             ">*",
             "^1.2.3 - 2.0.0",
             "file:../local",
+            ">=1.0.0-a..b",
+            "1.0.0+a..b",
         ],
     )
     def test_unsupported_forms_raise(self, bad):
