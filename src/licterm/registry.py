@@ -13,10 +13,13 @@ with ``#`` and blank lines are skipped. Parsing is strict; a repeated
 (package, version) is an error, with versions compared by precedence
 (build metadata does not tell two versions apart).
 
-The dependency graph materializes one edge per resolvable direct
-dependency; failures are kept as data with their reason rather than
-dropped. The graph file written by ``ingest`` repeats the node
-metadata so a scan can run from the graph file alone.
+The dependency graph materializes one edge per resolvable dependency
+entry; failures are kept as data with their reason rather than
+dropped. Each entry counts on its own: a record that names the same
+dependency twice, even with the same range, gets two edges (or two
+unresolved records), so ``edges + unresolved`` always equals the
+number of dependency entries. The graph file written by ``ingest``
+repeats the node metadata so a scan can run from the graph file alone.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import datetime as _dt
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,7 +41,7 @@ from .expression import (
     normalize,
     render,
 )
-from .semver import RangeSyntaxError, Semver, parse_range, resolve_range
+from .semver import RangeSyntaxError, Semver, VersionRange, parse_range, resolve_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import AliasTable
@@ -149,41 +153,57 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
 
     Deterministic and independent of record order: edges come out
     sorted, and each range resolves against all versions of the target
-    package present in the snapshot.
+    package present in the snapshot. Each distinct (package, range) is
+    resolved once; every entry naming it still yields its own edge or
+    unresolved record.
     """
     versions_by_package: dict[str, list[Semver]] = defaultdict(list)
     for record in records:
         versions_by_package[record.package].append(record.version)
+    for versions in versions_by_package.values():
+        versions.sort(key=attrgetter("key"))  # stable, so resolve_range's sort is linear
+
+    ranges: dict[str, VersionRange | None] = {}  # range text -> range, None if unparsable
+
+    def resolve(name: str, range_str: str) -> Semver | str:
+        """The target version, or the reason there is none."""
+        if name not in versions_by_package:
+            return "unknown-package"
+        if range_str not in ranges:
+            try:
+                ranges[range_str] = parse_range(range_str)
+            except RangeSyntaxError:
+                ranges[range_str] = None
+        rng = ranges[range_str]
+        if rng is None:
+            return "unparsable-range"
+        target = resolve_range(rng, versions_by_package[name])
+        return "no-match" if target is None else target
+
+    outcomes: dict[tuple[str, str], Semver | str] = {}
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
     for record in records:
         for name, range_str in record.dependencies:
-            if name not in versions_by_package:
+            outcome = outcomes.get((name, range_str))
+            if outcome is None:
+                outcome = outcomes[(name, range_str)] = resolve(name, range_str)
+            if isinstance(outcome, str):
                 unresolved.append(
-                    Unresolved(record.package, record.version, name, range_str, "unknown-package")
-                )
-                continue
-            try:
-                rng = parse_range(range_str)
-            except RangeSyntaxError:
-                unresolved.append(
-                    Unresolved(record.package, record.version, name, range_str, "unparsable-range")
-                )
-                continue
-            target = resolve_range(rng, versions_by_package[name])
-            if target is None:
-                unresolved.append(
-                    Unresolved(record.package, record.version, name, range_str, "no-match")
+                    Unresolved(record.package, record.version, name, range_str, outcome)
                 )
             else:
-                edges.append(Edge(record.package, record.version, name, target, range_str))
+                edges.append(Edge(record.package, record.version, name, outcome, range_str))
     return DependencyGraph(
         nodes=frozenset((r.package, r.version) for r in records),
         edges=tuple(
-            sorted(edges, key=lambda e: (e.package, e.version, e.dep_package, e.dep_version, e.range))
+            sorted(
+                edges,
+                key=lambda e: (e.package, e.version.key, e.dep_package, e.dep_version.key, e.range),
+            )
         ),
         unresolved=tuple(
-            sorted(unresolved, key=lambda u: (u.package, u.version, u.dep_name, u.range))
+            sorted(unresolved, key=lambda u: (u.package, u.version.key, u.dep_name, u.range))
         ),
     )
 
@@ -252,7 +272,7 @@ def license_changes(
 
     changes: list[LicenseChange] = []
     for package in sorted(by_package):
-        chain = sorted(by_package[package], key=lambda r: (r.version, r.published))
+        chain = sorted(by_package[package], key=lambda r: (r.version.key, r.published))
         for prev, curr in zip(chain, chain[1:]):
             before = normalized(prev.license_raw)
             after = normalized(curr.license_raw)
@@ -283,7 +303,7 @@ def write_graph(
     """Persist the graph with enough node metadata to scan it later."""
     by_key = {(r.package, r.version): r for r in records}
     lines = [GRAPH_HEADER]
-    for package, version in sorted(graph.nodes, key=lambda n: (n[0], n[1])):
+    for package, version in sorted(graph.nodes, key=lambda n: (n[0], n[1].key)):
         record = by_key[(package, version)]
         lines.append(
             "\t".join(
@@ -323,6 +343,13 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     unresolved: list[Unresolved] = []
     # Matching version text suffices for scan, which looks nodes up by it.
     node_versions: dict[str, set[str]] = defaultdict(set)
+    parsed: dict[str, Semver] = {}  # one shared Semver per distinct version text
+
+    def version_of(text: str) -> Semver:
+        version = parsed.get(text)
+        if version is None:
+            version = parsed[text] = Semver.parse(text)
+        return version
 
     def require_node(package: str, version_text: str) -> None:
         if version_text not in node_versions.get(package, ()):
@@ -335,7 +362,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
         kind = fields[0]
         try:
             if kind == "node" and len(fields) == 5:
-                version = Semver.parse(fields[2])
+                version = version_of(fields[2])
                 if (fields[1], version) in nodes:
                     raise FormatError(f"duplicate node line for {fields[1]}@{version}")
                 nodes.add((fields[1], version))
@@ -347,13 +374,13 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
                 node_versions[fields[1]].add(fields[2])
             elif kind == "edge" and len(fields) == 6:
                 edges.append(
-                    Edge(fields[1], Semver.parse(fields[2]), fields[3], Semver.parse(fields[4]), fields[5])
+                    Edge(fields[1], version_of(fields[2]), fields[3], version_of(fields[4]), fields[5])
                 )
                 require_node(fields[1], fields[2])
                 require_node(fields[3], fields[4])
             elif kind == "unresolved" and len(fields) == 6:
                 unresolved.append(
-                    Unresolved(fields[1], Semver.parse(fields[2]), fields[3], fields[4], fields[5])
+                    Unresolved(fields[1], version_of(fields[2]), fields[3], fields[4], fields[5])
                 )
                 require_node(fields[1], fields[2])
             else:

@@ -15,8 +15,10 @@ mirroring registry resolution behavior.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from functools import total_ordering
+from operator import attrgetter
 
 from .errors import FormatError
 
@@ -34,13 +36,25 @@ _VERSION_RE = re.compile(
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Semver:
     major: int
     minor: int
     patch: int
     prerelease: tuple[str, ...] = ()
     build: str = ""
+    # Precedence key, computed once. A release sorts after any of its
+    # prereleases; numeric prerelease identifiers sort below alphanumeric
+    # ones. Build metadata is ignored for precedence.
+    key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        pre_key = tuple(
+            [(0, int(part), "") if part.isdigit() else (1, 0, part) for part in self.prerelease]
+        )
+        object.__setattr__(
+            self, "key", (self.major, self.minor, self.patch, not self.prerelease, pre_key)
+        )
 
     @classmethod
     def parse(cls, text: str) -> "Semver":
@@ -59,26 +73,16 @@ class Semver:
     def triple(self) -> tuple[int, int, int]:
         return (self.major, self.minor, self.patch)
 
-    def _key(self):
-        # Release sorts after any of its prereleases; numeric prerelease
-        # identifiers sort below alphanumeric ones. Build metadata is
-        # ignored for precedence.
-        pre_key = tuple(
-            (0, int(part), "") if part.isdigit() else (1, 0, part)
-            for part in self.prerelease
-        )
-        return (self.triple, not self.prerelease, pre_key)
-
     def __lt__(self, other: "Semver") -> bool:
-        return self._key() < other._key()
+        return self.key < other.key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Semver):
             return NotImplemented
-        return self._key() == other._key()
+        return self.key == other.key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self.key)
 
     def __str__(self) -> str:
         text = f"{self.major}.{self.minor}.{self.patch}"
@@ -89,24 +93,25 @@ class Semver:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Comparator:
     op: str  # one of < <= > >= =
     version: Semver
 
     def matches(self, version: Semver) -> bool:
+        key, bound = version.key, self.version.key
         if self.op == "<":
-            return version < self.version
+            return key < bound
         if self.op == "<=":
-            return version <= self.version
+            return key <= bound
         if self.op == ">":
-            return version > self.version
+            return key > bound
         if self.op == ">=":
-            return version >= self.version
-        return version == self.version
+            return key >= bound
+        return key == bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VersionRange:
     """Disjunction of comparator conjunctions, plus the raw text."""
 
@@ -277,14 +282,46 @@ def parse_range(text: str) -> VersionRange:
     return VersionRange(raw, tuple(_parse_conjunction(part) for part in parts))
 
 
+_KEY = attrgetter("key")
+
+
+def _window(conjunction: tuple[Comparator, ...], ordered: list[Semver]) -> tuple[int, int]:
+    """Index span of ``ordered`` (sorted by key) within the conjunction's bounds."""
+    lo, hi = 0, len(ordered)
+    for c in conjunction:
+        if c.op in (">=", "=", ">"):
+            find = bisect_right if c.op == ">" else bisect_left
+            lo = max(lo, find(ordered, c.version.key, key=_KEY))
+        if c.op in ("<=", "=", "<"):
+            find = bisect_left if c.op == "<" else bisect_right
+            hi = min(hi, find(ordered, c.version.key, key=_KEY))
+    return lo, hi
+
+
 def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
     """Highest available version satisfying the range, or None.
 
     Prereleases are skipped unless the range itself names a prerelease
-    of the same (major, minor, patch).
+    of the same (major, minor, patch). ``available`` may be in any
+    order; among precedence-equal versions the first in input order is
+    returned.
+
+    Work per call is one sort (linear on a presorted list), a bisection
+    of each conjunction's bounds, and a walk down from the top of each
+    window that stops at the first version ``rng.satisfies`` accepts,
+    so only the prereleases it skips on the way are examined besides
+    the answer, not every available version.
     """
+    ordered = sorted(available, key=_KEY)  # stable: ties keep input order
     best: Semver | None = None
-    for version in available:
-        if rng.satisfies(version) and (best is None or version > best):
-            best = version
+    for conjunction in rng.alternatives:
+        lo, hi = _window(conjunction, ordered)
+        for i in range(hi - 1, lo - 1, -1):
+            version = ordered[i]
+            if best is not None and version.key <= best.key:
+                break
+            if rng.satisfies(version):
+                # Precedence-equal versions satisfy alike; take the first.
+                best = ordered[bisect_left(ordered, version.key, lo, i, key=_KEY)]
+                break
     return best

@@ -1,4 +1,5 @@
 import datetime as dt
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from licterm.registry import (
     read_graph,
     write_graph,
 )
-from licterm.semver import Semver
+from licterm.semver import Semver, VersionRange, parse_range
 
 from oracles import oracle_build_graph_edges
 
@@ -152,6 +153,107 @@ class TestBuildGraph:
     def test_matches_naive_oracle(self):
         records = parse_snapshot_text(SMALL_SNAPSHOT)
         graph = build_graph(records)
+        got = {
+            (e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
+            for e in graph.edges
+        }
+        assert got == oracle_build_graph_edges(records)
+
+
+class TestDuplicateEntries:
+    """Each dependency entry yields its own edge or unresolved record."""
+
+    def test_repeated_entry_gives_two_identical_edges(self):
+        records = parse_snapshot_text(
+            "\n".join(
+                [
+                    line("a", "1.0.0", "2020-01-01", "MIT", "b@^1.0.0;b@^1.0.0"),
+                    line("b", "1.2.0", "2020-01-01", "MIT"),
+                ]
+            )
+        )
+        edge = Edge("a", Semver(1, 0, 0), "b", Semver(1, 2, 0), "^1.0.0")
+        assert build_graph(records).edges == (edge, edge)
+
+    def test_entries_are_conserved(self):
+        # The same (package, range) recurs within one record and across
+        # records, for every outcome; none may be dropped or merged.
+        records = parse_snapshot_text(
+            "\n".join(
+                [
+                    line(
+                        "app", "1.0.0", "2020-01-01", "MIT",
+                        "lib@^1.0.0;lib@^1.0.0;lib@^9.0.0;ghost@*;ghost@*;lib@nonsense;lib@nonsense",
+                    ),
+                    line("app", "1.1.0", "2020-02-01", "MIT", "lib@^1.0.0;lib@^9.0.0;ghost@*"),
+                    line("tool", "0.1.0", "2020-03-01", "MIT", "lib@nonsense;lib@^1.0.0"),
+                    line("lib", "1.0.0", "2019-01-01", "MIT"),
+                    line("lib", "1.2.0", "2019-02-01", "MIT"),
+                ]
+            )
+        )
+        graph = build_graph(records)
+        entries = sum(len(r.dependencies) for r in records)
+        assert len(graph.edges) + len(graph.unresolved) == entries == 12
+        assert Counter((e.package, str(e.version)) for e in graph.edges) == {
+            ("app", "1.0.0"): 2,
+            ("app", "1.1.0"): 1,
+            ("tool", "0.1.0"): 1,
+        }
+        assert {str(e.dep_version) for e in graph.edges} == {"1.2.0"}
+        assert Counter(u.reason for u in graph.unresolved) == {
+            "unknown-package": 3,
+            "no-match": 2,
+            "unparsable-range": 3,
+        }
+        assert Counter((u.package, str(u.version), u.reason) for u in graph.unresolved) == {
+            ("app", "1.0.0", "unknown-package"): 2,
+            ("app", "1.0.0", "no-match"): 1,
+            ("app", "1.0.0", "unparsable-range"): 2,
+            ("app", "1.1.0", "unknown-package"): 1,
+            ("app", "1.1.0", "no-match"): 1,
+            ("tool", "0.1.0", "unparsable-range"): 1,
+        }
+
+
+class TestResolutionWork:
+    def test_one_candidate_per_conjunction_per_distinct_range(self, monkeypatch):
+        # A count, not a timing: each distinct (package, range) is resolved
+        # once, and with no prereleases to skip the top of each bisected
+        # window is the answer, so `satisfies` runs at most once per
+        # conjunction. A resolver that scans every version calls it 500
+        # times per dependency entry.
+        lib = [f"{major}.{minor}.{patch}" for major in range(5)
+               for minor in range(10) for patch in range(10)]
+        ranges = (
+            [f"^{major}.{minor}.0" for major in range(1, 5) for minor in (0, 3, 6)]
+            + [f"~{major}.{minor}.{patch}" for major in range(5)
+               for minor, patch in ((1, 2), (5, 5), (9, 0))]
+            + [f"{major}.{minor}.0 - {major + 1}.{minor}.9" for major in range(4)
+               for minor in (2, 4, 7)]
+            + ["^0.2"]
+        )
+        assert len(set(ranges)) == 40
+        text = [line("lib", version, "2020-01-01", "MIT") for version in lib]
+        text += [
+            line("app", f"{i}.0.0", "2021-01-01", "MIT", f"lib@{ranges[i % 40]}")
+            for i in range(200)
+        ]
+        records = parse_snapshot_text("\n".join(text))
+
+        calls = 0
+        satisfies = VersionRange.satisfies
+
+        def counted(rng, version):
+            nonlocal calls
+            calls += 1
+            return satisfies(rng, version)
+
+        monkeypatch.setattr(VersionRange, "satisfies", counted)
+        graph = build_graph(records)
+        assert len(graph.edges) == 200 and graph.unresolved == ()
+        assert calls <= sum(len(parse_range(r).alternatives) for r in ranges)
+        monkeypatch.undo()
         got = {
             (e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
             for e in graph.edges

@@ -143,6 +143,41 @@ class TestPrereleaseRule:
         assert resolve_range(rng, [v("1.2.3-beta.1"), v("1.2.3-beta.2")]) == v("1.2.3-beta.1")
 
 
+class TestWindowBoundaries:
+    """Each operator, a hyphen range and a disjunction at a prerelease edge."""
+
+    @pytest.mark.parametrize(
+        "range_str,versions,expected",
+        [
+            (">1.2.3-alpha", ["1.2.3-beta", "1.2.3"], "1.2.3"),
+            (">1.2.3-alpha", ["1.2.3-beta", "1.2.2"], "1.2.3-beta"),
+            (">1.2.3-beta", ["1.2.3-beta", "1.2.3-alpha"], None),
+            (">=1.2.3-rc.1", ["1.2.3-rc.1", "1.2.4-beta"], "1.2.3-rc.1"),
+            (">=1.2.3", ["1.2.3-rc.1", "1.2.2"], None),
+            ("<1.2.3", ["1.2.3-rc.1", "1.2.2"], "1.2.2"),
+            ("<1.2.3-rc.2", ["1.2.3-rc.1", "1.2.3-rc.2", "1.2.2", "1.2.3"], "1.2.3-rc.1"),
+            ("<=1.2.3-rc.1", ["1.2.3-rc.2", "1.2.3-rc.1", "1.2.2"], "1.2.3-rc.1"),
+            ("<=1.2.3", ["1.2.3-rc.1", "1.2.3", "1.2.4"], "1.2.3"),
+            ("=1.2.3-rc.1", ["1.2.3", "1.2.3-rc.1+a", "1.2.3-rc.1+b"], "1.2.3-rc.1+a"),
+            ("=1.2.3", ["1.2.3-rc.1", "1.2.3+b", "1.2.3+a", "1.2.4"], "1.2.3+b"),
+            ("1.2.3-alpha - 1.2.3", ["1.2.3-beta", "1.2.3", "1.2.4"], "1.2.3"),
+            ("1.2.3-alpha - 1.2.3", ["1.2.3-beta", "1.2.2", "1.2.4-rc.1"], "1.2.3-beta"),
+            ("1.2.0 - 1.2.3-rc.1", ["1.2.3-rc.2", "1.2.3-rc.1", "1.2.2"], "1.2.3-rc.1"),
+            ("<1.2.3 || >=2.0.0-beta <2.0.0", ["1.2.3-rc.1", "1.2.2", "2.0.0-rc.1", "2.0.0"], "2.0.0-rc.1"),
+            ("1.2.3-rc.1 || <1.0.0", ["0.9.0", "1.2.3-rc.2", "1.2.3-rc.1"], "1.2.3-rc.1"),
+            # A prerelease comparator in one alternative admits that triple's
+            # prereleases through the other alternative too.
+            (">=1.0.0 <2.0.0 || =1.2.3-rc.5", ["1.2.3-rc.9", "1.2.2"], "1.2.3-rc.9"),
+        ],
+    )
+    def test_against_oracle(self, range_str, versions, expected):
+        rng = parse_range(range_str)
+        for order in (versions, versions[::-1]):
+            available = [v(t) for t in order]
+            assert str(resolve_range(rng, available)) == str(oracle_resolve(rng, available))
+        assert str(resolve_range(rng, [v(t) for t in versions])) == str(expected)
+
+
 def _random_version(rng: random.Random) -> Semver:
     pre = ()
     if rng.random() < 0.25:
@@ -184,8 +219,21 @@ def _random_range(rng: random.Random) -> str:
     return conj
 
 
+def _with_build_twins(rng: random.Random, versions: list[Semver]) -> list[Semver]:
+    """Add precedence-equal twins (``+a``, ``+b``) of some versions, shuffled in."""
+    out = list(versions)
+    for version in versions:
+        if rng.random() < 0.3:
+            for build in ("a", "b"):
+                out.append(Semver(version.major, version.minor, version.patch, version.prerelease, build))
+    rng.shuffle(out)
+    return out
+
+
 class TestOracleEquivalence:
     def test_resolve_matches_oracle_seeded_bulk(self):
+        # Precedence ties are resolved to the first in input order, so the
+        # text (build metadata included) must match too, not just `==`.
         rng = random.Random(0x5EED)
         checked = 0
         for _ in range(2000):
@@ -194,11 +242,13 @@ class TestOracleEquivalence:
                 parsed = parse_range(range_str)
             except RangeSyntaxError:
                 continue
-            available = [_random_version(rng) for _ in range(rng.randint(0, 12))]
-            assert resolve_range(parsed, available) == oracle_resolve(parsed, available), (
-                range_str,
-                [str(a) for a in available],
+            available = _with_build_twins(
+                rng, [_random_version(rng) for _ in range(rng.randint(0, 12))]
             )
+            got, expected = resolve_range(parsed, available), oracle_resolve(parsed, available)
+            context = (range_str, [str(a) for a in available])
+            assert got == expected, context
+            assert str(got) == str(expected), context
             checked += 1
         assert checked > 1500
 
