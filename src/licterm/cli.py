@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success or no conflict, 2 usage error, 3 unresolvable
-input, 4 conflicts found, 5 data error. The bundled dataset and alias
-table are used unless overridden with ``--dataset`` / ``--aliases`` or
-the ``LICTERM_DATASET`` environment variable. ``--format records``
-emits one JSON object per line for piping; table output is for humans.
-Identical invocations produce byte-identical output.
+input or too many OR choices to check, 4 conflicts found, 5 data
+error. The bundled dataset and alias table are used unless overridden
+with ``--dataset`` / ``--aliases`` or the ``LICTERM_DATASET``
+environment variable. ``--format records`` emits one JSON object per
+line for piping; table output is for humans. Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import os
 import sys
 
 from . import __version__
-from .conflicts import ConflictType, build_matrix, check_expressions, explain as explain_finding
+from .conflicts import ConflictType, ExpressionTooComplex, build_matrix, check_expressions
+from .conflicts import explain as explain_finding
 from .dataset import (
     AliasTable,
     Dataset,
@@ -356,6 +358,12 @@ def _cmd_explain(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dataset", help=f"dataset file (default: bundled; ${DATASET_ENV})")
     sub.add_argument("--aliases", help="alias table file (default: bundled)")
@@ -424,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("scan", help="scan a dependency graph for conflicts")
     p.add_argument("graph")
     p.add_argument("--strict-not-mentioned", action="store_true")
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_positive_int, default=10)
     _add_data_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_scan)
@@ -444,9 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (LictermError, OSError) as exc:
+    except (ExpressionTooComplex, LictermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_DATA
+        code = EXIT_UNRESOLVABLE if isinstance(exc, ExpressionTooComplex) else EXIT_DATA
     if argv is None:  # invoked as a console script
         sys.exit(code)
     return code

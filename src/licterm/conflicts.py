@@ -145,14 +145,21 @@ def explain(finding: ConflictFinding) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Most (parent choice, dependency choice) pairs :func:`check_expressions` scores.
+MAX_CHOICE_PAIRS = 4096
+
+
+class ExpressionTooComplex(ValueError):
+    """An expression pair has more than :data:`MAX_CHOICE_PAIRS` pairs of OR choices."""
+
+
 @dataclass(frozen=True)
 class ExpressionVerdict:
     """Outcome of checking a parent expression against a dependency expression.
 
-    ``parent_resolved`` and ``dep_resolved`` render the branch choices
-    that minimize findings (OR nodes are a licensee's choice). Ids
-    missing from the dataset appear in ``unknown_ids`` and contribute
-    no findings.
+    ``parent_resolved`` and ``dep_resolved`` render the chosen OR
+    choices, one branch per OR node for the whole expression. Ids missing
+    from the dataset appear in ``unknown_ids`` and add no findings.
     """
 
     findings: tuple[ConflictFinding, ...]
@@ -166,88 +173,46 @@ class ExpressionVerdict:
         return not self.findings
 
 
-@dataclass
-class _Partial:
-    findings: list[ConflictFinding]
-    unknown: set[str]
-    warnings: list[str]
-    parent_choice: LicenseExpression
-    dep_choice: LicenseExpression
-
-    @staticmethod
-    def merge(a: "_Partial", b: "_Partial", parent_choice, dep_choice) -> "_Partial":
-        return _Partial(
-            a.findings + b.findings,
-            a.unknown | b.unknown,
-            a.warnings + b.warnings,
-            parent_choice,
-            dep_choice,
-        )
-
-
 def _check_leaves(
     parent: LicenseRef, dep: LicenseRef, ds: Dataset, strict: bool
-) -> _Partial:
+) -> tuple[list[ConflictFinding], list[str]]:
     warnings: list[str] = []
-    unknown: set[str] = set()
     for ref in (parent, dep):
         if ref.exception:
             warnings.append(
                 f"exception {ref.exception} on {ref.id} is not modeled; "
                 "checked against the base license"
             )
-    p_profile = ds.profiles.get(parent.id)
-    d_profile = ds.profiles.get(dep.id)
+    p_profile, d_profile = ds.profiles.get(parent.id), ds.profiles.get(dep.id)
     for ref, profile in ((parent, p_profile), (dep, d_profile)):
         if profile is None:
-            unknown.add(ref.id)
             warnings.append(f"unknown license {ref.id}: treated as conflict-free")
     findings: list[ConflictFinding] = []
     if p_profile is not None and d_profile is not None:
         findings = check_profiles(p_profile, d_profile, strict)
-        if (
-            p_profile.copyleft is not CopyleftClass.NONE
-            and d_profile.copyleft is not CopyleftClass.NONE
-        ):
+        if CopyleftClass.NONE not in (p_profile.copyleft, d_profile.copyleft):
             warnings.append(
                 f"both {parent.id} and {dep.id} are copyleft; same-license "
                 "propagation between copyleft licenses is not assessed"
             )
-    return _Partial(findings, unknown, warnings, parent, dep)
+    return findings, warnings
 
 
-def _better(a: _Partial, b: _Partial) -> _Partial:
-    return b if len(b.findings) < len(a.findings) else a
-
-
-def _check_pair(
-    parent: LicenseExpression, dep: LicenseExpression, ds: Dataset, strict: bool
-) -> _Partial:
-    # OR is a choice: resolve it before splitting conjunctions so one
-    # branch serves every conjunct on the other side.
-    if isinstance(parent, Or):
-        return _better(
-            _check_pair(parent.left, dep, ds, strict),
-            _check_pair(parent.right, dep, ds, strict),
+def _choices(
+    expr: LicenseExpression, limit: int
+) -> list[tuple[LicenseExpression, tuple[LicenseRef, ...]]]:
+    """Every way to pick one branch per OR: (chosen tree, its leaves in order)."""
+    if isinstance(expr, LicenseRef):
+        return [(expr, (expr,))]
+    left, right = _choices(expr.left, limit), _choices(expr.right, limit)
+    count = len(left) + len(right) if isinstance(expr, Or) else len(left) * len(right)
+    if count > limit:
+        raise ExpressionTooComplex(
+            f"too many OR choices to check: {render(expr)!r} has {count}, the limit is {limit}"
         )
-    if isinstance(dep, Or):
-        return _better(
-            _check_pair(parent, dep.left, ds, strict),
-            _check_pair(parent, dep.right, ds, strict),
-        )
-    if isinstance(parent, And):
-        left = _check_pair(parent.left, dep, ds, strict)
-        right = _check_pair(parent.right, dep, ds, strict)
-        return _Partial.merge(
-            left, right, And(left.parent_choice, right.parent_choice), left.dep_choice
-        )
-    if isinstance(dep, And):
-        left = _check_pair(parent, dep.left, ds, strict)
-        right = _check_pair(parent, dep.right, ds, strict)
-        return _Partial.merge(
-            left, right, left.parent_choice, And(left.dep_choice, right.dep_choice)
-        )
-    return _check_leaves(parent, dep, ds, strict)
+    if isinstance(expr, Or):
+        return left + right
+    return [(And(lt, rt), ll + rl) for lt, ll in left for rt, rl in right]
 
 
 def check_expressions(
@@ -258,18 +223,37 @@ def check_expressions(
 ) -> ExpressionVerdict:
     """Lift profile checking to expressions.
 
-    OR means the licensee may pick either branch, so a node is conflict
-    free if any branch is, and the verdict reports the branch choice
-    with the fewest findings. AND requires every branch to be conflict
-    free.
+    OR means the licensee picks one branch for the whole expression, so
+    each side is expanded into its OR choices and each (parent choice,
+    dependency choice) pair is scored once: every parent leaf is checked
+    against every dependency leaf, parent leaves in the outer loop. The
+    pair with the fewest findings wins; ties go to the first parent
+    choice, then the first dependency choice, with left branches first.
+    More than :data:`MAX_CHOICE_PAIRS` pairs raise
+    :class:`ExpressionTooComplex` before they are built.
     """
-    result = _check_pair(parent, dep, ds, strict_not_mentioned)
+    p_choices = _choices(parent, MAX_CHOICE_PAIRS)
+    d_choices = _choices(dep, MAX_CHOICE_PAIRS // len(p_choices))
+    checked = {}  # by leaf identity: each leaf pair is checked once, whatever shares it
+
+    def check(p: LicenseRef, d: LicenseRef) -> tuple[list[ConflictFinding], list[str]]:
+        if (id(p), id(d)) not in checked:
+            checked[id(p), id(d)] = _check_leaves(p, d, ds, strict_not_mentioned)
+        return checked[id(p), id(d)]
+
+    scored = (
+        ([check(p, d) for p in pl for d in dl], pt, dt, pl + dl)
+        for pt, pl in p_choices
+        for dt, dl in d_choices
+    )
+    # min keeps the first of equal scores, which is the tie rule.
+    checks, p_tree, d_tree, leaves = min(scored, key=lambda s: sum(len(f) for f, _ in s[0]))
     return ExpressionVerdict(
-        findings=tuple(result.findings),
-        unknown_ids=tuple(sorted(result.unknown)),
-        warnings=tuple(dict.fromkeys(result.warnings)),
-        parent_resolved=render(result.parent_choice),
-        dep_resolved=render(result.dep_choice),
+        findings=tuple(f for findings, _ in checks for f in findings),
+        unknown_ids=tuple(sorted({ref.id for ref in leaves if ref.id not in ds.profiles})),
+        warnings=tuple(dict.fromkeys(w for _, warnings in checks for w in warnings)),
+        parent_resolved=render(p_tree),
+        dep_resolved=render(d_tree),
     )
 
 

@@ -22,7 +22,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, read_text
 from .expression import KnownLicenses, fold_key
 from .model import (
     Attitude,
@@ -164,8 +164,7 @@ def loads_dataset(text: str, source: str = "<string>") -> Dataset:
 
 
 def load_dataset(path: str | Path) -> Dataset:
-    path = Path(path)
-    return loads_dataset(path.read_text(encoding="utf-8"), source=str(path))
+    return loads_dataset(read_text(path), source=str(path))
 
 
 def dumps_dataset(ds: Dataset) -> str:
@@ -228,8 +227,7 @@ def loads_aliases(
 
 
 def load_aliases(path: str | Path, known: KnownLicenses) -> AliasTable:
-    path = Path(path)
-    return loads_aliases(path.read_text(encoding="utf-8"), known, source=str(path))
+    return loads_aliases(read_text(path), known, source=str(path))
 
 
 def loads_known_ids(text: str, source: str = "<string>") -> list[tuple[str, str]]:

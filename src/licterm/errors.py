@@ -1,5 +1,7 @@
 """Shared exception types for file parsing and data validation."""
 
+from pathlib import Path
+
 
 class LictermError(Exception):
     """Base class for all licterm errors."""
@@ -20,6 +22,17 @@ class FormatError(LictermError):
         if line is not None:
             locator = f"{locator}:{line}"
         super().__init__(f"{locator}: {message}")
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a data file; a byte that does not decode is a FormatError at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"byte {data[exc.start]:#04x} is not valid UTF-8"
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(message, source=str(path), line=line) from None
 
 
 class ValidationError(LictermError):

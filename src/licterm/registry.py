@@ -31,7 +31,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import DuplicateVersionError, FormatError
+from .errors import DuplicateVersionError, FormatError, read_text
 from .expression import (
     KnownLicenses,
     NormalizationOutcome,
@@ -99,8 +99,7 @@ def _parse_dependencies(text: str, source: str, lineno: int):
 
 
 def parse_snapshot(path: str | Path) -> list[VersionRecord]:
-    path = Path(path)
-    return parse_snapshot_text(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_snapshot_text(read_text(path), source=str(path))
 
 
 def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionRecord]:
@@ -332,7 +331,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     that line.
     """
     source = str(path)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if lines[:1] != [GRAPH_HEADER]:
         raise FormatError(
             f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1

@@ -1,11 +1,12 @@
 """Apply conflict checking across a dependency graph and aggregate reports.
 
-Every edge is checked independently: the dependent's raw license is the
+Every edge gets its own verdict: the dependent's raw license is the
 parent side and the target's is the dependency side, both normalized
 first. An edge with an unresolvable license on either side lands in
 ``unknown_license_edges`` and is never counted as a conflict. The
 aggregation adds no findings of its own; counts are exactly what
-per-edge checking produces.
+per-edge checking produces. Edges whose licenses normalize to the same
+pair of expressions share one check, whose verdict counts once per edge.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .expression import (
     render,
 )
 from .registry import DependencyGraph, VersionRecord
+from .semver import Semver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import AliasTable
@@ -80,42 +82,36 @@ def scan(
     """Check every edge of the graph and aggregate ecosystem statistics."""
     if known is None:
         known = known_licenses(ds, bundled_known_ids())
-    outcome_of: dict[str, NormalizationOutcome] = {}
-    license_of: dict[tuple[str, str], str] = {}
+    outcome_of: dict[str, NormalizationOutcome] = {}  # by raw license
+    outcome_at: dict[tuple[str, Semver], NormalizationOutcome] = {}  # by node
     for record in records:
-        license_of[(record.package, str(record.version))] = record.license_raw
         if record.license_raw not in outcome_of:
             outcome_of[record.license_raw] = normalize(record.license_raw, aliases, known)
+        outcome_at[(record.package, record.version)] = outcome_of[record.license_raw]
+    # Edges per (parent, dependency) outcome pair, in first-seen edge order.
+    edges_of_pair = Counter(
+        (outcome_at[(edge.package, edge.version)], outcome_at[(edge.dep_package, edge.dep_version)])
+        for edge in graph.edges
+    )
 
     edges_with = {ctype: 0 for ctype in ConflictType}
     top_pairs: dict[ConflictType, Counter] = {ctype: Counter() for ctype in ConflictType}
     conflicted = 0
     unknown_edges = 0
-    warnings: list[str] = []
-    seen_warnings: set[str] = set()
-    for edge in graph.edges:
-        parent_raw = license_of[(edge.package, str(edge.version))]
-        dep_raw = license_of[(edge.dep_package, str(edge.dep_version))]
-        parent_outcome = outcome_of[parent_raw]
-        dep_outcome = outcome_of[dep_raw]
-        if isinstance(parent_outcome, Unresolvable) or isinstance(dep_outcome, Unresolvable):
-            unknown_edges += 1
+    warnings: dict[str, None] = {}  # first-seen order
+    for (parent, dep), edges in edges_of_pair.items():
+        if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
+            unknown_edges += edges
             continue
-        verdict = check_expressions(
-            parent_outcome.expr, dep_outcome.expr, ds, strict_not_mentioned
-        )
-        for warning in verdict.warnings:
-            if warning not in seen_warnings:
-                seen_warnings.add(warning)
-                warnings.append(warning)
+        verdict = check_expressions(parent.expr, dep.expr, ds, strict_not_mentioned)
+        warnings.update(dict.fromkeys(verdict.warnings))
         if not verdict.findings:
             continue
-        conflicted += 1
-        pair = (render(parent_outcome.expr), render(dep_outcome.expr))
-        for ctype in ConflictType:
-            if any(f.ctype is ctype for f in verdict.findings):
-                edges_with[ctype] += 1
-                top_pairs[ctype][pair] += 1
+        conflicted += edges
+        pair = (render(parent.expr), render(dep.expr))
+        for ctype in {f.ctype for f in verdict.findings}:
+            edges_with[ctype] += edges
+            top_pairs[ctype][pair] += edges
     return ScanReport(
         total_edges=len(graph.edges),
         edges_with_findings=edges_with,

@@ -2,12 +2,15 @@
 
 These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
-exhaustive subset enumeration, and range satisfaction re-implements
-semver precedence from scratch. They share only the data types.
+exhaustive subset enumeration, expression checking tries every
+left/right assignment of every OR node, and range satisfaction
+re-implements semver precedence from scratch. They share only the data
+types.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
+from licterm.expression import LicenseRef, Or
 from licterm.model import Attitude, CopyleftClass, Term, TermKind
 from licterm.semver import Semver, VersionRange, parse_range, RangeSyntaxError
 
@@ -65,6 +68,74 @@ def oracle_matrix(ds, strict=False):
         for i in ids
     }
     return counts, degrees
+
+
+def oracle_leaf_sequences(expr):
+    """The distinct leaf sequences reached over every OR assignment.
+
+    Each OR node, named by its path from the root, is assigned "l" or
+    "r"; a walk then follows the assigned branch of each OR and both
+    branches of each AND.
+    """
+    or_paths = []
+
+    def collect(node, path):
+        if isinstance(node, LicenseRef):
+            return
+        if isinstance(node, Or):
+            or_paths.append(path)
+        collect(node.left, path + "l")
+        collect(node.right, path + "r")
+
+    collect(expr, "")
+    sequences = {}
+    for sides in product("lr", repeat=len(or_paths)):
+        pick = dict(zip(or_paths, sides))
+        leaves = []
+
+        def walk(node, path):
+            if isinstance(node, LicenseRef):
+                leaves.append(node)
+            elif isinstance(node, Or):
+                side = pick[path]
+                walk(node.left if side == "l" else node.right, path + side)
+            else:
+                walk(node.left, path + "l")
+                walk(node.right, path + "r")
+
+        walk(expr, "")
+        sequences[tuple(leaves)] = None
+    return list(sequences)
+
+
+# (id(parent profile), id(dep profile), strict) -> (parent, dep, findings).
+# Each entry holds its two profiles, so the ids in its key stay unique.
+_leaf_pair_findings = {}
+
+
+def oracle_leaf_findings(parent_leaves, dep_leaves, ds, strict=False):
+    """oracle_check_profiles over every parent leaf x dep leaf with both profiled."""
+    findings = []
+    for p in parent_leaves:
+        for d in dep_leaves:
+            pp, dp = ds.profiles.get(p.id), ds.profiles.get(d.id)
+            if pp is None or dp is None:
+                continue
+            key = (id(pp), id(dp), strict)
+            if key not in _leaf_pair_findings:
+                _leaf_pair_findings[key] = (pp, dp, oracle_check_profiles(pp, dp, strict))
+            findings += _leaf_pair_findings[key][2]
+    return findings
+
+
+def oracle_check_expressions(parent, dep, ds, strict=False):
+    """Fewest findings over every consistent OR assignment of both sides."""
+    dep_sequences = oracle_leaf_sequences(dep)
+    return min(
+        len(oracle_leaf_findings(p_leaves, d_leaves, ds, strict))
+        for p_leaves in oracle_leaf_sequences(parent)
+        for d_leaves in dep_sequences
+    )
 
 
 def oracle_mine(transactions, min_support):

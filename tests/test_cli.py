@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -6,6 +7,10 @@ from licterm.cli import main
 from licterm.dataset import dumps_dataset
 from licterm.model import TERM_ORDER
 from licterm.registry import GRAPH_HEADER
+
+
+# 2**13 OR choices against one: past the cap on choice pairs.
+TOO_MANY_CHOICES = " AND ".join(["(MIT OR ISC)"] * 13)
 
 
 def run(capsys, *argv):
@@ -56,6 +61,14 @@ class TestCheck:
         code, out, err = run(capsys, "check", "mit", "apache2")
         assert code == 4
         assert "Apache-2.0" in out
+
+    def test_too_many_or_choices_exits_3(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "MIT AND ISC", TOO_MANY_CHOICES)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "too many OR choices" in err and "(MIT OR ISC) AND" in err
+        assert "Traceback" not in err
 
 
 class TestExplain:
@@ -198,6 +211,21 @@ class TestPipeline:
         assert code == 5
         assert f"{graph_path}:3: b@1.0.0 has no node line above it" in err
 
+    def test_scan_too_many_or_choices_exits_3(self, capsys, tmp_path):
+        graph_path = tmp_path / "graph.dat"
+        graph_path.write_text(
+            f"{GRAPH_HEADER}\n"
+            "node\ta\t1.0.0\t2020-01-01\tMIT AND ISC\n"
+            f"node\tb\t1.0.0\t2020-01-01\t{TOO_MANY_CHOICES}\n"
+            "edge\ta\t1.0.0\tb\t1.0.0\t^1\n",
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", str(graph_path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert "too many OR choices" in err
+
     def test_changes_report(self, capsys, snapshot):
         code, out, err = run(capsys, "changes", str(snapshot))
         assert code == 0
@@ -243,6 +271,30 @@ class TestDeterminismAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing positional args
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("top", ["0", "-3", "ten"])
+    def test_scan_top_below_one_exits_2(self, capsys, tmp_path, top):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", str(tmp_path / "graph.dat"), "--top", top])
+        assert exc.value.code == 2
+        assert "--top: expected an integer of at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{path}", "-o", "{tmp}/graph.dat"],
+            ["scan", "{path}"],
+            ["check", "--dataset", "{path}", "MIT", "ISC"],
+            ["check", "--aliases", "{path}", "MIT", "ISC"],
+        ],
+        ids=["snapshot", "graph", "dataset", "aliases"],
+    )
+    def test_non_utf8_input_is_data_error_with_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.dat"
+        path.write_bytes(b"# line 1\n# line 2\nbad \xff byte\n")
+        code, out, err = run(capsys, *(a.format(path=path, tmp=tmp_path) for a in argv))
+        assert code == 5
+        assert f"{path}:3: byte 0xff is not valid UTF-8" in err
 
     def test_unknown_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

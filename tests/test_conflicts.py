@@ -1,19 +1,28 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from licterm.conflicts import (
     ConflictType,
+    ExpressionTooComplex,
     build_matrix,
     check_expressions,
     check_profiles,
     explain,
 )
-from licterm.expression import parse_expression
+from licterm.dataset import bundled_dataset
+from licterm.expression import And, LicenseRef, Or, parse_expression, render
 from licterm.model import Attitude, CopyleftClass, Term, TermKind
 
 from conftest import random_profile
-from oracles import oracle_check_profiles, oracle_matrix
+from oracles import (
+    oracle_check_expressions,
+    oracle_check_profiles,
+    oracle_leaf_findings,
+    oracle_leaf_sequences,
+    oracle_matrix,
+)
 
 
 def _shape(findings):
@@ -215,6 +224,98 @@ class TestExpressions:
             seed_dataset,
         )
         assert any("copyleft" in w and "not assessed" in w for w in verdict.warnings)
+
+
+_BUNDLED = bundled_dataset()
+# Every bundled id plus one the dataset does not profile.
+_LEAF_IDS = sorted(_BUNDLED.profiles) + ["Xyz-1.0"]
+
+
+def _random_expression(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return LicenseRef(rng.choice(_LEAF_IDS))
+    op = And if rng.random() < 0.5 else Or
+    return op(_random_expression(rng, depth - 1), _random_expression(rng, depth - 1))
+
+
+def _leaves(expr):
+    if isinstance(expr, LicenseRef):
+        return (expr,)
+    return _leaves(expr.left) + _leaves(expr.right)
+
+
+def _assert_matches_oracle(parent, dep, strict):
+    verdict = check_expressions(parent, dep, _BUNDLED, strict)
+    context = (render(parent), render(dep), strict)
+    p_leaves = _leaves(parse_expression(verdict.parent_resolved))
+    d_leaves = _leaves(parse_expression(verdict.dep_resolved))
+    # The resolved pair is one consistent OR assignment of each side ...
+    assert p_leaves in oracle_leaf_sequences(parent), context
+    assert d_leaves in oracle_leaf_sequences(dep), context
+    # ... whose findings are exactly the reported ones, and it is a minimum.
+    assert _shape(verdict.findings) == oracle_leaf_findings(
+        p_leaves, d_leaves, _BUNDLED, strict
+    ), context
+    assert len(verdict.findings) == oracle_check_expressions(parent, dep, _BUNDLED, strict), context
+    unknown = sorted({ref.id for ref in p_leaves + d_leaves} - set(_BUNDLED.profiles))
+    assert list(verdict.unknown_ids) == unknown, context
+
+
+_expressions = st.recursive(
+    st.sampled_from(_LEAF_IDS).map(LicenseRef),
+    lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids),
+    max_leaves=6,
+)
+
+
+class TestExpressionOracle:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_seeded_pairs_equal_oracle(self, strict):
+        rng = random.Random(7)
+        for _ in range(3000):
+            parent = _random_expression(rng, 3)
+            dep = _random_expression(rng, 3)
+            _assert_matches_oracle(parent, dep, strict)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_expressions, _expressions, st.booleans())
+    def test_small_expressions_equal_oracle_hypothesis(self, parent, dep, strict):
+        _assert_matches_oracle(parent, dep, strict)
+
+    def test_one_or_branch_serves_every_parent_conjunct(self, seed_dataset):
+        # Resolving the dependency OR separately under each parent
+        # conjunct found 2: WTFPL for AAL, LGPL-3.0-only for AGPL-3.0-only.
+        verdict = check_expressions(
+            parse_expression("AGPL-3.0-only AND AAL"),
+            parse_expression(
+                "(WTFPL OR LGPL-3.0-only) AND (BSD-2-Clause AND Artistic-2.0) AND BSD-2-Clause"
+            ),
+            seed_dataset,
+        )
+        assert len(verdict.findings) == 3
+        assert verdict.dep_resolved.startswith("WTFPL AND ")
+
+    def test_tie_goes_to_first_parent_then_first_dep_choice(self, seed_dataset):
+        # MIT -> MIT and Apache-2.0 -> Apache-2.0 both have no findings.
+        verdict = check_expressions(
+            parse_expression("MIT OR Apache-2.0"),
+            parse_expression("Apache-2.0 OR MIT"),
+            seed_dataset,
+        )
+        assert verdict.conflict_free
+        assert (verdict.parent_resolved, verdict.dep_resolved) == ("MIT", "MIT")
+
+    def test_too_many_choices_raise_before_enumerating(self, seed_dataset):
+        # 2**40 choices: building them would not finish. The first subtree
+        # past the cap is the one with 13 ORs.
+        dep = parse_expression(" AND ".join(["(MIT OR ISC)"] * 40))
+        with pytest.raises(ExpressionTooComplex, match="has 8192, the limit is 4096"):
+            check_expressions(parse_expression("MIT AND ISC"), dep, seed_dataset)
+        # The cap is on pairs: 2 parent choices halve what the dependency may have.
+        dep = parse_expression(" AND ".join(["(MIT OR ISC)"] * 12))
+        assert check_expressions(parse_expression("MIT"), dep, seed_dataset).findings == ()
+        with pytest.raises(ExpressionTooComplex, match="has 4096, the limit is 2048"):
+            check_expressions(parse_expression("MIT OR ISC"), dep, seed_dataset)
 
 
 class TestMatrix:
