@@ -21,7 +21,6 @@ from .dataset import (
     bundled_aliases,
     bundled_dataset,
     bundled_known_ids,
-    dump_dataset,
     dumps_dataset,
     known_licenses,
     load_aliases,

@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cached_property
 
 from . import __version__
 from .conflicts import ConflictType, ExpressionTooComplex, build_matrix, check_expressions
@@ -31,9 +32,11 @@ from .dataset import (
 )
 from .errors import LictermError
 from .expression import (
+    And,
     ExpressionSyntaxError,
     KnownLicenses,
-    Resolved,
+    LicenseRef,
+    Or,
     Unresolvable,
     normalize,
     parse_expression,
@@ -59,33 +62,20 @@ class _Context:
     def __init__(self, args):
         self._dataset_path = getattr(args, "dataset", None) or os.environ.get(DATASET_ENV)
         self._aliases_path = getattr(args, "aliases", None)
-        self._ds: Dataset | None = None
-        self._known: KnownLicenses | None = None
-        self._aliases: AliasTable | None = None
 
-    @property
+    @cached_property
     def dataset(self) -> Dataset:
-        if self._ds is None:
-            self._ds = (
-                load_dataset(self._dataset_path) if self._dataset_path else bundled_dataset()
-            )
-        return self._ds
+        return load_dataset(self._dataset_path) if self._dataset_path else bundled_dataset()
 
-    @property
+    @cached_property
     def known(self) -> KnownLicenses:
-        if self._known is None:
-            self._known = known_licenses(self.dataset, bundled_known_ids())
-        return self._known
+        return known_licenses(self.dataset, bundled_known_ids())
 
-    @property
+    @cached_property
     def aliases(self) -> AliasTable:
-        if self._aliases is None:
-            self._aliases = (
-                load_aliases(self._aliases_path, self.known)
-                if self._aliases_path
-                else bundled_aliases(self.known)
-            )
-        return self._aliases
+        if self._aliases_path:
+            return load_aliases(self._aliases_path, self.known)
+        return bundled_aliases(self.known)
 
 
 def _emit(record: dict) -> None:
@@ -121,11 +111,8 @@ def _normalize_or_exit(ctx: _Context, raw: str, role: str):
 def _cmd_normalize(args) -> int:
     ctx = _Context(args)
     outcome = normalize(args.raw, ctx.aliases, ctx.known)
-    if isinstance(outcome, Resolved):
-        print(render(outcome.expr))
-        return EXIT_OK
-    print(f"unresolvable:{outcome.reason.value}")
-    return EXIT_UNRESOLVABLE
+    print(outcome)
+    return EXIT_UNRESOLVABLE if isinstance(outcome, Unresolvable) else EXIT_OK
 
 
 def _cmd_parse_expr(args) -> int:
@@ -139,8 +126,6 @@ def _cmd_parse_expr(args) -> int:
 
 
 def _parenthesized(expr) -> str:
-    from .expression import And, Or
-
     if isinstance(expr, (And, Or)):
         op = "AND" if isinstance(expr, And) else "OR"
         return f"({_parenthesized(expr.left)} {op} {_parenthesized(expr.right)})"
@@ -250,20 +235,14 @@ def _cmd_changes(args) -> int:
     ctx = _Context(args)
     records = parse_snapshot(args.snapshot)
     changes = license_changes(records, ctx.aliases, ctx.known)
-
-    def show(outcome) -> str:
-        if isinstance(outcome, Resolved):
-            return render(outcome.expr)
-        return f"unresolvable:{outcome.reason.value}"
-
     if args.format == "records":
         for c in changes:
             _emit(
                 {
                     "kind": "change",
                     "package": c.package,
-                    "from": show(c.from_outcome),
-                    "to": show(c.to_outcome),
+                    "from": str(c.from_outcome),
+                    "to": str(c.to_outcome),
                     "at_version": str(c.at_version),
                     "classification": c.classification,
                 }
@@ -272,7 +251,7 @@ def _cmd_changes(args) -> int:
         print(f"{len(changes)} license changes")
         for c in changes:
             print(
-                f"{c.package} {show(c.from_outcome)} -> {show(c.to_outcome)} "
+                f"{c.package} {c.from_outcome} -> {c.to_outcome} "
                 f"at {c.at_version} [{c.classification}]"
             )
     return EXIT_OK
@@ -333,8 +312,6 @@ def _cmd_scan(args) -> int:
 def _cmd_explain(args) -> int:
     ctx = _Context(args)
     outcome = normalize(args.license, ctx.aliases, ctx.known)
-    from .expression import LicenseRef
-
     if isinstance(outcome, Unresolvable) or not isinstance(outcome.expr, LicenseRef):
         print(f"cannot resolve {args.license!r} to a single license id", file=sys.stderr)
         return EXIT_UNRESOLVABLE

@@ -190,10 +190,6 @@ def dumps_dataset(ds: Dataset) -> str:
     return "\n".join(blocks)
 
 
-def dump_dataset(ds: Dataset, path: str | Path) -> None:
-    Path(path).write_text(dumps_dataset(ds), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # Alias table and known-id list
 # ---------------------------------------------------------------------------

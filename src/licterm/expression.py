@@ -261,11 +261,11 @@ class KnownLicenses:
     ``+`` suffix can be rewritten to the -or-later form.
     """
 
-    def __init__(self, entries: Iterable[tuple[str, str]], copyleft: dict[str, str] | None = None):
+    def __init__(self, entries: Iterable[tuple[str, str]]):
         self.ids: set[str] = set()
         self._by_fold: dict[str, str] = {}
         self._by_name: dict[str, str] = {}
-        self._copyleft: dict[str, str] = dict(copyleft or {})
+        self._copyleft: dict[str, str] = {}
         for spdx_id, full_name in entries:
             self.add(spdx_id, full_name)
 
@@ -310,11 +310,17 @@ class UnresolvableReason(Enum):
 class Resolved:
     expr: LicenseExpression
 
+    def __str__(self) -> str:
+        return render(self.expr)
+
 
 @dataclass(frozen=True)
 class Unresolvable:
     reason: UnresolvableReason
     raw: str
+
+    def __str__(self) -> str:
+        return f"unresolvable:{self.reason.value}"
 
 
 NormalizationOutcome = Union[Resolved, Unresolvable]

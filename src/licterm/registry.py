@@ -39,7 +39,6 @@ from .expression import (
     Unresolvable,
     expression_ids,
     normalize,
-    render,
 )
 from .semver import RangeSyntaxError, Semver, VersionRange, parse_range, resolve_range
 
@@ -223,15 +222,6 @@ class LicenseChange:
     classification: str
 
 
-def _outcome_key(outcome: NormalizationOutcome):
-    """Identity for change detection: canonical expression, or the
-    unresolvable reason bucket (statement forms carry no license content,
-    so two file references are "the same license" for this purpose)."""
-    if isinstance(outcome, Resolved):
-        return ("resolved", render(outcome.expr))
-    return ("unresolvable", outcome.reason.value)
-
-
 def _classify(
     from_outcome: NormalizationOutcome,
     to_outcome: NormalizationOutcome,
@@ -275,7 +265,10 @@ def license_changes(
         for prev, curr in zip(chain, chain[1:]):
             before = normalized(prev.license_raw)
             after = normalized(curr.license_raw)
-            if _outcome_key(before) == _outcome_key(after):
+            # The text is the canonical expression or the unresolvable reason:
+            # statement forms carry no license content, so two file
+            # references are the same license here.
+            if str(before) == str(after):
                 continue
             changes.append(
                 LicenseChange(
@@ -340,7 +333,9 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     nodes: set[tuple[str, Semver]] = set()
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    # Matching version text suffices for scan, which looks nodes up by it.
+    # Edge and unresolved lines must repeat a node's version text, as
+    # write_graph writes it; equal text is an equal (package, Semver) node
+    # key, which is what scan looks nodes up by.
     node_versions: dict[str, set[str]] = defaultdict(set)
     parsed: dict[str, Semver] = {}  # one shared Semver per distinct version text
 

@@ -20,11 +20,9 @@ from .dataset import Dataset, bundled_known_ids, known_licenses
 from .expression import (
     KnownLicenses,
     NormalizationOutcome,
-    Resolved,
     Unresolvable,
     UnresolvableReason,
     normalize,
-    render,
 )
 from .registry import DependencyGraph, VersionRecord
 from .semver import Semver
@@ -48,11 +46,9 @@ class ScanReport:
 
 
 def _usage_bucket(outcome: NormalizationOutcome) -> str:
-    if isinstance(outcome, Resolved):
-        return render(outcome.expr)
-    if outcome.reason is UnresolvableReason.NO_LICENSE:
+    if isinstance(outcome, Unresolvable) and outcome.reason is UnresolvableReason.NO_LICENSE:
         return NO_LICENSE_BUCKET
-    return f"unresolvable:{outcome.reason.value}"
+    return str(outcome)
 
 
 def _yearly_usage(
@@ -108,7 +104,7 @@ def scan(
         if not verdict.findings:
             continue
         conflicted += edges
-        pair = (render(parent.expr), render(dep.expr))
+        pair = (str(parent), str(dep))
         for ctype in {f.ctype for f in verdict.findings}:
             edges_with[ctype] += edges
             top_pairs[ctype][pair] += edges

@@ -267,6 +267,16 @@ class TestDeterminismAndConfig:
         code, out, err = run(capsys, "check", "--dataset", str(tmp_path / "nope.dat"), "MIT", "ISC")
         assert code == 5
 
+    def test_data_files_load_only_when_used(self, capsys, tmp_path):
+        # matrix never reads the alias table, so a missing one goes unnoticed.
+        missing = str(tmp_path / "nope.tsv")
+        code, out, err = run(capsys, "matrix", "--aliases", missing)
+        assert code == 0
+        assert out.startswith("conflicting ordered pairs:")
+        code, out, err = run(capsys, "normalize", "MIT", "--aliases", missing)
+        assert code == 5
+        assert "nope.tsv" in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])  # missing positional args

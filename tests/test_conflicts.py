@@ -6,16 +6,17 @@ from hypothesis import given, settings, strategies as st
 from licterm.conflicts import (
     ConflictType,
     ExpressionTooComplex,
+    _bits,
     build_matrix,
     check_expressions,
     check_profiles,
     explain,
 )
-from licterm.dataset import bundled_dataset
+from licterm.dataset import Dataset, bundled_dataset
 from licterm.expression import And, LicenseRef, Or, parse_expression, render
-from licterm.model import Attitude, CopyleftClass, Term, TermKind
+from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term, TermKind, TERM_ORDER
 
-from conftest import random_profile
+from conftest import OBLIGATION_CHOICES, RIGHT_CHOICES, random_profile
 from oracles import (
     oracle_check_expressions,
     oracle_check_profiles,
@@ -318,7 +319,85 @@ class TestExpressionOracle:
             check_expressions(parse_expression("MIT OR ISC"), dep, seed_dataset)
 
 
+_SILENT = dict.fromkeys(TERM_ORDER, Attitude.NOT_MENTIONED)
+_CHOICES = {TermKind.RIGHT: RIGHT_CHOICES, TermKind.OBLIGATION: OBLIGATION_CHOICES}
+
+
+def _family_member(spdx_id, base, mutations, copyleft):
+    terms = {**base, **dict(mutations)}
+    return LicenseProfile(spdx_id, f"Test License {spdx_id}", terms, copyleft)
+
+
+def _family_dataset(rng, n):
+    """n profiles from a silent base and three random ones, each with 0-2
+    mutated terms, so that many licenses share masks and some are equal."""
+    bases = [_SILENT] + [random_profile(rng, "base").terms for _ in range(3)]
+    profiles = {}
+    for i in range(n):
+        terms = rng.sample(TERM_ORDER, rng.choice((0, 0, 1, 2)))
+        mutations = [(t, rng.choice(_CHOICES[t.kind])) for t in terms]
+        copyleft = rng.choice(tuple(CopyleftClass))
+        profiles[f"L{i}"] = _family_member(f"L{i}", rng.choice(bases), mutations, copyleft)
+    return Dataset(profiles=profiles)
+
+
+_mutations = st.lists(
+    st.sampled_from(TERM_ORDER).flatmap(
+        lambda t: st.tuples(st.just(t), st.sampled_from(_CHOICES[t.kind]))
+    ),
+    max_size=2,
+)
+
+# A whole random base from one draw: drawing 22 attitudes each costs more than the checks.
+_term_maps = st.integers(0, 2**16).map(lambda seed: random_profile(random.Random(seed), "b").terms)
+
+
+@st.composite
+def _family_datasets(draw):
+    bases = [_SILENT, draw(_term_maps), draw(_term_maps)]
+    members = draw(
+        st.lists(
+            st.tuples(st.sampled_from(bases), _mutations, st.sampled_from(CopyleftClass)),
+            max_size=8,
+        )
+    )
+    return Dataset(
+        profiles={f"L{i}": _family_member(f"L{i}", *member) for i, member in enumerate(members)}
+    )
+
+
+def _assert_matrix_matches_oracle(ds, strict):
+    matrix = build_matrix(ds, strict)
+    counts, degrees = oracle_matrix(ds, strict)
+    assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (
+        counts["C1"],
+        counts["C2"],
+        counts["C3"],
+    )
+    assert matrix.degrees == degrees
+
+
 class TestMatrix:
+    def test_bits_lowest_first(self):
+        assert list(_bits(0)) == []
+        assert list(_bits(0b1011_0000_0001)) == [0, 8, 9, 11]
+        assert list(_bits(1 << 100 | 2)) == [1, 100]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matrix_equals_oracle_on_family_catalog(self, strict):
+        ds = _family_dataset(random.Random(60), 60)
+        profiles = list(ds.profiles.values())
+        # The catalog has what it is meant to exercise.
+        assert any(p.terms == _SILENT for p in profiles)
+        assert {p.copyleft for p in profiles} == set(CopyleftClass)
+        assert len({(p.masks, p.copyleft) for p in profiles}) < len(profiles)
+        _assert_matrix_matches_oracle(ds, strict)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_family_datasets(), st.booleans())
+    def test_matrix_equals_oracle_on_small_families_hypothesis(self, ds, strict):
+        _assert_matrix_matches_oracle(ds, strict)
+
     def test_single_license_dataset_has_no_pairs(self, seed_dataset):
         from licterm.dataset import Dataset
 
