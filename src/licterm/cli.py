@@ -225,7 +225,7 @@ def _cmd_ingest(args) -> int:
     graph = build_graph(records)
     write_graph(graph, records, args.output)
     print(
-        f"nodes={len(graph.nodes)} edges={len(graph.edges)} "
+        f"nodes={len(records)} edges={len(graph.edges)} "
         f"unresolved={len(graph.unresolved)}"
     )
     return EXIT_OK

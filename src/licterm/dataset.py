@@ -149,16 +149,15 @@ def loads_dataset(text: str, source: str = "<string>") -> Dataset:
             provenance = meta.get("provenance", provenance)
             continue
         profile = _parse_profile(block, source)
+        locator = f"{source}:{block[0][0]}"  # the record's first line
         result = validate_profile(profile)
         if not result.ok:
             raise ValidationError(
-                f"{source}: profile {profile.spdx_id or '<missing id>'}: "
+                f"{locator}: profile {profile.spdx_id or '<missing id>'}: "
                 + "; ".join(result.violations)
             )
         if profile.spdx_id in profiles:
-            raise ValidationError(
-                f"{source}: duplicate spdx-id {profile.spdx_id!r}"
-            )
+            raise ValidationError(f"{locator}: duplicate spdx-id {profile.spdx_id!r}")
         profiles[profile.spdx_id] = profile
     return Dataset(profiles=profiles, version=version, provenance=provenance)
 

@@ -20,6 +20,10 @@ dependency twice, even with the same range, gets two edges (or two
 unresolved records), so ``edges + unresolved`` always equals the
 number of dependency entries. The graph file written by ``ingest``
 repeats the node metadata so a scan can run from the graph file alone.
+
+Snapshot lines and graph node lines go through one record parser
+(``_record``) under one line driver (``_parse_lines``), so both are
+validated alike and every error carries its ``file:line`` locator.
 """
 
 from __future__ import annotations
@@ -75,24 +79,60 @@ class Unresolved:
 
 @dataclass(frozen=True)
 class DependencyGraph:
-    nodes: frozenset[tuple[str, Semver]]
     edges: tuple[Edge, ...]
     unresolved: tuple[Unresolved, ...]
 
 
-def _parse_dependencies(text: str, source: str, lineno: int):
+class _Versions(dict):
+    """Version text -> its one shared ``Semver``, parsed on first lookup."""
+
+    def __missing__(self, text: str) -> Semver:
+        version = self[text] = Semver.parse(text)
+        return version
+
+
+def _parse_lines(text: str, source: str, parse_line) -> None:
+    """Call ``parse_line`` with the tab-split fields of each line not blank or ``#``.
+
+    A ``FormatError`` is re-raised, as the same subclass, at ``source:line``.
+    """
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            parse_line(line.split("\t"))
+        except FormatError as exc:
+            raise type(exc)(exc.message, source=source, line=lineno) from None
+
+
+def _record(
+    fields: list[str], seen: set[tuple[str, Semver]], versions: _Versions, dependencies=()
+) -> VersionRecord:
+    """The record of a (package, version, published, license) field list, added to ``seen``."""
+    package, version_text, published_text, license_raw = fields
+    package = package.strip()
+    if not package:
+        raise FormatError("empty package name")
+    version = versions[version_text]
+    try:
+        published = _dt.date.fromisoformat(published_text.strip())
+    except ValueError:
+        raise FormatError(f"invalid date {published_text!r}") from None
+    if (package, version) in seen:  # by precedence: build metadata is ignored
+        raise DuplicateVersionError(f"duplicate record for {package}@{version}")
+    seen.add((package, version))
+    return VersionRecord(package, version, published, license_raw.strip(), dependencies)
+
+
+def _parse_dependencies(text: str) -> tuple[tuple[str, str], ...]:
     deps = []
-    if not text:
-        return tuple(deps)
     for entry in text.split(";"):
         entry = entry.strip()
         if not entry:
             continue
         name, sep, range_str = entry.rpartition("@")
         if not sep or not name:
-            raise FormatError(
-                f"dependency entry {entry!r} is not name@range", source=source, line=lineno
-            )
+            raise FormatError(f"dependency entry {entry!r} is not name@range")
         deps.append((name, range_str.strip()))
     return tuple(deps)
 
@@ -104,45 +144,15 @@ def parse_snapshot(path: str | Path) -> list[VersionRecord]:
 def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionRecord]:
     records: list[VersionRecord] = []
     seen: set[tuple[str, Semver]] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
+    versions = _Versions()
+
+    def parse_line(fields: list[str]) -> None:
         if len(fields) != 5:
-            raise FormatError(
-                f"expected 5 tab-separated fields, got {len(fields)}",
-                source=source,
-                line=lineno,
-            )
-        package, version_str, published_str, license_raw, deps_str = fields
-        package = package.strip()
-        if not package:
-            raise FormatError("empty package name", source=source, line=lineno)
-        try:
-            version = Semver.parse(version_str)
-        except FormatError as exc:
-            raise FormatError(exc.message, source=source, line=lineno) from None
-        try:
-            published = _dt.date.fromisoformat(published_str.strip())
-        except ValueError:
-            raise FormatError(
-                f"invalid date {published_str!r}", source=source, line=lineno
-            ) from None
-        key = (package, version)  # by precedence: build metadata is ignored
-        if key in seen:
-            raise DuplicateVersionError(
-                f"duplicate record for {package}@{version}", source=source, line=lineno
-            )
-        seen.add(key)
-        records.append(
-            VersionRecord(
-                package,
-                version,
-                published,
-                license_raw.strip(),
-                _parse_dependencies(deps_str.strip(), source, lineno),
-            )
-        )
+            raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}")
+        dependencies = _parse_dependencies(fields[4])
+        records.append(_record(fields[:4], seen, versions, dependencies))
+
+    _parse_lines(text, source, parse_line)
     return records
 
 
@@ -193,7 +203,6 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
             else:
                 edges.append(Edge(record.package, record.version, name, outcome, range_str))
     return DependencyGraph(
-        nodes=frozenset((r.package, r.version) for r in records),
         edges=tuple(
             sorted(
                 edges,
@@ -289,18 +298,12 @@ def license_changes(
 GRAPH_HEADER = "#% licterm-graph 1"
 
 
-def write_graph(
-    graph: DependencyGraph, records: list[VersionRecord], path: str | Path
-) -> None:
+def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
     """Persist the graph with enough node metadata to scan it later."""
-    by_key = {(r.package, r.version): r for r in records}
     lines = [GRAPH_HEADER]
-    for package, version in sorted(graph.nodes, key=lambda n: (n[0], n[1].key)):
-        record = by_key[(package, version)]
+    for r in sorted(records, key=lambda r: (r.package, r.version.key)):
         lines.append(
-            "\t".join(
-                ("node", package, str(version), record.published.isoformat(), record.license_raw)
-            )
+            "\t".join(("node", r.package, str(r.version), r.published.isoformat(), r.license_raw))
         )
     for e in graph.edges:
         lines.append(
@@ -318,72 +321,49 @@ def write_graph(
 def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     """Load a graph file; the returned records carry no dependency lists.
 
-    Line 1 must be ``GRAPH_HEADER``. Each package version has one node
-    line (versions compared by precedence), above every edge or
-    unresolved line that names it. A malformed line is a format error at
-    that line.
+    Line 1 must be ``GRAPH_HEADER``. Node lines are checked as snapshot
+    records are. Each package version an edge or unresolved line names
+    needs a node line above it with the same version text, as
+    ``write_graph`` writes it: equal text is then the same (package,
+    Semver) node key, which ``scan`` looks nodes up by.
     """
     source = str(path)
-    lines = read_text(path).splitlines()
-    if lines[:1] != [GRAPH_HEADER]:
+    text = read_text(path)
+    # The header line is whole only if a line break or the end follows it.
+    if text[: len(GRAPH_HEADER) + 1].splitlines()[:1] != [GRAPH_HEADER]:
         raise FormatError(
             f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1
         )
     records: list[VersionRecord] = []
-    nodes: set[tuple[str, Semver]] = set()
+    seen: set[tuple[str, Semver]] = set()
+    versions = _Versions()
+    node_texts: set[tuple[str, str]] = set()  # (package, version text) of each node line
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    # Edge and unresolved lines must repeat a node's version text, as
-    # write_graph writes it; equal text is an equal (package, Semver) node
-    # key, which is what scan looks nodes up by.
-    node_versions: dict[str, set[str]] = defaultdict(set)
-    parsed: dict[str, Semver] = {}  # one shared Semver per distinct version text
-
-    def version_of(text: str) -> Semver:
-        version = parsed.get(text)
-        if version is None:
-            version = parsed[text] = Semver.parse(text)
-        return version
 
     def require_node(package: str, version_text: str) -> None:
-        if version_text not in node_versions.get(package, ()):
+        if (package, version_text) not in node_texts:
             raise FormatError(f"{package}@{version_text} has no node line above it")
 
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
+    def parse_line(fields: list[str]) -> None:
         kind = fields[0]
-        try:
-            if kind == "node" and len(fields) == 5:
-                version = version_of(fields[2])
-                if (fields[1], version) in nodes:
-                    raise FormatError(f"duplicate node line for {fields[1]}@{version}")
-                nodes.add((fields[1], version))
-                try:
-                    published = _dt.date.fromisoformat(fields[3])
-                except ValueError:
-                    raise FormatError(f"invalid date {fields[3]!r}") from None
-                records.append(VersionRecord(fields[1], version, published, fields[4], ()))
-                node_versions[fields[1]].add(fields[2])
-            elif kind == "edge" and len(fields) == 6:
-                edges.append(
-                    Edge(fields[1], version_of(fields[2]), fields[3], version_of(fields[4]), fields[5])
-                )
-                require_node(fields[1], fields[2])
-                require_node(fields[3], fields[4])
-            elif kind == "unresolved" and len(fields) == 6:
-                unresolved.append(
-                    Unresolved(fields[1], version_of(fields[2]), fields[3], fields[4], fields[5])
-                )
-                require_node(fields[1], fields[2])
-            else:
-                raise FormatError(f"unrecognized line kind {kind!r}")
-        except FormatError as exc:
-            raise FormatError(exc.message, source=source, line=lineno) from None
-    graph = DependencyGraph(
-        nodes=frozenset(nodes),
-        edges=tuple(edges),
-        unresolved=tuple(unresolved),
-    )
-    return graph, records
+        if kind == "node" and len(fields) == 5:
+            record = _record(fields[1:], seen, versions)
+            records.append(record)
+            node_texts.add((record.package, fields[2]))
+        elif kind == "edge" and len(fields) == 6:
+            edges.append(
+                Edge(fields[1], versions[fields[2]], fields[3], versions[fields[4]], fields[5])
+            )
+            require_node(fields[1], fields[2])
+            require_node(fields[3], fields[4])
+        elif kind == "unresolved" and len(fields) == 6:
+            unresolved.append(
+                Unresolved(fields[1], versions[fields[2]], fields[3], fields[4], fields[5])
+            )
+            require_node(fields[1], fields[2])
+        else:
+            raise FormatError(f"unrecognized line kind {kind!r}")
+
+    _parse_lines(text, source, parse_line)
+    return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records

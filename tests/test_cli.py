@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from licterm.cli import main
 from licterm.dataset import dumps_dataset
@@ -310,3 +315,69 @@ class TestDeterminismAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["matrix", "--does-not-exist"])
         assert exc.value.code == 2
+
+
+MUTATION_SNAPSHOT = [
+    snapshot_line("web", "1.0.0", "2021-04-01", "MIT", "styles@^1.0.0;@scope/ui@~2.1.0;ghost@*"),
+    snapshot_line("web", "1.1.0-rc.1", "2021-09-01", "mit OR Apache-2.0", "styles@nonsense"),
+    snapshot_line("web", "2.0.0+build.3", "2022-02-01", "GPL-3.0-only", "@scope/ui@>9"),
+    snapshot_line("styles", "1.2.0", "2020-06-01", "CC-BY-4.0"),
+    snapshot_line("@scope/ui", "2.1.4", "2019-01-01", "SEE LICENSE IN LICENSE"),
+    snapshot_line(
+        "@scope/ui", "2.2.0", "2020-03-03", "Apache-2.0 WITH LLVM-exception", "styles@1.x"
+    ),
+]
+_TOKENS = ("\t", " ", "#", "@", ";", "x", "1.0", "-rc", "+b", "2020-02-30", " OR ", "(", "node")
+
+
+def _mutate(data, lines: list[str]) -> list[str]:
+    """Apply 1-3 drawn mutations.
+
+    Each one deletes or duplicates a line, truncates it at a tab, pads a
+    field with spaces, or inserts a token.
+    """
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        how = data.draw(st.sampled_from(("delete", "duplicate", "truncate", "pad", "insert")))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, line)
+        elif how == "truncate":
+            tabs = [j for j, c in enumerate(line) if c == "\t"] or [len(line)]
+            lines[i] = line[: data.draw(st.sampled_from(tabs))]
+        elif how == "pad":
+            fields = line.split("\t")
+            j = data.draw(st.integers(0, len(fields) - 1))
+            fields[j] = f" {fields[j]} "
+            lines[i] = "\t".join(fields)
+        else:
+            at = data.draw(st.integers(0, len(line)))
+            lines[i] = line[:at] + data.draw(st.sampled_from(_TOKENS)) + line[at:]
+    return lines
+
+
+def _quiet_main(*argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in argv])
+
+
+class TestMutatedInputs:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_lines_exit_with_a_documented_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            snapshot, graph = Path(tmp) / "snapshot.tsv", Path(tmp) / "graph.dat"
+            snapshot.write_text("\n".join(MUTATION_SNAPSHOT) + "\n", encoding="utf-8")
+            assert _quiet_main("ingest", snapshot, "-o", graph) == 0
+            graph_lines = graph.read_text(encoding="utf-8").splitlines()
+            graph.write_text("\n".join(_mutate(data, graph_lines)) + "\n", encoding="utf-8")
+            assert _quiet_main("scan", graph) in (0, 4, 5)
+            mutated = "\n".join(_mutate(data, MUTATION_SNAPSHOT)) + "\n"
+            snapshot.write_text(mutated, encoding="utf-8")
+            assert _quiet_main("ingest", snapshot, "-o", graph) in (0, 5)
+            assert _quiet_main("changes", snapshot) in (0, 5)

@@ -92,6 +92,16 @@ class TestFileFormat:
         with pytest.raises(ValidationError):
             loads_dataset(MINIMAL_RECORD + "\n" + MINIMAL_RECORD)
 
+    def test_validation_errors_name_the_record_line(self):
+        bad = MINIMAL_RECORD.replace("distribute: can", "distribute: must")
+        with pytest.raises(ValidationError) as exc:
+            loads_dataset("dataset-version: 7\n\n" + bad, source="test.dat")
+        assert str(exc.value).startswith("test.dat:3: profile Test-1.0: ")
+        second = MINIMAL_RECORD.count("\n") + 2  # past the blank separator line
+        with pytest.raises(ValidationError) as exc:
+            loads_dataset(MINIMAL_RECORD + "\n" + MINIMAL_RECORD, source="test.dat")
+        assert str(exc.value) == f"test.dat:{second}: duplicate spdx-id 'Test-1.0'"
+
     def test_metadata_block(self):
         text = "dataset-version: 7\nprovenance: somewhere\n\n" + MINIMAL_RECORD
         ds = loads_dataset(text)

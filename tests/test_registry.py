@@ -1,5 +1,7 @@
 import datetime as dt
+import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -333,6 +335,27 @@ class TestLicenseChanges:
         assert render(change.to_outcome.expr) == "MIT"
 
 
+def _seeded_snapshot(rng: random.Random) -> str:
+    """Shuffled records with scoped names, prereleases, build metadata and bad ranges."""
+    packages = ["app", "lib", "@scope/pkg", "@scope/util"]
+    suffixes = ["", "", "-rc.1", "-beta.2", "+build.7", "-alpha.1+sha.5f"]
+    licenses = ["MIT", "Apache-2.0", "GPL-3.0-only", "MIT OR ISC", "", "SEE LICENSE IN LICENSE"]
+    ranges = ["^1.0.0", "~2.1.0", "*", ">=1.0.0-rc.1 <2.0.0", "1.x || 2.x", ">9.0.0", "nonsense"]
+    rows = []
+    for package in packages:
+        for major in range(3):
+            for minor in rng.sample(range(5), 2):  # one patch each: no repeated precedence
+                version = f"{major}.{minor}.{rng.randrange(3)}{rng.choice(suffixes)}"
+                published = f"20{10 + major}-{minor + 1:02d}-{rng.randrange(1, 29):02d}"
+                deps = ";".join(
+                    f"{rng.choice(packages + ['ghost'])}@{rng.choice(ranges)}"
+                    for _ in range(rng.randrange(4))
+                )
+                rows.append(line(package, version, published, rng.choice(licenses), deps))
+    rng.shuffle(rows)
+    return "\n".join(rows)
+
+
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
         records = parse_snapshot_text(SMALL_SNAPSHOT)
@@ -340,7 +363,9 @@ class TestGraphFile:
         path = tmp_path / "graph.dat"
         write_graph(graph, records, path)
         loaded_graph, loaded_records = read_graph(path)
-        assert loaded_graph.nodes == graph.nodes
+        assert {(r.package, r.version) for r in loaded_records} == {
+            (r.package, r.version) for r in records
+        }
         assert set(loaded_graph.edges) == set(graph.edges)
         assert set(loaded_graph.unresolved) == set(graph.unresolved)
         by_key = {(r.package, str(r.version)): r for r in records}
@@ -399,6 +424,16 @@ class TestGraphFile:
                 ],
                 3,
             ),
+            ([GRAPH_HEADER, "node\t\t1.0.0\t2020-01-01\tMIT"], 2),
+            (
+                [
+                    GRAPH_HEADER,
+                    "node\ta\t1.0.0\t2020-01-01\tMIT",
+                    "node\ta\t1.1.0\t2020-02-30\tMIT",
+                ],
+                3,
+            ),
+            ([GRAPH_HEADER, "node\ta\t1.0\t2020-01-01\tMIT"], 2),
         ],
         ids=[
             "unknown-kind",
@@ -410,6 +445,9 @@ class TestGraphFile:
             "missing-header",
             "other-format-version",
             "duplicate-node-by-precedence",
+            "empty-node-package",
+            "bad-node-date",
+            "bad-node-version",
         ],
     )
     def test_read_rejects_garbage(self, tmp_path, lines, bad_line):
@@ -420,6 +458,38 @@ class TestGraphFile:
         message = str(excinfo.value)
         assert message.startswith(f"{path}:{bad_line}: ")
         assert "<input>" not in message
+
+    def test_duplicate_node_is_duplicate_version_error(self, tmp_path):
+        path = tmp_path / "dup.dat"
+        lines = [GRAPH_HEADER, "node\ta\t1.0.0\t2020-01-01\tMIT", "node\ta\t1.0.0\t2020-02-01\tISC"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DuplicateVersionError) as excinfo:
+            read_graph(path)
+        assert str(excinfo.value) == f"{path}:3: duplicate record for a@1.0.0"
+
+    def test_byte_round_trip(self, tmp_path):
+        records = parse_snapshot_text(_seeded_snapshot(random.Random(11)))
+        graph = build_graph(records)
+        assert any(r.version.build for r in records)
+        assert any(r.version.prerelease for r in records)
+        assert any(r.package.startswith("@") for r in records)
+        assert {u.reason for u in graph.unresolved} == {
+            "unknown-package",
+            "no-match",
+            "unparsable-range",
+        }
+        p, q = tmp_path / "p.dat", tmp_path / "q.dat"
+        write_graph(graph, records, p)
+        loaded_graph, loaded_records = read_graph(p)
+        write_graph(loaded_graph, loaded_records, q)
+        assert q.read_bytes() == p.read_bytes()
+
+        def fields(r):  # str(version) keeps the build metadata that == ignores
+            return (r.package, str(r.version), r.published, r.license_raw, r.dependencies)
+
+        assert sorted(map(fields, loaded_records)) == sorted(
+            fields(replace(r, dependencies=())) for r in records
+        )
 
     def test_parse_snapshot_from_file(self, tmp_path):
         path = tmp_path / "snap.dat"
