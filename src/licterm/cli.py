@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("mine", help="mine frequent term patterns")
     p.add_argument("--min-support", type=int, default=2)
-    p.add_argument("--min-size", type=int, default=1)
+    p.add_argument("--min-size", type=_positive_int, default=1)
     p.add_argument("--jaccard", type=float, default=0.9, help="dedup threshold")
     p.add_argument("--no-dedup", action="store_true")
     _add_data_flags(p)

@@ -68,13 +68,19 @@ class Edge:
     range: str
 
 
+# Why a dependency entry has no edge: its package is not in the snapshot,
+# no version of it satisfies the range, or the range does not parse.
+UNRESOLVED_REASONS = ("unknown-package", "no-match", "unparsable-range")
+_UNKNOWN_PACKAGE, _NO_MATCH, _UNPARSABLE_RANGE = UNRESOLVED_REASONS
+
+
 @dataclass(frozen=True)
 class Unresolved:
     package: str
     version: Semver
     dep_name: str
     range: str
-    reason: str  # unknown-package | no-match | unparsable-range
+    reason: str  # one of UNRESOLVED_REASONS
 
 
 @dataclass(frozen=True)
@@ -176,7 +182,7 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     def resolve(name: str, range_str: str) -> Semver | str:
         """The target version, or the reason there is none."""
         if name not in versions_by_package:
-            return "unknown-package"
+            return _UNKNOWN_PACKAGE
         if range_str not in ranges:
             try:
                 ranges[range_str] = parse_range(range_str)
@@ -184,9 +190,9 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
                 ranges[range_str] = None
         rng = ranges[range_str]
         if rng is None:
-            return "unparsable-range"
+            return _UNPARSABLE_RANGE
         target = resolve_range(rng, versions_by_package[name])
-        return "no-match" if target is None else target
+        return _NO_MATCH if target is None else target
 
     outcomes: dict[tuple[str, str], Semver | str] = {}
     edges: list[Edge] = []
@@ -322,8 +328,9 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     """Load a graph file; the returned records carry no dependency lists.
 
     Line 1 must be ``GRAPH_HEADER``. Node lines are checked as snapshot
-    records are. Each package version an edge or unresolved line names
-    needs a node line above it with the same version text, as
+    records are, and an unresolved line's reason must be one of
+    ``UNRESOLVED_REASONS``. Each package version an edge or unresolved
+    line names needs a node line above it with the same version text, as
     ``write_graph`` writes it: equal text is then the same (package,
     Semver) node key, which ``scan`` looks nodes up by.
     """
@@ -358,6 +365,8 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
             require_node(fields[1], fields[2])
             require_node(fields[3], fields[4])
         elif kind == "unresolved" and len(fields) == 6:
+            if fields[5] not in UNRESOLVED_REASONS:
+                raise FormatError(f"unknown unresolved reason {fields[5]!r}")
             unresolved.append(
                 Unresolved(fields[1], versions[fields[2]], fields[3], fields[4], fields[5])
             )

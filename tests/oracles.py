@@ -2,10 +2,10 @@
 
 These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
-exhaustive subset enumeration, expression checking tries every
-left/right assignment of every OR node, and range satisfaction
-re-implements semver precedence from scratch. They share only the data
-types.
+exhaustive subset enumeration, dedup compares each pattern with every
+kept one, expression checking tries every left/right assignment of
+every OR node, and range satisfaction re-implements semver precedence
+from scratch. They share only the data types.
 """
 
 from itertools import combinations, product
@@ -191,6 +191,37 @@ def oracle_check_mined(transactions, min_support, patterns):
             assert (grown in reported) == (count >= min_support), (
                 f"extension {sorted(grown)} misreported"
             )
+
+
+def oracle_dedup_similar(patterns, jaccard_min):
+    """The linear scan: each pattern against every kept pattern.
+
+    Same rule as ``mining.dedup_similar``: a pattern is folded into a
+    kept one when one itemset contains the other and their supporting
+    sets have Jaccard similarity at or above ``jaccard_min``; the larger
+    itemset survives.
+    """
+
+    def jaccard(a, b):
+        if not a and not b:
+            return 1.0
+        return len(a & b) / len(a | b)
+
+    kept = []
+    for pattern in patterns:
+        similars = [
+            k
+            for k in kept
+            if (k.items <= pattern.items or pattern.items <= k.items)
+            and jaccard(k.supporting_ids, pattern.supporting_ids) >= jaccard_min
+        ]
+        if not similars:
+            kept.append(pattern)
+            continue
+        if all(len(k.items) < len(pattern.items) for k in similars):
+            kept = [k for k in kept if k not in similars]
+            kept.append(pattern)
+    return kept
 
 
 def _precedence_key(v: Semver):

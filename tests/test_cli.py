@@ -154,6 +154,13 @@ class TestMine:
         assert sizes and all(s >= 2 for s in sizes)
         assert len(with_singles.splitlines()) > len(no_singles.splitlines())
 
+    @pytest.mark.parametrize("min_size", ["0", "-1", "1.5", "two"])
+    def test_min_size_below_one_or_not_integer_exits_2(self, capsys, min_size):
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "--min-size", min_size])
+        assert exc.value.code == 2
+        assert "--min-size: expected an integer of at least 1" in capsys.readouterr().err
+
     def test_dedup_reduces_patterns(self, capsys):
         _, raw_out, _ = run(
             capsys, "mine", "--min-support", "20", "--no-dedup", "--format", "records"
@@ -215,6 +222,17 @@ class TestPipeline:
         code, out, err = run(capsys, "scan", str(graph_path))
         assert code == 5
         assert f"{graph_path}:3: b@1.0.0 has no node line above it" in err
+
+    def test_scan_graph_unknown_unresolved_reason_exits_5(self, capsys, tmp_path):
+        graph_path = tmp_path / "graph.dat"
+        graph_path.write_text(
+            f"{GRAPH_HEADER}\nnode\ta\t1.0.0\t2020-01-01\tMIT\n"
+            "unresolved\ta\t1.0.0\tb\t^1\tbogus-reason\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "scan", str(graph_path))
+        assert code == 5
+        assert f"{graph_path}:3: unknown unresolved reason 'bogus-reason'" in err
 
     def test_scan_too_many_or_choices_exits_3(self, capsys, tmp_path):
         graph_path = tmp_path / "graph.dat"

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from licterm import mining
 from licterm.dataset import Dataset
 from licterm.mining import (
     FrequentPattern,
@@ -15,7 +16,8 @@ from licterm.mining import (
 )
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER, make_terms
 
-from oracles import oracle_check_mined, oracle_mine
+from oracles import oracle_check_mined, oracle_dedup_similar, oracle_mine
+from test_conflicts import _family_dataset
 
 
 def _profile(spdx_id, **attitudes):
@@ -211,6 +213,94 @@ class TestDedup:
             dedup_similar([], 0.0)
         with pytest.raises(InvalidThreshold):
             dedup_similar([], 1.5)
+
+    def test_size_window_edges_survive_rounding(self):
+        # 7/100 is 0.07 as a float, yet 0.07 * 100 is 7.000000000000001 and
+        # 7 / 0.07 is 99.99999999999999: without its one-size margin the
+        # window around either size would miss the other.
+        assert 0.07 * 100 > 7 and 7 / 0.07 < 100
+        base = frozenset(f"L{i}" for i in range(7))
+        small = _pattern([D_CAN], base | {f"X{i}" for i in range(93)})
+        large = _pattern([D_CAN, SUB_CAN], base)
+        assert dedup_similar([small, large], 0.07) == [large]
+        assert dedup_similar([large, small], 0.07) == [large]
+
+    def test_buckets_by_supporting_set_not_support_count(self):
+        # The two disagree on hand-built patterns; only the set decides.
+        small = FrequentPattern(frozenset([D_CAN]), 1, frozenset("ABCD"))
+        large = FrequentPattern(frozenset([D_CAN, SUB_CAN]), 50, frozenset("ABCD"))
+        assert dedup_similar([small, large], 0.9) == [large]
+        assert dedup_similar([large, small], 0.9) == [large]
+
+    @pytest.mark.parametrize("jaccard_min", [0.3, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize(
+        "seed, size, min_support", [(60, 60, 20), (60, 60, 25), (60, 60, 30), (62, 200, 50)]
+    )
+    def test_equals_linear_scan_on_family_catalogs(self, seed, size, min_support, jaccard_min):
+        patterns = mine(_family_dataset(random.Random(seed), size), min_support)
+        assert len(patterns) > 50
+        _assert_dedup_matches_oracle(patterns, jaccard_min)
+
+    @pytest.mark.parametrize("jaccard_min", [0.3, 0.5, 0.9, 1.0])
+    def test_equals_linear_scan_in_reverse_order(self, seed_dataset, jaccard_min):
+        _assert_dedup_matches_oracle(mine(seed_dataset, 5)[::-1], jaccard_min)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_linear_scan_hypothesis(self, data):
+        pool = data.draw(st.lists(_hand_built_patterns, min_size=1, max_size=12))
+        # Arbitrary order, with the same pattern object repeated at times.
+        order = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=24))
+        jaccard_min = data.draw(
+            st.sampled_from([0.3, 0.5, 0.9, 1.0, 0.07, 2 / 3])
+            | st.floats(0, 1, exclude_min=True)
+        )
+        _assert_dedup_matches_oracle([pool[i] for i in order], jaccard_min)
+
+
+_hand_built_patterns = st.builds(
+    FrequentPattern,
+    st.frozensets(st.sampled_from([D_CAN, SUB_CAN, TermItem("modify", "can")])),
+    st.integers(0, 9),  # need not be len(supporting_ids)
+    st.frozensets(st.sampled_from("ABCDEFGH"), max_size=8)
+    | st.frozensets(st.sampled_from("ABCD"), max_size=3),
+)
+
+
+def _assert_dedup_matches_oracle(patterns, jaccard_min):
+    got = dedup_similar(patterns, jaccard_min)
+    expected = oracle_dedup_similar(patterns, jaccard_min)
+    assert list(map(id, got)) == list(map(id, expected))
+
+
+class TestDedupWork:
+    @pytest.mark.parametrize("jaccard_min", [0.9, 1.0])
+    def test_compares_only_within_the_size_window(self, monkeypatch, jaccard_min):
+        # A count, not a timing. 300 nested patterns in mine() order, with
+        # supporting sets of 300 distinct sizes from 1 to 672 ids, spread
+        # geometrically. The sets are disjoint, so nothing merges and each pattern passes
+        # the containment test against every kept one: a scan over every
+        # kept pattern calls _jaccard 44,850 times at any threshold.
+        items = [TermItem(f"t{i:03d}", "can") for i in range(300)]
+        sizes = [round(1.02**k) + k for k in range(300)]
+        starts = [sum(sizes[:k]) for k in range(300)]
+        patterns = [
+            _pattern(items[:n], range(starts[-n], starts[-n] + sizes[-n]))
+            for n in range(1, 301)
+        ]
+        calls = 0
+        jaccard = mining._jaccard
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return jaccard(a, b)
+
+        monkeypatch.setattr(mining, "_jaccard", counted)
+        got = dedup_similar(patterns, jaccard_min)
+        monkeypatch.undo()
+        assert got == patterns
+        assert calls <= len(patterns) * len(got) // 10
 
 
 class TestCommonTermReport:

@@ -434,6 +434,14 @@ class TestGraphFile:
                 3,
             ),
             ([GRAPH_HEADER, "node\ta\t1.0\t2020-01-01\tMIT"], 2),
+            (
+                [
+                    GRAPH_HEADER,
+                    "node\ta\t1.0.0\t2020-01-01\tMIT",
+                    "unresolved\ta\t1.0.0\tb\t^1\tbogus-reason",
+                ],
+                3,
+            ),
         ],
         ids=[
             "unknown-kind",
@@ -448,6 +456,7 @@ class TestGraphFile:
             "empty-node-package",
             "bad-node-date",
             "bad-node-version",
+            "bogus-unresolved-reason",
         ],
     )
     def test_read_rejects_garbage(self, tmp_path, lines, bad_line):
