@@ -25,7 +25,6 @@ from .dataset import (
     known_licenses,
     load_aliases,
     load_dataset,
-    lookup,
 )
 from .expression import (
     And,

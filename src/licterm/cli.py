@@ -263,7 +263,7 @@ def _cmd_scan(args) -> int:
     report = scan(
         graph, records, ctx.dataset, args.strict_not_mentioned, ctx.aliases, ctx.known
     )
-    table = rank_pairs(report, args.top)
+    rows = rank_pairs(report, args.top)
     if args.format == "records":
         _emit(
             {
@@ -278,7 +278,7 @@ def _cmd_scan(args) -> int:
             }
         )
         for ctype in ConflictType:
-            for parent, dep, count in table.rows[ctype]:
+            for parent, dep, count in rows[ctype]:
                 _emit(
                     {
                         "kind": "pair",
@@ -300,8 +300,8 @@ def _cmd_scan(args) -> int:
             + f" unknown-license={report.unknown_license_edges}"
         )
         for ctype in ConflictType:
-            print(f"top {ctype.value} pairs (total {table.totals[ctype]}):")
-            for parent, dep, count in table.rows[ctype]:
+            print(f"top {ctype.value} pairs (total {report.edges_with_findings[ctype]}):")
+            for parent, dep, count in rows[ctype]:
                 print(f"  {parent} -> {dep}: {count}")
         print("usage by year:")
         for (year, bucket), count in sorted(report.usage.items()):

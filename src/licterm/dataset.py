@@ -7,8 +7,10 @@ may be a metadata record carrying ``dataset-version`` and
 ``provenance``. A profile record has ``spdx-id``, ``full-name``,
 ``copyleft``, one line for each of the 22 terms, and an optional
 ``notes`` line. Parsing is strict: unknown keys, duplicate keys, or
-unknown attitude spellings are format errors, and every profile must
-pass :func:`licterm.model.validate_profile`.
+unknown attitude spellings are format errors, and
+:func:`licterm.model.validate_profile` must return no violations for
+any profile. ``Dataset.profiles`` maps each exact, case-sensitive id
+to its profile.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
@@ -50,14 +52,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.profiles)
 
-    def __contains__(self, spdx_id: str) -> bool:
-        return spdx_id in self.profiles
-
-
-def lookup(ds: Dataset, spdx_id: str) -> LicenseProfile | None:
-    """Exact, case-sensitive profile lookup; None when absent."""
-    return ds.profiles.get(spdx_id)
-
 
 @dataclass(frozen=True)
 class AliasTable:
@@ -67,9 +61,6 @@ class AliasTable:
 
     def resolve(self, raw: str) -> str | None:
         return self.entries.get(fold_key(raw))
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +141,11 @@ def loads_dataset(text: str, source: str = "<string>") -> Dataset:
             continue
         profile = _parse_profile(block, source)
         locator = f"{source}:{block[0][0]}"  # the record's first line
-        result = validate_profile(profile)
-        if not result.ok:
+        violations = validate_profile(profile)
+        if violations:
             raise ValidationError(
                 f"{locator}: profile {profile.spdx_id or '<missing id>'}: "
-                + "; ".join(result.violations)
+                + "; ".join(violations)
             )
         if profile.spdx_id in profiles:
             raise ValidationError(f"{locator}: duplicate spdx-id {profile.spdx_id!r}")

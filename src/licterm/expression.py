@@ -59,26 +59,17 @@ class LicenseRef:
     or_later: bool = False
     exception: str | None = None
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
 class And:
     left: "LicenseExpression"
     right: "LicenseExpression"
 
-    def __str__(self) -> str:
-        return render(self)
-
 
 @dataclass(frozen=True)
 class Or:
     left: "LicenseExpression"
     right: "LicenseExpression"
-
-    def __str__(self) -> str:
-        return render(self)
 
 
 LicenseExpression = Union[LicenseRef, And, Or]
@@ -328,9 +319,8 @@ NormalizationOutcome = Union[Resolved, Unresolvable]
 _NO_LICENSE_FORMS = {"", "unlicensed", "none", "no license", "no-license", "nolicense"}
 _FILE_REF_RE = re.compile(
     r"""
-    ^see\s+license          # npm "SEE LICENSE IN <file>" convention
-    | ^\.{0,2}[/\\]         # ./path, ../path, /path, \path
-    | [/\\].*\.\w+$         # something/path.ext
+    ^\.{0,2}[/\\]            # ./path, ../path, /path, \path
+    | [/\\][^/\\\n]*\.\w+$   # something/path.ext, from the last separator
     | \.(txt|md|rst|html|license)$
     """,
     re.IGNORECASE | re.VERBOSE,
@@ -350,7 +340,7 @@ def _classify_special(trimmed: str) -> UnresolvableReason | None:
     if (
         _FILE_REF_RE.search(trimmed)
         or folded in _FILE_NAMES
-        or folded.startswith("see ")
+        or folded.startswith("see ")  # npm "SEE LICENSE IN <file>"
     ):
         return UnresolvableReason.FILE_REFERENCE
     if _HEX_RE.fullmatch(trimmed.replace(" ", "")):

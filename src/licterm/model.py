@@ -160,19 +160,11 @@ class LicenseProfile:
         return can, cannot, must
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_profile(profile: LicenseProfile) -> ValidationResult:
+def validate_profile(profile: LicenseProfile) -> tuple[str, ...]:
     """Check every profile invariant; violations are returned, not raised.
 
-    Each violation message names the offending term or field and the
+    The result is a tuple of violation messages, empty for a valid
+    profile. Each message names the offending term or field and the
     rule it breaks. The check is pure and idempotent.
     """
     violations: list[str] = []
@@ -194,7 +186,7 @@ def validate_profile(profile: LicenseProfile) -> ValidationResult:
             violations.append(
                 f"{term.value}: {kind} cannot be {attitude.value!r}"
             )
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)

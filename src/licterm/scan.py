@@ -119,17 +119,14 @@ def scan(
     )
 
 
-@dataclass(frozen=True)
-class PairTable:
-    rows: dict[ConflictType, tuple[tuple[str, str, int], ...]]
-    totals: dict[ConflictType, int]
+def rank_pairs(
+    report: ScanReport, k: int = 10
+) -> dict[ConflictType, tuple[tuple[str, str, int], ...]]:
+    """Per-type top-k (parent, dep, count) rows.
 
-
-def rank_pairs(report: ScanReport, k: int = 10) -> PairTable:
-    """Per-type top-k (parent, dep, count) rows plus per-type totals.
-
-    Rows sort by descending count, then pair spelling; the totals row
-    covers all conflicted edges of the type, not only the top k.
+    Rows sort by descending count, then pair spelling. The per-type
+    totals over all conflicted edges, not only the top k, are
+    ``report.edges_with_findings``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -141,5 +138,4 @@ def rank_pairs(report: ScanReport, k: int = 10) -> PairTable:
         rows[ctype] = tuple(
             (parent, dep, count) for (parent, dep), count in ranked[:k]
         )
-    totals = {ctype: report.edges_with_findings[ctype] for ctype in ConflictType}
-    return PairTable(rows=rows, totals=totals)
+    return rows

@@ -4,10 +4,12 @@ These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
 exhaustive subset enumeration, dedup compares each pattern with every
 kept one, expression checking tries every left/right assignment of
-every OR node, and range satisfaction re-implements semver precedence
-from scratch. They share only the data types.
+every OR node, range satisfaction re-implements semver precedence
+from scratch, and the file-reference pattern is written the direct way.
+They share only the data types.
 """
 
+import re
 from itertools import combinations, product
 
 from licterm.expression import LicenseRef, Or
@@ -286,3 +288,17 @@ def oracle_build_graph_edges(records):
                     (record.package, str(record.version), name, str(target), range_str)
                 )
     return edges
+
+
+#: The file-reference pattern written the direct way. Its ``.*`` retries
+#: every later position after each separator, so it is quadratic on long
+#: separator runs and serves only as a reference on short strings.
+ORACLE_FILE_REF_RE = re.compile(
+    r"""
+    ^see\s+license          # npm "SEE LICENSE IN <file>" convention
+    | ^\.{0,2}[/\\]         # ./path, ../path, /path, \path
+    | [/\\].*\.\w+$         # something/path.ext
+    | \.(txt|md|rst|html|license)$
+    """,
+    re.IGNORECASE | re.VERBOSE,
+)

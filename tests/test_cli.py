@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from licterm.cli import main
-from licterm.dataset import dumps_dataset
+from licterm.dataset import Dataset, dumps_dataset
 from licterm.model import TERM_ORDER
 from licterm.registry import GRAPH_HEADER
 
@@ -75,6 +75,34 @@ class TestCheck:
         assert "too many OR choices" in err and "(MIT OR ISC) AND" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "parent, dep, code, message",
+        [
+            (
+                "MIT",
+                "GPL-2.0-only WITH Classpath-exception-2.0",
+                4,
+                "exception Classpath-exception-2.0 on GPL-2.0-only is not modeled; "
+                "checked against the base license",
+            ),
+            (
+                "GPL-3.0-only",
+                "GPL-2.0-only",
+                0,
+                "both GPL-3.0-only and GPL-2.0-only are copyleft; same-license "
+                "propagation between copyleft licenses is not assessed",
+            ),
+        ],
+        ids=["exception", "copyleft"],
+    )
+    def test_warnings_in_both_formats(self, capsys, parent, dep, code, message):
+        got, out, err = run(capsys, "check", "--format", "records", parent, dep)
+        warnings = [r for r in map(json.loads, out.splitlines()) if r["kind"] == "warning"]
+        assert (got, warnings, err) == (code, [{"kind": "warning", "message": message}], "")
+        got, out, err = run(capsys, "check", parent, dep)
+        assert (got, err) == (code, f"warning: {message}\n")
+        assert "warning" not in out
+
 
 class TestExplain:
     def test_dumps_all_22_attitudes(self, capsys):
@@ -104,6 +132,12 @@ class TestNormalize:
         code, out, err = run(capsys, "normalize", "SEE LICENSE IN LICENSE.TXT")
         assert (code, out.strip()) == (3, "unresolvable:file-reference")
 
+    def test_long_separator_run_exits_3_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "normalize", "a" + "/" * 100_000 + "b")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out.strip()) == (3, "unresolvable:unknown-name")
+
 
 class TestParseExpr:
     def test_shows_precedence(self, capsys):
@@ -115,6 +149,22 @@ class TestParseExpr:
         code, out, err = run(capsys, "parse-expr", "MIT OR")
         assert code == 3
         assert "offset 6" in err
+
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ("MIT & ISC", "offset 4: expected license-id or ( or )"),
+            ("MIT WITH GPL-2.0+", "offset 9: expected exception-id"),
+            (
+                "(MIT OR ISC) WITH Classpath-exception-2.0",
+                "offset 18: expected simple-expression",
+            ),
+        ],
+    )
+    def test_malformed_expressions_exit_3(self, capsys, expr, message):
+        code, out, err = run(capsys, "parse-expr", expr)
+        assert (code, out) == (3, "")
+        assert err == f"error: syntax error at {message}\n"
 
 
 class TestMatrix:
@@ -171,6 +221,12 @@ class TestMine:
     def test_invalid_threshold_exits_2(self, capsys):
         code, out, err = run(capsys, "mine", "--min-support", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("jaccard", ["0", "1.5"])
+    def test_jaccard_outside_unit_interval_exits_2(self, capsys, jaccard):
+        code, out, err = run(capsys, "mine", "--jaccard", jaccard)
+        assert (code, out) == (2, "")
+        assert err == f"error: jaccard_min must be in (0, 1], got {float(jaccard)}\n"
 
 
 class TestPipeline:
@@ -249,12 +305,69 @@ class TestPipeline:
         assert code == 3
         assert "too many OR choices" in err
 
+    def test_scan_long_separator_license_is_fast(self, capsys, tmp_path):
+        graph_path = tmp_path / "graph.dat"
+        slashes = "a" + "/" * 200_000 + "b"
+        graph_path.write_text(
+            f"{GRAPH_HEADER}\n"
+            "node\ta\t1.0.0\t2020-01-01\tMIT\n"
+            f"node\tb\t1.0.0\t2020-01-01\t{slashes}\n"
+            "edge\ta\t1.0.0\tb\t1.0.0\t^1\n",
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "scan", str(graph_path))
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        assert "unknown-license=1" in out and "unresolvable:unknown-name: 1" in out
+
     def test_changes_report(self, capsys, snapshot):
         code, out, err = run(capsys, "changes", str(snapshot))
         assert code == 0
         assert "1 license changes" in out
         assert "MIT -> GPL-3.0-only" in out
         assert "permissive-to-copyleft" in out
+
+    def test_changes_records(self, capsys, snapshot):
+        code, out, err = run(capsys, "changes", str(snapshot), "--format", "records")
+        assert code == 0
+        assert out == (
+            '{"at_version": "2.0.0", "classification": "permissive-to-copyleft", '
+            '"from": "MIT", "kind": "change", "package": "web", "to": "GPL-3.0-only"}\n'
+        )
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("spdx-id: MIT\n", "", "record missing 'spdx-id'"),
+            ("copyleft: none\n", "", "record missing 'copyleft'"),
+            ("copyleft: none\n", "copyleft: medium\n", "unknown copyleft class 'medium'"),
+        ],
+        ids=["no-spdx-id", "no-copyleft", "copyleft-medium"],
+    )
+    def test_bad_dataset_record_exits_5(self, capsys, tmp_path, seed_dataset, old, new, message):
+        text = dumps_dataset(Dataset(profiles={"MIT": seed_dataset.profiles["MIT"]}))
+        assert text.count(old) == 1
+        path = tmp_path / "bad.dat"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        code, out, err = run(capsys, "check", "--dataset", str(path), "MIT", "ISC")
+        assert (code, out) == (5, "")
+        assert err == f"error: {path}:4: {message}\n"  # the record's first line
+
+    @pytest.mark.parametrize("command", ["ingest", "changes"])
+    def test_dependency_entry_without_range_exits_5(self, capsys, tmp_path, command):
+        path = tmp_path / "snap.tsv"
+        lines = [
+            snapshot_line("a", "1.0.0", "2020-01-01", "MIT"),
+            snapshot_line("c", "1.0.0", "2020-01-01", "MIT", "b"),
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        extra = ["-o", str(tmp_path / "graph.dat")] if command == "ingest" else []
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, out) == (5, "")
+        assert err == f"error: {path}:2: dependency entry 'b' is not name@range\n"
 
 
 class TestDeterminismAndConfig:

@@ -9,7 +9,6 @@ from licterm.dataset import (
     load_dataset,
     loads_aliases,
     loads_dataset,
-    lookup,
 )
 from licterm.errors import FormatError, ValidationError
 from licterm.model import Attitude, CopyleftClass, Term
@@ -126,15 +125,15 @@ class TestFileFormat:
 
 class TestLookup:
     def test_exact_match(self, seed_dataset):
-        profile = lookup(seed_dataset, "MIT")
+        profile = seed_dataset.profiles.get("MIT")
         assert profile is not None
         assert profile.terms[Term.SUBLICENSE] is Attitude.CAN
 
     def test_case_sensitive(self, seed_dataset):
-        assert lookup(seed_dataset, "mit") is None
+        assert seed_dataset.profiles.get("mit") is None
 
     def test_empty_id(self, seed_dataset):
-        assert lookup(seed_dataset, "") is None
+        assert seed_dataset.profiles.get("") is None
 
 
 class TestSeedDataset:

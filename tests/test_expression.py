@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from licterm.expression import (
+    _FILE_REF_RE,
     And,
     ExpressionSyntaxError,
     KnownLicenses,
@@ -13,12 +15,14 @@ from licterm.expression import (
     Unresolvable,
     UnresolvableReason,
     expression_ids,
+    fold_key,
     normalize,
     parse_expression,
     render,
 )
 
 from conftest import random_expression
+from oracles import ORACLE_FILE_REF_RE
 
 
 class TestParse:
@@ -187,3 +191,38 @@ class TestNormalize:
     def test_without_alias_table(self, tiny_known):
         assert normalize("MIT", None, tiny_known) == Resolved(LicenseRef("MIT"))
         assert isinstance(normalize("apache2", None, tiny_known), Unresolvable)
+
+
+# Separators, dots, line breaks, odd spaces and a letter that case-folds to
+# "s", plus whole words, so that short draws reach every alternative.
+_FILE_REF_ALPHABET = ["/", "\\", ".", "\n", "\t", "\xa0", "\u017f", " ", "a", "E", "_", "1"]
+_FILE_REF_WORDS = ["see", "SEE", "\u017fee", "license", "LICENSE", "txt", "md", "..", "x.y"]
+
+
+def _is_file_reference(pattern, text: str) -> bool:
+    """The file-reference test ``normalize`` makes: the pattern or a "see " prefix."""
+    return bool(pattern.search(text)) or fold_key(text).startswith("see ")
+
+
+class TestFileReferencePattern:
+    def test_matches_oracle_on_seeded_strings(self):
+        rng = random.Random(20261018)
+        tokens = _FILE_REF_ALPHABET + _FILE_REF_WORDS
+        for _ in range(20_000):
+            text = "".join(rng.choice(tokens) for _ in range(rng.randint(0, 10)))
+            assert _is_file_reference(_FILE_REF_RE, text) == _is_file_reference(
+                ORACLE_FILE_REF_RE, text
+            ), repr(text)
+
+    @given(st.lists(st.sampled_from(_FILE_REF_ALPHABET + _FILE_REF_WORDS), max_size=12))
+    def test_matches_oracle_property(self, tokens):
+        text = "".join(tokens)
+        assert _is_file_reference(_FILE_REF_RE, text) == _is_file_reference(
+            ORACLE_FILE_REF_RE, text
+        )
+
+    def test_linear_on_long_separator_runs(self):
+        text = "a" + "/" * 1_000_000 + "b"
+        start = time.perf_counter()
+        assert _FILE_REF_RE.search(text) is None
+        assert time.perf_counter() - start < 1.0

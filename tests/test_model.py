@@ -93,37 +93,36 @@ def _profile(terms, copyleft=CopyleftClass.NONE, spdx_id="Test-1.0"):
 
 
 def test_validate_ok_for_well_formed_profile():
-    result = validate_profile(_profile(make_terms(distribute="can", include_license="must")))
-    assert result.ok
-    assert result.violations == ()
+    violations = validate_profile(_profile(make_terms(distribute="can", include_license="must")))
+    assert violations == ()
 
 
 def test_validate_rejects_can_obligation():
     terms = make_terms()
     terms[Term.INCLUDE_NOTICE] = Attitude.CAN
-    result = validate_profile(_profile(terms))
-    assert not result.ok
-    assert any("include-notice" in v and "can" in v for v in result.violations)
+    violations = validate_profile(_profile(terms))
+    assert violations
+    assert any("include-notice" in v and "can" in v for v in violations)
 
 
 def test_validate_rejects_must_right():
     terms = make_terms()
     terms[Term.DISTRIBUTE] = Attitude.MUST
-    result = validate_profile(_profile(terms))
-    assert any("distribute" in v for v in result.violations)
+    violations = validate_profile(_profile(terms))
+    assert any("distribute" in v for v in violations)
 
 
 def test_validate_reports_missing_term_key():
     terms = make_terms()
     del terms[Term.STATICALLY_LINK]
-    result = validate_profile(_profile(terms))
-    assert any("statically-link" in v and "not total" in v for v in result.violations)
+    violations = validate_profile(_profile(terms))
+    assert any("statically-link" in v and "not total" in v for v in violations)
 
 
 def test_validate_rejects_bad_spdx_id():
-    assert not validate_profile(_profile(make_terms(), spdx_id="")).ok
-    assert not validate_profile(_profile(make_terms(), spdx_id="bad id")).ok
-    assert validate_profile(_profile(make_terms(), spdx_id="GPL-3.0+")).ok
+    assert validate_profile(_profile(make_terms(), spdx_id=""))
+    assert validate_profile(_profile(make_terms(), spdx_id="bad id"))
+    assert validate_profile(_profile(make_terms(), spdx_id="GPL-3.0+")) == ()
 
 
 def test_validate_is_idempotent_and_pure():

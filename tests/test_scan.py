@@ -28,9 +28,8 @@ class TestScanFixtures:
         assert report.total_edges == 1
         assert report.edges_with_findings[ConflictType.C1] == 1
         assert report.edges_with_findings[ConflictType.C3] == 0
-        table = rank_pairs(report, 10)
-        assert table.rows[ConflictType.C1] == (("MIT", "CC-BY-4.0", 1),)
-        assert table.totals[ConflictType.C1] == 1
+        rows = rank_pairs(report, 10)
+        assert rows[ConflictType.C1] == (("MIT", "CC-BY-4.0", 1),)
 
     def test_single_c2_edge_no_c1_c3(self, seed_dataset, aliases):
         text = "\n".join(
@@ -151,17 +150,17 @@ class TestRankPairs:
             ]
         )
         report, _, _ = _scan_text(text, seed_dataset, aliases)
-        table = rank_pairs(report, 50)
-        assert table.rows[ConflictType.C2] == (("MIT", "Apache-2.0", 1),)
+        rows = rank_pairs(report, 50)
+        assert rows[ConflictType.C2] == (("MIT", "Apache-2.0", 1),)
 
     def test_empty_report(self, seed_dataset, aliases):
         report, _, _ = _scan_text(
             line("solo", "1.0.0", "2021-01-01", "MIT"), seed_dataset, aliases
         )
-        table = rank_pairs(report, 10)
+        rows = rank_pairs(report, 10)
         for ctype in ConflictType:
-            assert table.rows[ctype] == ()
-            assert table.totals[ctype] == 0
+            assert rows[ctype] == ()
+            assert report.edges_with_findings[ctype] == 0
 
     def test_rank_by_count_then_name(self, seed_dataset, aliases):
         rows = [
@@ -172,8 +171,8 @@ class TestRankPairs:
             line("apache2", "1.0.0", "2020-01-01", "Apache-2.0"),
         ]
         report, _, _ = _scan_text("\n".join(rows), seed_dataset, aliases)
-        table = rank_pairs(report, 10)
-        assert table.rows[ConflictType.C2] == (
+        rows = rank_pairs(report, 10)
+        assert rows[ConflictType.C2] == (
             ("MIT", "Apache-2.0", 3),
             ("ISC", "Apache-2.0", 1),
         )
