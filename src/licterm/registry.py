@@ -29,6 +29,7 @@ validated alike and every error carries its ``file:line`` locator.
 from __future__ import annotations
 
 import datetime as _dt
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter
@@ -111,6 +112,11 @@ def _parse_lines(text: str, source: str, parse_line) -> None:
             raise type(exc)(exc.message, source=source, line=lineno) from None
 
 
+# Python 3.11+ ``fromisoformat`` also takes "20200101" and week dates such
+# as "2020-W01-1"; the format is exactly YYYY-MM-DD on every version.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _record(
     fields: list[str], seen: set[tuple[str, Semver]], versions: _Versions, dependencies=()
 ) -> VersionRecord:
@@ -120,8 +126,11 @@ def _record(
     if not package:
         raise FormatError("empty package name")
     version = versions[version_text]
+    date_text = published_text.strip()
+    if _DATE_RE.fullmatch(date_text) is None:
+        raise FormatError(f"invalid date {published_text!r}")
     try:
-        published = _dt.date.fromisoformat(published_text.strip())
+        published = _dt.date.fromisoformat(date_text)
     except ValueError:
         raise FormatError(f"invalid date {published_text!r}") from None
     if (package, version) in seen:  # by precedence: build metadata is ignored

@@ -1,11 +1,13 @@
 """Semantic versions and npm-style dependency ranges.
 
-Supports the range forms that dominate registry metadata: exact
-versions, ``^`` caret, ``~`` tilde, comparators (``>`` ``>=`` ``<``
-``<=`` ``=``), spaced hyphen ranges, wildcards (``*``, ``x``, and
-partial versions like ``1.2``), and ``||`` disjunctions of
-space-separated conjunctions. Anything else (git URLs, tags) is a
-parse error for the caller to record.
+A range is ``||`` disjunctions of space-separated conjunctions of
+tokens. Each token but a spaced hyphen range desugars by one rule, as
+in node-semver: a floor version (the given parts, then zeros) and the
+part bumped to form the upper bound. ``^`` bumps the first non-zero
+given part, ``~`` the minor part (the major if only it is given), and a
+partial version like ``1.2`` or ``1.x`` spans its floor up to the bump
+of its last given part; ``>`` ``>=`` ``<`` ``<=`` keep one end of it.
+Anything else (git URLs, tags) is a parse error for the caller to record.
 
 Prerelease versions satisfy a range only when some comparator in the
 range carries a prerelease with the same (major, minor, patch) triple,
@@ -30,8 +32,10 @@ class RangeSyntaxError(ValueError):
 # Dot-separated prerelease or build identifiers, none of them empty.
 _IDENTS = r"[0-9A-Za-z-]+(?:\.[0-9A-Za-z-]+)*"
 
+# re.ASCII: numeric parts are ASCII digits, not any Unicode decimal digit.
 _VERSION_RE = re.compile(
-    rf"^(0|[1-9]\d*)\.(0|[1-9]\d*)\.(0|[1-9]\d*)(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$"
+    rf"^(0|[1-9]\d*)\.(0|[1-9]\d*)\.(0|[1-9]\d*)(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$",
+    re.ASCII,
 )
 
 
@@ -136,112 +140,74 @@ class VersionRange:
 
 _PARTIAL_RE = re.compile(
     r"^[v=]?(\d+|[xX*])(?:\.(\d+|[xX*]))?(?:\.(\d+|[xX*]))?"
-    rf"(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$"
+    rf"(?:-({_IDENTS}))?(?:\+({_IDENTS}))?$",
+    re.ASCII,
 )
 
 
-@dataclass
-class _Partial:
-    major: int | None
-    minor: int | None
-    patch: int | None
-    prerelease: tuple[str, ...]
+def _parse_partial(text: str) -> tuple[Semver, int]:
+    """The floor of a possibly partial version, and how many parts it gives.
 
-    @property
-    def full(self) -> bool:
-        return self.patch is not None
-
-    def floor(self) -> Semver:
-        return Semver(self.major or 0, self.minor or 0, self.patch or 0, self.prerelease)
-
-
-def _parse_partial(text: str) -> _Partial:
+    The parts given are the numeric ones before the first wildcard or
+    missing part, so ``1.x.3`` is the floor ``1.0.0`` with one part given.
+    """
     m = _PARTIAL_RE.match(text)
     if m is None:
         raise RangeSyntaxError(f"not a version or partial version: {text!r}")
-    parts: list[int | None] = []
+    parts = [0, 0, 0]
+    given = 0
     for group in m.group(1, 2, 3):
         if group is None or group in ("x", "X", "*"):
-            parts.append(None)
-        else:
-            parts.append(int(group))
-    major, minor, patch = parts
-    if major is None:
-        minor = patch = None
-    elif minor is None:
-        patch = None
+            break
+        parts[given] = int(group)
+        given += 1
     prerelease = tuple(m.group(4).split(".")) if m.group(4) else ()
-    if prerelease and patch is None:
+    if prerelease and given < 3:
         raise RangeSyntaxError(f"prerelease requires a full version: {text!r}")
-    return _Partial(major, minor, patch, prerelease)
+    return Semver(*parts, prerelease), given
 
 
-def _wildcard_bounds(p: _Partial) -> tuple[Comparator, ...]:
-    if p.major is None:
-        return ()  # any version
-    if p.minor is None:
-        return (
-            Comparator(">=", Semver(p.major, 0, 0)),
-            Comparator("<", Semver(p.major + 1, 0, 0)),
-        )
-    if p.patch is None:
-        return (
-            Comparator(">=", Semver(p.major, p.minor, 0)),
-            Comparator("<", Semver(p.major, p.minor + 1, 0)),
-        )
-    return (Comparator("=", p.floor()),)
+def _bump(low: Semver, i: int) -> Semver:
+    """The lowest version above every version sharing ``low``'s first ``i + 1`` parts."""
+    if i == 0:
+        return Semver(low.major + 1, 0, 0)
+    if i == 1:
+        return Semver(low.major, low.minor + 1, 0)
+    return Semver(low.major, low.minor, low.patch + 1)
 
 
-def _caret_bounds(p: _Partial) -> tuple[Comparator, ...]:
-    if p.major is None:
-        return ()
-    low = p.floor()
-    if p.major > 0:
-        high = Semver(p.major + 1, 0, 0)
-    elif p.minor is not None and (p.minor > 0 or p.patch is None):
-        high = Semver(0, p.minor + 1, 0)
-    elif p.minor is None:
-        high = Semver(1, 0, 0)
-    else:
-        high = Semver(0, 0, p.patch + 1)
-    return (Comparator(">=", low), Comparator("<", high))
-
-
-def _tilde_bounds(p: _Partial) -> tuple[Comparator, ...]:
-    if p.major is None:
-        return ()
-    low = p.floor()
-    if p.minor is None:
-        high = Semver(p.major + 1, 0, 0)
-    else:
-        high = Semver(p.major, p.minor + 1, 0)
-    return (Comparator(">=", low), Comparator("<", high))
-
-
-def _comparator(op: str, text: str) -> tuple[Comparator, ...]:
-    p = _parse_partial(text)
-    if p.major is None:
+def _span(op: str, text: str) -> tuple[Comparator, ...]:
+    """The comparators of one range token, operator ``op`` (maybe empty) on ``text``."""
+    low, given = _parse_partial(text)
+    if given == 0:
         # Comparing against a bare wildcard collapses to all-or-nothing;
-        # treat ">=*" as any and the rest as unsupported.
-        if op in (">=", "<="):
+        # treat ">=*" as any and ">*", "<*", "=*" as unsupported.
+        if op in ("", "^", "~", ">=", "<="):
             return ()
         raise RangeSyntaxError(f"cannot apply {op!r} to a wildcard")
-    if p.full:
-        return (Comparator(op, p.floor()),)
-    # Partial versions under an operator behave like their wildcard span.
-    low, high = _wildcard_bounds(p)
+    if op == "^":
+        i = 0  # the first non-zero part given, else the last part given
+        while i < given - 1 and low.triple[i] == 0:
+            i += 1
+        return (Comparator(">=", low), Comparator("<", _bump(low, i)))
+    if op == "~":
+        return (Comparator(">=", low), Comparator("<", _bump(low, min(1, given - 1))))
+    if given == 3:
+        return (Comparator(op or "=", low),)
+    # A partial version under an operator stands for its wildcard span [low, high).
+    high = _bump(low, given - 1)
     if op == ">":
-        return (Comparator(">=", high.version),)
+        return (Comparator(">=", high),)
     if op == ">=":
-        return (Comparator(">=", low.version),)
+        return (Comparator(">=", low),)
     if op == "<":
-        return (Comparator("<", low.version),)
+        return (Comparator("<", low),)
     if op == "<=":
-        return (Comparator("<", high.version),)
-    return (low, high)  # "=1.2" == "1.2.x"
+        return (Comparator("<", high),)
+    return (Comparator(">=", low), Comparator("<", high))  # "=1.2" == "1.2" == "1.2.x"
 
 
-_OP_RE = re.compile(r"^(>=|<=|>|<|=|\^|~)")
+_OP_RE = re.compile(r"(?:>=|<=|>|<|=|\^|~)?")
 
 
 def _parse_conjunction(text: str) -> tuple[Comparator, ...]:
@@ -250,24 +216,15 @@ def _parse_conjunction(text: str) -> tuple[Comparator, ...]:
     if "-" in tokens:
         if tokens.index("-") != 1 or len(tokens) != 3:
             raise RangeSyntaxError(f"malformed hyphen range: {text!r}")
-        low = _parse_partial(tokens[0])
-        high = _parse_partial(tokens[2])
-        if not (low.full and high.full):
+        low, low_given = _parse_partial(tokens[0])
+        high, high_given = _parse_partial(tokens[2])
+        if low_given < 3 or high_given < 3:
             raise RangeSyntaxError(f"hyphen range requires full versions: {text!r}")
-        return (Comparator(">=", low.floor()), Comparator("<=", high.floor()))
+        return (Comparator(">=", low), Comparator("<=", high))
     comparators: list[Comparator] = []
     for token in tokens:
-        m = _OP_RE.match(token)
-        op = m.group(1) if m else ""
-        rest = token[len(op):]
-        if op == "^":
-            comparators.extend(_caret_bounds(_parse_partial(rest)))
-        elif op == "~":
-            comparators.extend(_tilde_bounds(_parse_partial(rest)))
-        elif op:
-            comparators.extend(_comparator(op, rest))
-        else:
-            comparators.extend(_wildcard_bounds(_parse_partial(token)))
+        op = _OP_RE.match(token).group()
+        comparators.extend(_span(op, token[len(op):]))
     return tuple(comparators)
 
 

@@ -370,6 +370,32 @@ class TestMalformedInputs:
         assert err == f"error: {path}:2: dependency entry 'b' is not name@range\n"
 
 
+    # "\u0661" is ARABIC-INDIC DIGIT ONE: a Unicode decimal digit, not an ASCII one.
+    @pytest.mark.parametrize(
+        "version, date, message",
+        [
+            ("1\u0661.0.0", "2020-01-01", "not a semantic version: '1\u0661.0.0'"),
+            ("1.0.0", "20200101", "invalid date '20200101'"),
+            ("1.0.0", "2020-W01-1", "invalid date '2020-W01-1'"),
+            ("1.0.0", "2020-1-1", "invalid date '2020-1-1'"),
+        ],
+        ids=["non-ascii-digit", "basic-format-date", "week-date", "unpadded-date"],
+    )
+    @pytest.mark.parametrize("command", ["ingest", "scan"])
+    def test_bad_version_or_date_exits_5(self, capsys, tmp_path, command, version, date, message):
+        path = tmp_path / "input.dat"
+        if command == "ingest":
+            lines = ["# header", snapshot_line("a", version, date, "MIT")]
+            extra = ["-o", str(tmp_path / "graph.dat")]
+        else:
+            lines = [GRAPH_HEADER, f"node\ta\t{version}\t{date}\tMIT"]
+            extra = []
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, command, str(path), *extra)
+        assert (code, out) == (5, "")
+        assert err == f"error: {path}:2: {message}\n"
+
+
 class TestDeterminismAndConfig:
     def test_identical_invocations_byte_identical(self, capsys):
         first = [run(capsys, "matrix")[1] for _ in range(2)]

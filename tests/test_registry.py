@@ -140,6 +140,20 @@ class TestBuildGraph:
             ("libB", "no-match"),
         }
 
+    def test_non_ascii_digit_range_is_unparsable(self):
+        # "\u0661" is ARABIC-INDIC DIGIT ONE; it is not read as the digit 1.
+        text = "\n".join(
+            [
+                line("app", "1.0.0", "2020-01-01", "MIT", "lib@^\u0661.2.3"),
+                line("lib", "1.2.3", "2020-01-01", "MIT"),
+            ]
+        )
+        graph = build_graph(parse_snapshot_text(text))
+        assert graph.edges == ()
+        assert [(u.dep_name, u.range, u.reason) for u in graph.unresolved] == [
+            ("lib", "^\u0661.2.3", "unparsable-range")
+        ]
+
     def test_every_edge_satisfies_its_range(self):
         from licterm.semver import parse_range
 

@@ -32,7 +32,9 @@ class TestSemverParse:
 
     @pytest.mark.parametrize(
         "bad",
-        ["1.2", "1", "v1.2.3", "1.2.3.4", "01.2.3", "", "x", "1.0.0-a..b", "1.0.0+a..b"],
+        ["1.2", "1", "v1.2.3", "1.2.3.4", "01.2.3", "", "x", "1.0.0-a..b", "1.0.0+a..b"]
+        # "\u0661" is ARABIC-INDIC DIGIT ONE; numeric parts are ASCII digits only.
+        + ["1\u0661.0.0", "1.2.1\u0661"],
     )
     def test_rejects_non_semver(self, bad):
         with pytest.raises(FormatError):
@@ -113,15 +115,168 @@ class TestRangeExamples:
             "- 1.2.3",
             "1.0.0 ||",
             ">*",
+            "<*",
+            "=*",
+            "1.2-beta",
+            "^1-rc.1",
+            "1.2 - 2.0.0",
             "^1.2.3 - 2.0.0",
             "file:../local",
             ">=1.0.0-a..b",
             "1.0.0+a..b",
+            "^\u0661.2.3",  # ARABIC-INDIC DIGIT ONE, not an ASCII digit
+            "1.\u0661",
         ],
     )
     def test_unsupported_forms_raise(self, bad):
         with pytest.raises(RangeSyntaxError):
             parse_range(bad)
+
+
+# The desugaring spec: every operator (none, =, ^, ~, >, >=, <, <=) against
+# "*", "M", "M.m", "M.x.p", "M.m.p" and "M.m.p-pre", with zero and non-zero
+# leading parts, each mapped to the text of its comparators. A conjunction's
+# comparators are joined by spaces and alternatives by " || ". The forms
+# that raise (">*", "<*", "=*", "1.2-beta") are in test_unsupported_forms_raise.
+DESUGARED = [
+    ("*", ""),
+    ("0", ">=0.0.0 <1.0.0"),
+    ("1", ">=1.0.0 <2.0.0"),
+    ("0.0", ">=0.0.0 <0.1.0"),
+    ("0.2", ">=0.2.0 <0.3.0"),
+    ("1.2", ">=1.2.0 <1.3.0"),
+    ("0.x.3", ">=0.0.0 <1.0.0"),
+    ("1.x.3", ">=1.0.0 <2.0.0"),
+    ("0.0.0", "=0.0.0"),
+    ("0.0.3", "=0.0.3"),
+    ("0.2.3", "=0.2.3"),
+    ("1.2.3", "=1.2.3"),
+    ("0.0.3-beta", "=0.0.3-beta"),
+    ("0.2.3-beta", "=0.2.3-beta"),
+    ("1.2.3-beta", "=1.2.3-beta"),
+    ("=0", ">=0.0.0 <1.0.0"),
+    ("=1", ">=1.0.0 <2.0.0"),
+    ("=0.0", ">=0.0.0 <0.1.0"),
+    ("=0.2", ">=0.2.0 <0.3.0"),
+    ("=1.2", ">=1.2.0 <1.3.0"),
+    ("=0.x.3", ">=0.0.0 <1.0.0"),
+    ("=1.x.3", ">=1.0.0 <2.0.0"),
+    ("=0.0.0", "=0.0.0"),
+    ("=0.0.3", "=0.0.3"),
+    ("=0.2.3", "=0.2.3"),
+    ("=1.2.3", "=1.2.3"),
+    ("=0.0.3-beta", "=0.0.3-beta"),
+    ("=0.2.3-beta", "=0.2.3-beta"),
+    ("=1.2.3-beta", "=1.2.3-beta"),
+    ("^*", ""),
+    ("^0", ">=0.0.0 <1.0.0"),
+    ("^1", ">=1.0.0 <2.0.0"),
+    ("^0.0", ">=0.0.0 <0.1.0"),
+    ("^0.2", ">=0.2.0 <0.3.0"),
+    ("^1.2", ">=1.2.0 <2.0.0"),
+    ("^0.x.3", ">=0.0.0 <1.0.0"),
+    ("^1.x.3", ">=1.0.0 <2.0.0"),
+    ("^0.0.0", ">=0.0.0 <0.0.1"),
+    ("^0.0.3", ">=0.0.3 <0.0.4"),
+    ("^0.2.3", ">=0.2.3 <0.3.0"),
+    ("^1.2.3", ">=1.2.3 <2.0.0"),
+    ("^0.0.3-beta", ">=0.0.3-beta <0.0.4"),
+    ("^0.2.3-beta", ">=0.2.3-beta <0.3.0"),
+    ("^1.2.3-beta", ">=1.2.3-beta <2.0.0"),
+    ("~*", ""),
+    ("~0", ">=0.0.0 <1.0.0"),
+    ("~1", ">=1.0.0 <2.0.0"),
+    ("~0.0", ">=0.0.0 <0.1.0"),
+    ("~0.2", ">=0.2.0 <0.3.0"),
+    ("~1.2", ">=1.2.0 <1.3.0"),
+    ("~0.x.3", ">=0.0.0 <1.0.0"),
+    ("~1.x.3", ">=1.0.0 <2.0.0"),
+    ("~0.0.0", ">=0.0.0 <0.1.0"),
+    ("~0.0.3", ">=0.0.3 <0.1.0"),
+    ("~0.2.3", ">=0.2.3 <0.3.0"),
+    ("~1.2.3", ">=1.2.3 <1.3.0"),
+    ("~0.0.3-beta", ">=0.0.3-beta <0.1.0"),
+    ("~0.2.3-beta", ">=0.2.3-beta <0.3.0"),
+    ("~1.2.3-beta", ">=1.2.3-beta <1.3.0"),
+    (">0", ">=1.0.0"),
+    (">1", ">=2.0.0"),
+    (">0.0", ">=0.1.0"),
+    (">0.2", ">=0.3.0"),
+    (">1.2", ">=1.3.0"),
+    (">0.x.3", ">=1.0.0"),
+    (">1.x.3", ">=2.0.0"),
+    (">0.0.0", ">0.0.0"),
+    (">0.0.3", ">0.0.3"),
+    (">0.2.3", ">0.2.3"),
+    (">1.2.3", ">1.2.3"),
+    (">0.0.3-beta", ">0.0.3-beta"),
+    (">0.2.3-beta", ">0.2.3-beta"),
+    (">1.2.3-beta", ">1.2.3-beta"),
+    (">=*", ""),
+    (">=0", ">=0.0.0"),
+    (">=1", ">=1.0.0"),
+    (">=0.0", ">=0.0.0"),
+    (">=0.2", ">=0.2.0"),
+    (">=1.2", ">=1.2.0"),
+    (">=0.x.3", ">=0.0.0"),
+    (">=1.x.3", ">=1.0.0"),
+    (">=0.0.0", ">=0.0.0"),
+    (">=0.0.3", ">=0.0.3"),
+    (">=0.2.3", ">=0.2.3"),
+    (">=1.2.3", ">=1.2.3"),
+    (">=0.0.3-beta", ">=0.0.3-beta"),
+    (">=0.2.3-beta", ">=0.2.3-beta"),
+    (">=1.2.3-beta", ">=1.2.3-beta"),
+    ("<0", "<0.0.0"),
+    ("<1", "<1.0.0"),
+    ("<0.0", "<0.0.0"),
+    ("<0.2", "<0.2.0"),
+    ("<1.2", "<1.2.0"),
+    ("<0.x.3", "<0.0.0"),
+    ("<1.x.3", "<1.0.0"),
+    ("<0.0.0", "<0.0.0"),
+    ("<0.0.3", "<0.0.3"),
+    ("<0.2.3", "<0.2.3"),
+    ("<1.2.3", "<1.2.3"),
+    ("<0.0.3-beta", "<0.0.3-beta"),
+    ("<0.2.3-beta", "<0.2.3-beta"),
+    ("<1.2.3-beta", "<1.2.3-beta"),
+    ("<=*", ""),
+    ("<=0", "<1.0.0"),
+    ("<=1", "<2.0.0"),
+    ("<=0.0", "<0.1.0"),
+    ("<=0.2", "<0.3.0"),
+    ("<=1.2", "<1.3.0"),
+    ("<=0.x.3", "<1.0.0"),
+    ("<=1.x.3", "<2.0.0"),
+    ("<=0.0.0", "<=0.0.0"),
+    ("<=0.0.3", "<=0.0.3"),
+    ("<=0.2.3", "<=0.2.3"),
+    ("<=1.2.3", "<=1.2.3"),
+    ("<=0.0.3-beta", "<=0.0.3-beta"),
+    ("<=0.2.3-beta", "<=0.2.3-beta"),
+    ("<=1.2.3-beta", "<=1.2.3-beta"),
+    ("x", ""),
+    ("1.X", ">=1.0.0 <2.0.0"),
+    ("x.2.3", ""),
+    ("v1.2.3", "=1.2.3"),
+    ("=v1.2", ">=1.2.0 <1.3.0"),
+    ("1.2.3+build", "=1.2.3"),
+    ("^1.2.3-rc.1+build", ">=1.2.3-rc.1 <2.0.0"),
+    ("1.2.3 - 2.3.4-rc.1", ">=1.2.3 <=2.3.4-rc.1"),
+    (">=1.2 <2", ">=1.2.0 <2.0.0"),
+    ("^1.2 || ~0.1", ">=1.2.0 <2.0.0 || >=0.1.0 <0.2.0"),
+]
+
+
+class TestDesugaring:
+    @pytest.mark.parametrize("range_str,expected", DESUGARED)
+    def test_comparators(self, range_str, expected):
+        rng = parse_range(range_str)
+        got = " || ".join(
+            " ".join(f"{c.op}{c.version}" for c in conjunction) for conjunction in rng.alternatives
+        )
+        assert got == expected
 
 
 class TestPrereleaseRule:
