@@ -18,7 +18,9 @@ entry; failures are kept as data with their reason rather than
 dropped. Each entry counts on its own: a record that names the same
 dependency twice, even with the same range, gets two edges (or two
 unresolved records), so ``edges + unresolved`` always equals the
-number of dependency entries. The graph file written by ``ingest``
+number of dependency entries. The records list is the node table:
+an edge holds the list indexes of its two nodes, an unresolved entry
+the index of its one node. The graph file written by ``ingest``
 repeats the node metadata so a scan can run from the graph file alone.
 
 Snapshot lines and graph node lines go through one record parser
@@ -32,9 +34,8 @@ import datetime as _dt
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DuplicateVersionError, FormatError, read_text
 from .expression import (
@@ -60,12 +61,9 @@ class VersionRecord:
     dependencies: tuple[tuple[str, str], ...]  # (name, range string)
 
 
-@dataclass(frozen=True)
-class Edge:
-    package: str
-    version: Semver
-    dep_package: str
-    dep_version: Semver
+class Edge(NamedTuple):
+    parent: int  # records index of the dependent
+    dep: int  # records index of the resolved dependency
     range: str
 
 
@@ -75,10 +73,8 @@ UNRESOLVED_REASONS = ("unknown-package", "no-match", "unparsable-range")
 _UNKNOWN_PACKAGE, _NO_MATCH, _UNPARSABLE_RANGE = UNRESOLVED_REASONS
 
 
-@dataclass(frozen=True)
-class Unresolved:
-    package: str
-    version: Semver
+class Unresolved(NamedTuple):
+    node: int  # records index of the dependent
     dep_name: str
     range: str
     reason: str  # one of UNRESOLVED_REASONS
@@ -171,25 +167,35 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
     return records
 
 
+def _node_order(records: list[VersionRecord]) -> list[int]:
+    """Indexes of ``records`` in (package, version) order, the graph file's node order."""
+    return sorted(range(len(records)), key=lambda i: (records[i].package, records[i].version.key))
+
+
 def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     """Resolve every dependency range against the snapshot's own versions.
 
-    Deterministic and independent of record order: edges come out
-    sorted, and each range resolves against all versions of the target
-    package present in the snapshot. Each distinct (package, range) is
-    resolved once; every entry naming it still yields its own edge or
-    unresolved record.
+    Edges and unresolved entries index into ``records`` and come out
+    sorted by their nodes' (package, version), then dependency and range.
+    Each range resolves against all versions of the target package in
+    the snapshot. Each distinct (package, range) is resolved once; every
+    entry naming it still yields its own edge or unresolved record.
     """
+    order = _node_order(records)
+    rank = [0] * len(records)  # position in (package, version) order
+    # Each list is in key order, so resolve_range's stable sort is linear.
     versions_by_package: dict[str, list[Semver]] = defaultdict(list)
-    for record in records:
+    node_of: dict[tuple[str, tuple], int] = {}  # (package, version key) -> records index
+    for position, i in enumerate(order):
+        rank[i] = position
+        record = records[i]
         versions_by_package[record.package].append(record.version)
-    for versions in versions_by_package.values():
-        versions.sort(key=attrgetter("key"))  # stable, so resolve_range's sort is linear
+        node_of[record.package, record.version.key] = i
 
     ranges: dict[str, VersionRange | None] = {}  # range text -> range, None if unparsable
 
-    def resolve(name: str, range_str: str) -> Semver | str:
-        """The target version, or the reason there is none."""
+    def resolve(name: str, range_str: str) -> int | str:
+        """The target's records index, or the reason there is none."""
         if name not in versions_by_package:
             return _UNKNOWN_PACKAGE
         if range_str not in ranges:
@@ -201,33 +207,24 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
         if rng is None:
             return _UNPARSABLE_RANGE
         target = resolve_range(rng, versions_by_package[name])
-        return _NO_MATCH if target is None else target
+        return _NO_MATCH if target is None else node_of[name, target.key]
 
-    outcomes: dict[tuple[str, str], Semver | str] = {}
+    outcomes: dict[tuple[str, str], int | str] = {}
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    for record in records:
-        for name, range_str in record.dependencies:
+    for i in order:
+        for name, range_str in records[i].dependencies:
             outcome = outcomes.get((name, range_str))
             if outcome is None:
                 outcome = outcomes[(name, range_str)] = resolve(name, range_str)
             if isinstance(outcome, str):
-                unresolved.append(
-                    Unresolved(record.package, record.version, name, range_str, outcome)
-                )
+                unresolved.append(Unresolved(i, name, range_str, outcome))
             else:
-                edges.append(Edge(record.package, record.version, name, outcome, range_str))
-    return DependencyGraph(
-        edges=tuple(
-            sorted(
-                edges,
-                key=lambda e: (e.package, e.version.key, e.dep_package, e.dep_version.key, e.range),
-            )
-        ),
-        unresolved=tuple(
-            sorted(unresolved, key=lambda u: (u.package, u.version.key, u.dep_name, u.range))
-        ),
-    )
+                edges.append(Edge(i, outcome, range_str))
+    # Ranks are unique per node, so this is the (package, version) order of both ends.
+    edges.sort(key=lambda e: (rank[e.parent], rank[e.dep], e.range))
+    unresolved.sort(key=lambda u: (rank[u.node], u.dep_name, u.range))
+    return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved))
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +311,17 @@ GRAPH_HEADER = "#% licterm-graph 1"
 
 
 def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
-    """Persist the graph with enough node metadata to scan it later."""
+    """Persist the graph, which indexes into ``records``, with node metadata to scan it later."""
+    texts = [f"{r.package}\t{r.version}" for r in records]  # each node's text, rendered once
     lines = [GRAPH_HEADER]
-    for r in sorted(records, key=lambda r: (r.package, r.version.key)):
-        lines.append(
-            "\t".join(("node", r.package, str(r.version), r.published.isoformat(), r.license_raw))
-        )
-    for e in graph.edges:
-        lines.append(
-            "\t".join(
-                ("edge", e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
-            )
-        )
-    for u in graph.unresolved:
-        lines.append(
-            "\t".join(("unresolved", u.package, str(u.version), u.dep_name, u.range, u.reason))
-        )
+    for i in _node_order(records):
+        r = records[i]
+        lines.append(f"node\t{texts[i]}\t{r.published.isoformat()}\t{r.license_raw}")
+    lines.extend(f"edge\t{texts[e.parent]}\t{texts[e.dep]}\t{e.range}" for e in graph.edges)
+    lines.extend(
+        f"unresolved\t{texts[u.node]}\t{u.dep_name}\t{u.range}\t{u.reason}"
+        for u in graph.unresolved
+    )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -340,8 +332,8 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     records are, and an unresolved line's reason must be one of
     ``UNRESOLVED_REASONS``. Each package version an edge or unresolved
     line names needs a node line above it with the same version text, as
-    ``write_graph`` writes it: equal text is then the same (package,
-    Semver) node key, which ``scan`` looks nodes up by.
+    ``write_graph`` writes it; the edge or entry holds that node's index
+    in the returned records, which are in node-line order.
     """
     source = str(path)
     text = read_text(path)
@@ -353,33 +345,28 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     records: list[VersionRecord] = []
     seen: set[tuple[str, Semver]] = set()
     versions = _Versions()
-    node_texts: set[tuple[str, str]] = set()  # (package, version text) of each node line
+    index: dict[tuple[str, str], int] = {}  # (package, version text) of each node line -> index
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
 
-    def require_node(package: str, version_text: str) -> None:
-        if (package, version_text) not in node_texts:
+    def node(package: str, version_text: str) -> int:
+        i = index.get((package, version_text))
+        if i is None:
             raise FormatError(f"{package}@{version_text} has no node line above it")
+        return i
 
     def parse_line(fields: list[str]) -> None:
         kind = fields[0]
         if kind == "node" and len(fields) == 5:
             record = _record(fields[1:], seen, versions)
+            index[record.package, fields[2]] = len(records)
             records.append(record)
-            node_texts.add((record.package, fields[2]))
         elif kind == "edge" and len(fields) == 6:
-            edges.append(
-                Edge(fields[1], versions[fields[2]], fields[3], versions[fields[4]], fields[5])
-            )
-            require_node(fields[1], fields[2])
-            require_node(fields[3], fields[4])
+            edges.append(Edge(node(fields[1], fields[2]), node(fields[3], fields[4]), fields[5]))
         elif kind == "unresolved" and len(fields) == 6:
             if fields[5] not in UNRESOLVED_REASONS:
                 raise FormatError(f"unknown unresolved reason {fields[5]!r}")
-            unresolved.append(
-                Unresolved(fields[1], versions[fields[2]], fields[3], fields[4], fields[5])
-            )
-            require_node(fields[1], fields[2])
+            unresolved.append(Unresolved(node(fields[1], fields[2]), *fields[3:]))
         else:
             raise FormatError(f"unrecognized line kind {kind!r}")
 

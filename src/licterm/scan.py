@@ -5,14 +5,21 @@ parent side and the target's is the dependency side, both normalized
 first. An edge with an unresolvable license on either side lands in
 ``unknown_license_edges`` and is never counted as a conflict. The
 aggregation adds no findings of its own; counts are exactly what
-per-edge checking produces. Edges whose licenses normalize to the same
-pair of expressions share one check, whose verdict counts once per edge.
+per-edge checking produces.
+
+Each distinct raw license is normalized once, and its outcome is
+interned by its rendered text (unresolvable outcomes apart from
+resolved ones) as an integer outcome id. Every node maps to its
+outcome id and every edge to a pair of ids, so edges whose licenses
+normalize to the same pair of expressions share one check, whose
+verdict counts once per edge. No version or expression tree is hashed.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .conflicts import ConflictType, check_expressions
@@ -25,7 +32,6 @@ from .expression import (
     normalize,
 )
 from .registry import DependencyGraph, VersionRecord
-from .semver import Semver
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import AliasTable
@@ -79,15 +85,18 @@ def scan(
     if known is None:
         known = known_licenses(ds, bundled_known_ids())
     outcome_of: dict[str, NormalizationOutcome] = {}  # by raw license
-    outcome_at: dict[tuple[str, Semver], NormalizationOutcome] = {}  # by node
-    for record in records:
-        if record.license_raw not in outcome_of:
-            outcome_of[record.license_raw] = normalize(record.license_raw, aliases, known)
-        outcome_at[(record.package, record.version)] = outcome_of[record.license_raw]
-    # Edges per (parent, dependency) outcome pair, in first-seen edge order.
+    id_of: dict[str, int] = {}  # outcome id by raw license
+    ids: dict[tuple[bool, str], int] = {}  # (unresolvable, rendered text) -> outcome id
+    for raw in dict.fromkeys(record.license_raw for record in records):
+        outcome = outcome_of[raw] = normalize(raw, aliases, known)
+        id_of[raw] = ids.setdefault((isinstance(outcome, Unresolvable), str(outcome)), len(ids))
+    # By outcome id. Resolved outcomes that share an id have equal trees: render is one-to-one.
+    outcomes = {i: outcome_of[raw] for raw, i in id_of.items()}
+    outcome_id = [id_of[record.license_raw] for record in records]  # by node
+    # Edges per (parent, dependency) outcome id pair, in first-seen edge order.
+    at = outcome_id.__getitem__
     edges_of_pair = Counter(
-        (outcome_at[(edge.package, edge.version)], outcome_at[(edge.dep_package, edge.dep_version)])
-        for edge in graph.edges
+        zip(map(at, map(itemgetter(0), graph.edges)), map(at, map(itemgetter(1), graph.edges)))
     )
 
     edges_with = {ctype: 0 for ctype in ConflictType}
@@ -95,7 +104,8 @@ def scan(
     conflicted = 0
     unknown_edges = 0
     warnings: dict[str, None] = {}  # first-seen order
-    for (parent, dep), edges in edges_of_pair.items():
+    for (parent_id, dep_id), edges in edges_of_pair.items():
+        parent, dep = outcomes[parent_id], outcomes[dep_id]
         if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
             unknown_edges += edges
             continue

@@ -270,6 +270,12 @@ def oracle_resolve(rng: VersionRange, available):
     return max(satisfying, key=_precedence_key)
 
 
+def edge_key(edge, records):
+    """An index-based edge as (pkg, ver, dep_pkg, dep_ver, range), the oracle's tuple shape."""
+    parent, dep = records[edge.parent], records[edge.dep]
+    return (parent.package, str(parent.version), dep.package, str(dep.version), edge.range)
+
+
 def oracle_build_graph_edges(records):
     """Naive resolver: set of (pkg, ver, dep_pkg, dep_ver, range) tuples."""
     edges = set()

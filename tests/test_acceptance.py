@@ -31,6 +31,7 @@ from licterm.semver import RangeSyntaxError, Semver, parse_range, resolve_range
 
 from conftest import random_expression, random_profile
 from oracles import (
+    edge_key,
     oracle_build_graph_edges,
     oracle_check_profiles,
     oracle_matrix,
@@ -287,10 +288,7 @@ def test_criterion_6_semver_and_graph_oracle_equivalence(seed_dataset, aliases, 
     records = parse_snapshot_text(_synthetic_snapshot(random.Random(300), 300))
     assert len(records) == 300
     graph = build_graph(records)
-    got_edges = {
-        (e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
-        for e in graph.edges
-    }
+    got_edges = {edge_key(e, records) for e in graph.edges}
     assert got_edges == oracle_build_graph_edges(records)
     assert graph.edges, "synthetic snapshot resolved no edges; fixture too weak"
 
@@ -301,8 +299,9 @@ def test_criterion_6_semver_and_graph_oracle_equivalence(seed_dataset, aliases, 
     naive_unknown = 0
     naive_conflicted = 0
     for edge in graph.edges:
-        parent = normalize(license_of[(edge.package, str(edge.version))], aliases, known)
-        dep = normalize(license_of[(edge.dep_package, str(edge.dep_version))], aliases, known)
+        package, version, dep_package, dep_version, _ = edge_key(edge, records)
+        parent = normalize(license_of[(package, version)], aliases, known)
+        dep = normalize(license_of[(dep_package, dep_version)], aliases, known)
         if not (isinstance(parent, Resolved) and isinstance(dep, Resolved)):
             naive_unknown += 1
             continue

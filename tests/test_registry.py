@@ -20,11 +20,20 @@ from licterm.registry import (
 )
 from licterm.semver import Semver, VersionRange, parse_range
 
-from oracles import oracle_build_graph_edges
+from oracles import edge_key, oracle_build_graph_edges
 
 
 def line(pkg, ver, date, license_raw, deps=""):
     return "\t".join((pkg, ver, date, license_raw, deps))
+
+
+def _graph_keys(graph, records):
+    """Edges and unresolved entries, in order, with each node as (package, version text)."""
+    unresolved = [
+        (records[u.node].package, str(records[u.node].version), u.dep_name, u.range, u.reason)
+        for u in graph.unresolved
+    ]
+    return [edge_key(e, records) for e in graph.edges], unresolved
 
 
 SMALL_SNAPSHOT = "\n".join(
@@ -117,17 +126,16 @@ class TestBuildGraph:
             )
         )
         graph = build_graph(records)
-        assert graph.edges == (
-            Edge("A", Semver(1, 0, 0), "B", Semver(2, 1, 0), "^2.0.0"),
-        )
+        assert graph.edges == (Edge(0, 1, "^2.0.0"),)
+        assert [edge_key(e, records) for e in graph.edges] == [
+            ("A", "1.0.0", "B", "2.1.0", "^2.0.0")
+        ]
         assert graph.unresolved == ()
 
     def test_small_snapshot_edges_and_failures(self):
-        graph = build_graph(parse_snapshot_text(SMALL_SNAPSHOT))
-        edges = {
-            (e.package, str(e.version), e.dep_package, str(e.dep_version)): e.range
-            for e in graph.edges
-        }
+        records = parse_snapshot_text(SMALL_SNAPSHOT)
+        graph = build_graph(records)
+        edges = {edge_key(e, records)[:4]: e.range for e in graph.edges}
         assert edges == {
             ("app", "1.0.0", "libA", "2.1.0"): "^2.0.0",
             ("app", "1.0.0", "libB", "1.2.0"): "1.x",
@@ -157,22 +165,23 @@ class TestBuildGraph:
     def test_every_edge_satisfies_its_range(self):
         from licterm.semver import parse_range
 
-        graph = build_graph(parse_snapshot_text(SMALL_SNAPSHOT))
+        records = parse_snapshot_text(SMALL_SNAPSHOT)
+        graph = build_graph(records)
+        assert graph.edges
         for edge in graph.edges:
-            assert parse_range(edge.range).satisfies(edge.dep_version)
+            assert parse_range(edge.range).satisfies(records[edge.dep].version)
 
     def test_order_independent(self):
         records = parse_snapshot_text(SMALL_SNAPSHOT)
         shuffled = records[::-1]
-        assert build_graph(records) == build_graph(shuffled)
+        assert _graph_keys(build_graph(records), records) == _graph_keys(
+            build_graph(shuffled), shuffled
+        )
 
     def test_matches_naive_oracle(self):
         records = parse_snapshot_text(SMALL_SNAPSHOT)
         graph = build_graph(records)
-        got = {
-            (e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
-            for e in graph.edges
-        }
+        got = {edge_key(e, records) for e in graph.edges}
         assert got == oracle_build_graph_edges(records)
 
 
@@ -188,8 +197,11 @@ class TestDuplicateEntries:
                 ]
             )
         )
-        edge = Edge("a", Semver(1, 0, 0), "b", Semver(1, 2, 0), "^1.0.0")
-        assert build_graph(records).edges == (edge, edge)
+        graph = build_graph(records)
+        assert graph.edges == (Edge(0, 1, "^1.0.0"), Edge(0, 1, "^1.0.0"))
+        assert [edge_key(e, records) for e in graph.edges] == [
+            ("a", "1.0.0", "b", "1.2.0", "^1.0.0")
+        ] * 2
 
     def test_entries_are_conserved(self):
         # The same (package, range) recurs within one record and across
@@ -211,18 +223,19 @@ class TestDuplicateEntries:
         graph = build_graph(records)
         entries = sum(len(r.dependencies) for r in records)
         assert len(graph.edges) + len(graph.unresolved) == entries == 12
-        assert Counter((e.package, str(e.version)) for e in graph.edges) == {
+        assert Counter(edge_key(e, records)[:2] for e in graph.edges) == {
             ("app", "1.0.0"): 2,
             ("app", "1.1.0"): 1,
             ("tool", "0.1.0"): 1,
         }
-        assert {str(e.dep_version) for e in graph.edges} == {"1.2.0"}
+        assert {edge_key(e, records)[2:4] for e in graph.edges} == {("lib", "1.2.0")}
         assert Counter(u.reason for u in graph.unresolved) == {
             "unknown-package": 3,
             "no-match": 2,
             "unparsable-range": 3,
         }
-        assert Counter((u.package, str(u.version), u.reason) for u in graph.unresolved) == {
+        unresolved = _graph_keys(graph, records)[1]
+        assert Counter((u[0], u[1], u[4]) for u in unresolved) == {
             ("app", "1.0.0", "unknown-package"): 2,
             ("app", "1.0.0", "no-match"): 1,
             ("app", "1.0.0", "unparsable-range"): 2,
@@ -270,10 +283,7 @@ class TestResolutionWork:
         assert len(graph.edges) == 200 and graph.unresolved == ()
         assert calls <= sum(len(parse_range(r).alternatives) for r in ranges)
         monkeypatch.undo()
-        got = {
-            (e.package, str(e.version), e.dep_package, str(e.dep_version), e.range)
-            for e in graph.edges
-        }
+        got = {edge_key(e, records) for e in graph.edges}
         assert got == oracle_build_graph_edges(records)
 
 
@@ -372,7 +382,7 @@ def _seeded_snapshot(rng: random.Random) -> str:
 
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
-        records = parse_snapshot_text(SMALL_SNAPSHOT)
+        records = parse_snapshot_text(SMALL_SNAPSHOT)[::-1]  # not in node-line order
         graph = build_graph(records)
         path = tmp_path / "graph.dat"
         write_graph(graph, records, path)
@@ -380,8 +390,9 @@ class TestGraphFile:
         assert {(r.package, r.version) for r in loaded_records} == {
             (r.package, r.version) for r in records
         }
-        assert set(loaded_graph.edges) == set(graph.edges)
-        assert set(loaded_graph.unresolved) == set(graph.unresolved)
+        # The same entries in the same order, though the indexes behind them differ.
+        assert loaded_records[0].package != records[0].package
+        assert _graph_keys(loaded_graph, loaded_records) == _graph_keys(graph, records)
         by_key = {(r.package, str(r.version)): r for r in records}
         for r in loaded_records:
             original = by_key[(r.package, str(r.version))]
@@ -393,7 +404,8 @@ class TestGraphFile:
         graph = build_graph(records)
         a, b = tmp_path / "a.dat", tmp_path / "b.dat"
         write_graph(graph, records, a)
-        write_graph(graph, list(reversed(records)), b)
+        reversed_records = records[::-1]
+        write_graph(build_graph(reversed_records), reversed_records, b)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import pytest
 
 from licterm.conflicts import ConflictType, check_expressions
-from licterm.expression import Resolved, normalize
+from licterm.expression import And, Or, Resolved, normalize
 from licterm.registry import build_graph, parse_snapshot_text
 from licterm.scan import NO_LICENSE_BUCKET, rank_pairs, scan
+from licterm.semver import Semver
+
+from oracles import edge_key
 
 
 def line(pkg, ver, date, license_raw, deps=""):
@@ -96,8 +99,9 @@ class TestScanFixtures:
         license_of = {(r.package, str(r.version)): r.license_raw for r in records}
         recheck = {ctype: 0 for ctype in ConflictType}
         for edge in graph.edges:
-            parent = normalize(license_of[(edge.package, str(edge.version))], aliases, known)
-            dep = normalize(license_of[(edge.dep_package, str(edge.dep_version))], aliases, known)
+            package, version, dep_package, dep_version, _ = edge_key(edge, records)
+            parent = normalize(license_of[(package, version)], aliases, known)
+            dep = normalize(license_of[(dep_package, dep_version)], aliases, known)
             assert isinstance(parent, Resolved) and isinstance(dep, Resolved)
             verdict = check_expressions(parent.expr, dep.expr, seed_dataset)
             for ctype in ConflictType:
@@ -196,3 +200,32 @@ def test_scan_deterministic(seed_dataset, aliases):
     first, _, _ = _scan_text(text, seed_dataset, aliases)
     second, _, _ = _scan_text(text, seed_dataset, aliases)
     assert first == second
+
+
+def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, monkeypatch):
+    # Edges are counted by integer outcome ids, so a per-edge hash of a
+    # Semver or an And/Or tree must not come back.
+    text = "\n".join(
+        [
+            line("a1", "1.0.0", "2021-01-01", "MIT AND ISC", "lib@^1.0.0;gpl@*;blob@*"),
+            line("a1", "1.1.0", "2021-06-01", "MIT AND ISC", "lib@^1.0.0"),
+            line("a2", "2.0.0", "2021-01-01", "(MIT OR ISC)", "lib@1.x"),
+            line("lib", "1.2.0", "2020-01-01", "Apache-2.0 OR GPL-3.0-only"),
+            line("gpl", "3.0.0", "2020-01-01", "GPL-3.0-only"),
+            line("blob", "0.1.0", "2020-01-01", "SEE LICENSE IN LICENSE.txt"),
+        ]
+    )
+    records = parse_snapshot_text(text)
+    graph = build_graph(records)
+    expected = scan(graph, records, seed_dataset, False, aliases)
+    assert expected.conflicted_edges and expected.unknown_license_edges == 1
+    assert max(n for pairs in expected.top_pairs.values() for n in pairs.values()) >= 2
+
+    def unhashable(self):
+        raise AssertionError(f"scan hashed a {type(self).__name__}")
+
+    for cls in (Semver, And, Or):
+        monkeypatch.setattr(cls, "__hash__", unhashable)
+    with pytest.raises(AssertionError):
+        hash(records[0].version)
+    assert scan(graph, records, seed_dataset, False, aliases) == expected
