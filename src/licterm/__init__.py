@@ -12,7 +12,6 @@ from .model import (
     LicenseProfile,
     Term,
     TermKind,
-    term_catalog,
     validate_profile,
 )
 from .dataset import (
@@ -50,7 +49,7 @@ from .conflicts import (
     check_profiles,
     explain,
 )
-from .mining import FrequentPattern, TermItem, common_term_report, dedup_similar, mine
+from .mining import FrequentPattern, common_term_report, dedup_similar, mine
 from .semver import Semver, VersionRange, parse_range, resolve_range
 from .registry import (
     DependencyGraph,

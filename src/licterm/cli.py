@@ -206,7 +206,7 @@ def _cmd_mine(args) -> int:
             _emit(
                 {
                     "kind": "pattern",
-                    "items": [str(i) for i in p.sorted_items()],
+                    "items": list(p.sorted_items()),
                     "support": p.support_count,
                     "licenses": sorted(p.supporting_ids),
                 }
@@ -214,7 +214,7 @@ def _cmd_mine(args) -> int:
     else:
         print(f"{len(patterns)} patterns (min support {args.min_support})")
         for p in patterns:
-            items = " ".join(str(i) for i in p.sorted_items())
+            items = " ".join(p.sorted_items())
             sample = ", ".join(sorted(p.supporting_ids)[:4])
             print(f"{p.support_count:>4}  {items}  [{sample}]")
     return EXIT_OK

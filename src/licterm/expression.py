@@ -34,6 +34,7 @@ __all__ = [
     "Or",
     "LicenseExpression",
     "ExpressionSyntaxError",
+    "MAX_TOKENS",
     "parse_expression",
     "render",
     "expression_ids",
@@ -90,6 +91,10 @@ class ExpressionSyntaxError(ValueError):
 _ID_RE = re.compile(r"[A-Za-z0-9.-]+")
 _OPERATORS = ("AND", "OR", "WITH")
 
+#: Longest accepted expression, in tokens. Parsing, rendering, hashing and
+#: checking recurse per nesting level or operand; this keeps them in bounds.
+MAX_TOKENS = 256
+
 
 def _tokenize(raw: str) -> list[tuple[str, str, int]]:
     """Yield (kind, text, offset) tokens; kinds: AND OR WITH ( ) ID EOF."""
@@ -101,6 +106,8 @@ def _tokenize(raw: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             pos += 1
             continue
+        if len(tokens) == MAX_TOKENS:
+            raise ExpressionSyntaxError(raw, pos, (f"at most {MAX_TOKENS} tokens",))
         if ch == "(":
             tokens.append(("(", "(", pos))
             pos += 1

@@ -1,10 +1,10 @@
 """Frequent term-pattern mining over license profiles.
 
 Each license is one transaction whose items are its (term, attitude)
-stances, skipping not-mentioned entries. An attitude is part of the
-item identity on purpose: "cannot place-warranty" and "can
-place-warranty" are different stances and conflating them would merge
-licenses that disagree. Mining reports, for every itemset at or above
+stances, spelled ``"term=attitude"``, skipping not-mentioned entries.
+An attitude is part of the item identity on purpose: "cannot
+place-warranty" and "can place-warranty" are different stances and
+conflating them would merge licenses that disagree. Mining reports, for every itemset at or above
 the support threshold, the exact set of licenses containing it.
 """
 
@@ -23,34 +23,19 @@ class InvalidThreshold(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class TermItem:
-    """One (term, attitude) stance; never not-mentioned."""
-
-    term_key: str
-    attitude: str
-
-    @classmethod
-    def of(cls, term: Term, attitude: Attitude) -> "TermItem":
-        return cls(term.value, attitude.value)
-
-    def __str__(self) -> str:
-        return f"{self.term_key}={self.attitude}"
-
-
 @dataclass(frozen=True)
 class FrequentPattern:
-    items: frozenset[TermItem]
+    items: frozenset[str]
     support_count: int
     supporting_ids: frozenset[str]
 
-    def sorted_items(self) -> tuple[TermItem, ...]:
+    def sorted_items(self) -> tuple[str, ...]:
         return tuple(sorted(self.items))
 
 
-def profile_items(profile: LicenseProfile) -> frozenset[TermItem]:
+def profile_items(profile: LicenseProfile) -> frozenset[str]:
     return frozenset(
-        TermItem.of(term, attitude)
+        f"{term.value}={attitude.value}"
         for term, attitude in profile.terms.items()
         if attitude is not Attitude.NOT_MENTIONED
     )
@@ -68,14 +53,14 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
     """
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
-    inverted: dict[TermItem, set[str]] = defaultdict(set)
+    inverted: dict[str, set[str]] = defaultdict(set)
     for spdx_id, profile in ds.profiles.items():
         for item in profile_items(profile):
             inverted[item].add(spdx_id)
     patterns: list[FrequentPattern] = []
 
     def extend(
-        prefix: frozenset[TermItem], candidates: list[tuple[TermItem, frozenset[str]]]
+        prefix: frozenset[str], candidates: list[tuple[str, frozenset[str]]]
     ) -> None:
         # Each candidate pairs a later item with the ids supporting prefix + item.
         for k, (item, ids) in enumerate(candidates):

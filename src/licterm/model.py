@@ -60,6 +60,10 @@ class Term(Enum):
     def kind(self) -> TermKind:
         return TermKind.RIGHT if self in _RIGHT_TERMS else TermKind.OBLIGATION
 
+    @property
+    def definition(self) -> str:
+        return _TERM_DEFINITIONS[self]
+
 
 _RIGHT_TERMS = frozenset(list(Term)[:11])
 
@@ -187,20 +191,6 @@ def validate_profile(profile: LicenseProfile) -> tuple[str, ...]:
                 f"{term.value}: {kind} cannot be {attitude.value!r}"
             )
     return tuple(violations)
-
-
-@dataclass(frozen=True)
-class TermInfo:
-    term: Term
-    kind: TermKind
-    definition: str
-
-
-def term_catalog() -> tuple[TermInfo, ...]:
-    """All 22 terms in catalog order: 11 rights, then 11 obligations."""
-    return tuple(
-        TermInfo(term, term.kind, _TERM_DEFINITIONS[term]) for term in TERM_ORDER
-    )
 
 
 def make_terms(**attitudes: str) -> dict[Term, Attitude]:

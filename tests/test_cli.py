@@ -16,6 +16,10 @@ from licterm.registry import GRAPH_HEADER
 
 # 2**13 OR choices against one: past the cap on choice pairs.
 TOO_MANY_CHOICES = " AND ".join(["(MIT OR ISC)"] * 13)
+# Far past the expression token bound: one long, one deeply nested. Without
+# the bound, each recurses deeper than Hypothesis's raised recursion limit.
+LONG_LICENSE = " AND ".join(["MIT"] * 3000)
+DEEP_LICENSE = "(" * 1000 + "MIT" + ")" * 1000
 
 
 def run(capsys, *argv):
@@ -165,6 +169,40 @@ class TestParseExpr:
         code, out, err = run(capsys, "parse-expr", expr)
         assert (code, out) == (3, "")
         assert err == f"error: syntax error at {message}\n"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [" AND ".join(["MIT"] * 1200), "(" * 300 + "MIT" + ")" * 300, LONG_LICENSE, DEEP_LICENSE],
+    ids=["and-1200", "nested-300", "and-3000", "nested-1000"],
+)
+class TestExpressionsPastTheTokenBound:
+    def test_check_exits_3(self, capsys, raw):
+        code, out, err = run(capsys, "check", "MIT", raw)
+        assert code == 3
+        assert "dependency license is unresolvable (unknown-name)" in err
+
+    def test_parse_expr_exits_3_naming_the_bound(self, capsys, raw):
+        code, out, err = run(capsys, "parse-expr", raw)
+        assert (code, out) == (3, "")
+        assert err.endswith("expected at most 256 tokens\n")
+
+    def test_normalize_is_unknown_name(self, capsys, raw):
+        code, out, err = run(capsys, "normalize", raw)
+        assert (code, out) == (3, "unresolvable:unknown-name\n")
+
+    def test_scan_counts_the_edge_as_unknown_license(self, capsys, tmp_path, raw):
+        graph_path = tmp_path / "graph.dat"
+        graph_path.write_text(
+            f"{GRAPH_HEADER}\n"
+            "node\ta\t1.0.0\t2020-01-01\tMIT\n"
+            f"node\tb\t1.0.0\t2020-01-01\t{raw}\n"
+            "edge\ta\t1.0.0\tb\t1.0.0\t^1\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "scan", str(graph_path))
+        assert code == 0
+        assert "unknown-license=1" in out and "unresolvable:unknown-name: 1" in out
 
 
 class TestMatrix:
@@ -483,6 +521,8 @@ MUTATION_SNAPSHOT = [
     snapshot_line(
         "@scope/ui", "2.2.0", "2020-03-03", "Apache-2.0 WITH LLVM-exception", "styles@1.x"
     ),
+    snapshot_line("long", "1.0.0", "2021-01-01", LONG_LICENSE, "web@^1.0.0"),
+    snapshot_line("deep", "1.0.0", "2021-01-01", DEEP_LICENSE, "long@1.0.0"),
 ]
 _TOKENS = ("\t", " ", "#", "@", ";", "x", "1.0", "-rc", "+b", "2020-02-30", " OR ", "(", "node")
 

@@ -4,8 +4,10 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from licterm.conflicts import check_expressions
 from licterm.expression import (
     _FILE_REF_RE,
+    MAX_TOKENS,
     And,
     ExpressionSyntaxError,
     KnownLicenses,
@@ -22,7 +24,7 @@ from licterm.expression import (
 )
 
 from conftest import random_expression
-from oracles import ORACLE_FILE_REF_RE
+from oracles import ORACLE_FILE_REF_RE, oracle_check_expressions
 
 
 class TestParse:
@@ -96,6 +98,76 @@ class TestRenderRoundTrip:
     def test_round_trip_property(self, seed):
         tree = random_expression(random.Random(seed))
         assert parse_expression(render(tree)) == tree
+
+
+def _nested(levels: int) -> str:
+    return "(" * levels + "MIT" + ")" * levels
+
+
+def _chain(op: str, operands: int) -> str:
+    return f" {op} ".join(["MIT"] * operands)
+
+
+def _with_frames(frames: int, work):
+    """Run ``work`` with ``frames`` more Python frames on the stack."""
+    return _with_frames(frames - 1, work) if frames else work()
+
+
+# The longest expressions under the bound: 255 tokens each.
+_AT_BOUND = [_nested(127), _chain("AND", 128), _chain("OR", 128)]
+# One token past it, then far past it, nested and chained.
+_PAST_BOUND = [_nested(128), _chain("AND", 129), _nested(300), _chain("AND", 1200)]
+
+
+class TestTokenBound:
+    def test_longest_cases_sit_one_token_under_the_bound(self):
+        # Ids and operators alternate, and parentheses and WITH add tokens
+        # in pairs, so a valid expression has an odd token count: 255 is
+        # the longest one under the bound.
+        assert MAX_TOKENS == 256
+        assert len(_AT_BOUND[0].replace("(", " ( ").replace(")", " ) ").split()) == 255
+        assert len(_AT_BOUND[1].split()) == len(_AT_BOUND[2].split()) == 255
+
+    @pytest.mark.parametrize("text", _AT_BOUND, ids=["nested", "and-chain", "or-chain"])
+    def test_longest_expressions_work_with_400_frames_in_use(
+        self, text, seed_dataset, aliases, known
+    ):
+        def work():
+            tree = parse_expression(text)
+            assert parse_expression(render(tree)) == tree
+            assert hash(tree) == hash(parse_expression(text))
+            outcome = normalize(text, aliases, known)
+            assert outcome == Resolved(tree)
+            gpl = LicenseRef("GPL-3.0-only")
+            for parent, dep in ((tree, gpl), (gpl, tree)):
+                got = check_expressions(parent, dep, seed_dataset).findings
+                if isinstance(tree, Or):  # the oracle tries all 2**127 choices
+                    one = LicenseRef("MIT")
+                    parent, dep = (one, dep) if parent is tree else (parent, one)
+                assert len(got) == oracle_check_expressions(parent, dep, seed_dataset)
+
+        _with_frames(400, work)
+
+    @pytest.mark.parametrize("text", _PAST_BOUND, ids=["nested", "and-chain", "deep", "long"])
+    def test_past_the_bound_is_a_syntax_error_naming_it(self, text, aliases, known):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(text)
+        assert exc.value.expected == ("at most 256 tokens",)
+        assert str(exc.value).endswith("expected at most 256 tokens")
+        assert normalize(text, aliases, known) == Unresolvable(
+            UnresolvableReason.UNKNOWN_NAME, text
+        )
+
+    def test_error_points_at_the_first_token_past_the_bound(self):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(_chain("AND", 129))
+        # Token 256 is the 128th AND; token 257 is the MIT after it.
+        assert exc.value.offset == len(_chain("AND", 128) + " AND ")
+
+    def test_256_tokens_fail_on_grammar_not_on_the_bound(self):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(_chain("AND", 128) + " AND")
+        assert "license-id" in exc.value.expected
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,6 @@ from licterm.dataset import Dataset
 from licterm.mining import (
     FrequentPattern,
     InvalidThreshold,
-    TermItem,
     common_term_report,
     dedup_similar,
     mine,
@@ -40,8 +39,8 @@ THREE_PROFILE_FIXTURE = _ds(
     _profile("C", distribute="can"),
 )
 
-D_CAN = TermItem("distribute", "can")
-SUB_CAN = TermItem("sublicense", "can")
+D_CAN = "distribute=can"
+SUB_CAN = "sublicense=can"
 
 
 class TestMine:
@@ -73,8 +72,8 @@ class TestMine:
         assert mine(ds, min_support=2) == []
         singles = mine(ds, min_support=1)
         assert {p.sorted_items() for p in singles} == {
-            (TermItem("distribute", "can"),),
-            (TermItem("modify", "can"),),
+            ("distribute=can",),
+            ("modify=can",),
         }
 
     def test_attitude_distinguishes_items(self):
@@ -83,11 +82,20 @@ class TestMine:
             _profile("B", place_warranty="cannot"),
         )
         patterns = mine(ds, min_support=1)
-        assert {str(p.sorted_items()[0]) for p in patterns} == {
+        assert {p.sorted_items()[0] for p in patterns} == {
             "place-warranty=can",
             "place-warranty=cannot",
         }
         assert mine(ds, min_support=2) == []
+
+    def test_item_spelling_sorts_like_term_attitude_pairs(self):
+        # Output order relies on it: it fails if one term id is a prefix of another.
+        pairs = [
+            (term.value, attitude.value)
+            for term in TERM_ORDER
+            for attitude in (Attitude.CAN, Attitude.CANNOT, Attitude.MUST)
+        ]
+        assert sorted(f"{t}={a}" for t, a in pairs) == [f"{t}={a}" for t, a in sorted(pairs)]
 
     def test_order_independent(self):
         profiles = list(THREE_PROFILE_FIXTURE.profiles.values())
@@ -260,7 +268,7 @@ class TestDedup:
 
 _hand_built_patterns = st.builds(
     FrequentPattern,
-    st.frozensets(st.sampled_from([D_CAN, SUB_CAN, TermItem("modify", "can")])),
+    st.frozensets(st.sampled_from([D_CAN, SUB_CAN, "modify=can"])),
     st.integers(0, 9),  # need not be len(supporting_ids)
     st.frozensets(st.sampled_from("ABCDEFGH"), max_size=8)
     | st.frozensets(st.sampled_from("ABCD"), max_size=3),
@@ -281,7 +289,7 @@ class TestDedupWork:
         # geometrically. The sets are disjoint, so nothing merges and each pattern passes
         # the containment test against every kept one: a scan over every
         # kept pattern calls _jaccard 44,850 times at any threshold.
-        items = [TermItem(f"t{i:03d}", "can") for i in range(300)]
+        items = [f"t{i:03d}=can" for i in range(300)]
         sizes = [round(1.02**k) + k for k in range(300)]
         starts = [sum(sizes[:k]) for k in range(300)]
         patterns = [

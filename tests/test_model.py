@@ -11,7 +11,6 @@ from licterm.model import (
     Term,
     TermKind,
     make_terms,
-    term_catalog,
     validate_profile,
 )
 
@@ -59,15 +58,11 @@ def test_excluded_platform_terms_not_representable():
 
 
 def test_catalog_has_22_entries_rights_first():
-    catalog = term_catalog()
-    assert len(catalog) == 22
-    assert [info.kind for info in catalog[:11]] == [TermKind.RIGHT] * 11
-    assert [info.kind for info in catalog[11:]] == [TermKind.OBLIGATION] * 11
-    assert all(info.definition for info in catalog)
-    sub = next(info for info in catalog if info.term is Term.SUBLICENSE)
-    assert sub.kind is TermKind.RIGHT
-    # stable across calls
-    assert [i.term for i in catalog] == [i.term for i in term_catalog()]
+    assert len(TERM_ORDER) == 22
+    assert [term.kind for term in TERM_ORDER[:11]] == [TermKind.RIGHT] * 11
+    assert [term.kind for term in TERM_ORDER[11:]] == [TermKind.OBLIGATION] * 11
+    assert all(term.definition for term in TERM_ORDER)
+    assert Term.SUBLICENSE.kind is TermKind.RIGHT
 
 
 def test_hold_liable_and_place_warranty_are_distinct_rights():
