@@ -32,7 +32,6 @@ from .expression import (
     LicenseRef,
     NormalizationOutcome,
     Or,
-    Resolved,
     Unresolvable,
     UnresolvableReason,
     normalize,

@@ -26,6 +26,7 @@ from .dataset import (
     bundled_aliases,
     bundled_dataset,
     bundled_known_ids,
+    dumps_profile,
     known_licenses,
     load_aliases,
     load_dataset,
@@ -43,7 +44,6 @@ from .expression import (
     render,
 )
 from .mining import InvalidThreshold, dedup_similar, mine
-from .model import TERM_ORDER
 from .registry import build_graph, license_changes, parse_snapshot, read_graph, write_graph
 from .scan import rank_pairs, scan
 
@@ -102,7 +102,7 @@ def _normalize_or_exit(ctx: _Context, raw: str, role: str):
             file=sys.stderr,
         )
         raise SystemExit(EXIT_UNRESOLVABLE)
-    return outcome.expr
+    return outcome
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -171,9 +171,10 @@ def _cmd_matrix(args) -> int:
         _emit(
             {
                 "kind": "totals",
-                "c1_pairs": matrix.c1_pairs,
-                "c2_pairs": matrix.c2_pairs,
-                "c3_pairs": matrix.c3_pairs,
+                **{
+                    f"{ctype.value.lower()}_pairs": matrix.pairs[ctype]
+                    for ctype in ConflictType
+                },
             }
         )
         for spdx_id in sorted(matrix.degrees):
@@ -181,8 +182,8 @@ def _cmd_matrix(args) -> int:
             _emit({"kind": "degree", "id": spdx_id, "c1": c1, "c2": c2, "c3": c3})
     else:
         print(
-            f"conflicting ordered pairs: C1={matrix.c1_pairs} "
-            f"C2={matrix.c2_pairs} C3={matrix.c3_pairs}"
+            "conflicting ordered pairs: "
+            + " ".join(f"{ctype.value}={matrix.pairs[ctype]}" for ctype in ConflictType)
         )
         print(f"{'license':<24} {'C1':>5} {'C2':>5} {'C3':>5}")
         for spdx_id in sorted(matrix.degrees):
@@ -312,23 +313,17 @@ def _cmd_scan(args) -> int:
 def _cmd_explain(args) -> int:
     ctx = _Context(args)
     outcome = normalize(args.license, ctx.aliases, ctx.known)
-    if isinstance(outcome, Unresolvable) or not isinstance(outcome.expr, LicenseRef):
+    if not isinstance(outcome, LicenseRef):
         print(f"cannot resolve {args.license!r} to a single license id", file=sys.stderr)
         return EXIT_UNRESOLVABLE
-    profile = ctx.dataset.profiles.get(outcome.expr.id)
+    profile = ctx.dataset.profiles.get(outcome.id)
     if profile is None:
         print(
-            f"{outcome.expr.id} is a known id but has no profile in the dataset",
+            f"{outcome.id} is a known id but has no profile in the dataset",
             file=sys.stderr,
         )
         return EXIT_UNRESOLVABLE
-    print(f"spdx-id: {profile.spdx_id}")
-    print(f"full-name: {profile.full_name}")
-    print(f"copyleft: {profile.copyleft.value}")
-    for term in TERM_ORDER:
-        print(f"{term.value}: {profile.terms[term].value}")
-    if profile.notes:
-        print(f"notes: {profile.notes}")
+    print(dumps_profile(profile), end="")
     return EXIT_OK
 
 

@@ -274,16 +274,14 @@ def check_expressions(
 class ConflictMatrix:
     """Ordered-pair conflict counts plus per-license conflict degrees.
 
-    ``c1_pairs`` counts ordered (parent, dep) pairs with at least one C1
-    finding, and likewise for the other types; a pair is counted once
-    per type no matter how many terms conflict. A license's degree for
-    a type is the number of distinct other licenses it conflicts with
-    in either direction.
+    ``pairs[ConflictType.C1]`` counts ordered (parent, dep) pairs with at
+    least one C1 finding, and likewise for the other types; a pair is
+    counted once per type no matter how many terms conflict. A license's
+    degree for a type is the number of distinct other licenses it
+    conflicts with in either direction.
     """
 
-    c1_pairs: int
-    c2_pairs: int
-    c3_pairs: int
+    pairs: dict[ConflictType, int]
     degrees: dict[str, tuple[int, int, int]]
 
 
@@ -299,9 +297,9 @@ def build_matrix(ds: Dataset, strict_not_mentioned: bool = False) -> ConflictMat
     """
     ids = list(ds.profiles)
     sides = [_rule_masks(ds.profiles[i], strict_not_mentioned) for i in ids]
-    pairs: list[int] = []
+    pairs: dict[ConflictType, int] = {}
     degrees: list[list[int]] = [[] for _ in ids]
-    for k, (_, terms) in enumerate(_RULE_TERMS):
+    for k, (ctype, terms) in enumerate(_RULE_TERMS):
         masks = [(parent_side[k], dep_side[k]) for parent_side, dep_side in sides]
         parent_holders, dep_holders = [0] * len(terms), [0] * len(terms)
         for i, (p, d) in enumerate(masks):
@@ -320,5 +318,5 @@ def build_matrix(ds: Dataset, strict_not_mentioned: bool = False) -> ConflictMat
             parents &= ~(1 << i)
             count += deps.bit_count()
             degrees[i].append((deps | parents).bit_count())
-        pairs.append(count)
-    return ConflictMatrix(*pairs, degrees={spdx_id: tuple(d) for spdx_id, d in zip(ids, degrees)})
+        pairs[ctype] = count
+    return ConflictMatrix(pairs, degrees={spdx_id: tuple(d) for spdx_id, d in zip(ids, degrees)})

@@ -14,8 +14,9 @@ to its profile.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
-with whitespace collapsed. The known-id list uses the same two-column
-layout (``spdx-id<TAB>full name``) and feeds expression normalization.
+with whitespace collapsed, and a key listed twice must name the same
+id. The known-id list uses the same two-column layout
+(``spdx-id<TAB>full name``) and feeds expression normalization.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import FormatError, ValidationError, read_text
+from .errors import FormatError, ValidationError, read_text, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
     Attitude,
@@ -71,7 +72,7 @@ class AliasTable:
 def _record_blocks(text: str, source: str):
     """Split file text into blocks of (line_number, key, value) triples."""
     block: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped:
             if block:
@@ -140,21 +141,39 @@ def loads_dataset(text: str, source: str = "<string>") -> Dataset:
             provenance = meta.get("provenance", provenance)
             continue
         profile = _parse_profile(block, source)
-        locator = f"{source}:{block[0][0]}"  # the record's first line
+        first_line = block[0][0]  # the record's first line
         violations = validate_profile(profile)
         if violations:
             raise ValidationError(
-                f"{locator}: profile {profile.spdx_id or '<missing id>'}: "
-                + "; ".join(violations)
+                f"profile {profile.spdx_id or '<missing id>'}: " + "; ".join(violations),
+                source=source,
+                line=first_line,
             )
         if profile.spdx_id in profiles:
-            raise ValidationError(f"{locator}: duplicate spdx-id {profile.spdx_id!r}")
+            raise ValidationError(
+                f"duplicate spdx-id {profile.spdx_id!r}", source=source, line=first_line
+            )
         profiles[profile.spdx_id] = profile
     return Dataset(profiles=profiles, version=version, provenance=provenance)
 
 
 def load_dataset(path: str | Path) -> Dataset:
     return loads_dataset(read_text(path), source=str(path))
+
+
+def dumps_profile(profile: LicenseProfile) -> str:
+    """The profile's record: one ``key: value`` line per field, in canonical order."""
+    lines = [
+        f"spdx-id: {profile.spdx_id}",
+        f"full-name: {profile.full_name}",
+        f"copyleft: {profile.copyleft.value}",
+    ]
+    lines.extend(
+        f"{term.value}: {profile.terms[term].value}" for term in TERM_ORDER
+    )
+    if profile.notes:
+        lines.append(f"notes: {profile.notes}")
+    return "\n".join(lines) + "\n"
 
 
 def dumps_dataset(ds: Dataset) -> str:
@@ -165,18 +184,7 @@ def dumps_dataset(ds: Dataset) -> str:
     file byte for byte.
     """
     blocks = [f"dataset-version: {ds.version}\nprovenance: {ds.provenance}\n"]
-    for profile in ds.profiles.values():
-        lines = [
-            f"spdx-id: {profile.spdx_id}",
-            f"full-name: {profile.full_name}",
-            f"copyleft: {profile.copyleft.value}",
-        ]
-        lines.extend(
-            f"{term.value}: {profile.terms[term].value}" for term in TERM_ORDER
-        )
-        if profile.notes:
-            lines.append(f"notes: {profile.notes}")
-        blocks.append("\n".join(lines) + "\n")
+    blocks.extend(dumps_profile(profile) for profile in ds.profiles.values())
     return "\n".join(blocks)
 
 
@@ -186,7 +194,7 @@ def dumps_dataset(ds: Dataset) -> str:
 
 
 def _two_column_lines(text: str, source: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -201,14 +209,17 @@ def _two_column_lines(text: str, source: str):
 def loads_aliases(
     text: str, known: KnownLicenses, source: str = "<string>"
 ) -> AliasTable:
-    """Parse an alias table; every target must be a known SPDX id."""
+    """Parse an alias table; every target must be a known SPDX id, one per folded key."""
     entries: dict[str, str] = {}
     for lineno, raw, target in _two_column_lines(text, source):
         if target not in known:
             raise ValidationError(
-                f"{source}:{lineno}: alias target {target!r} is not a known SPDX id"
+                f"alias target {target!r} is not a known SPDX id", source=source, line=lineno
             )
-        entries[fold_key(raw)] = target
+        key = fold_key(raw)
+        if entries.setdefault(key, target) != target:
+            message = f"alias {raw!r} already maps to {entries[key]!r}, not {target!r}"
+            raise ValidationError(message, source=source, line=lineno)
     return AliasTable(entries)
 
 
@@ -227,7 +238,9 @@ def known_licenses(
     known = KnownLicenses(extra or [])
     if ds is not None:
         for profile in ds.profiles.values():
-            known.add(profile.spdx_id, profile.full_name, profile.copyleft.value)
+            known.add(profile.spdx_id, profile.full_name)
+            if profile.copyleft is not CopyleftClass.NONE:
+                known.copyleft.add(profile.spdx_id)
     return known
 
 

@@ -1,14 +1,10 @@
-"""Shared exception types for file parsing and data validation."""
+"""Shared exception types, line splitting and reading for data files."""
 
 from pathlib import Path
 
 
 class LictermError(Exception):
-    """Base class for all licterm errors."""
-
-
-class FormatError(LictermError):
-    """A data file is syntactically malformed.
+    """Base class for all licterm errors.
 
     Carries a locator (file path and/or line number) so the offending
     record can be found and fixed by hand.
@@ -24,6 +20,18 @@ class FormatError(LictermError):
         super().__init__(f"{locator}: {message}")
 
 
+class FormatError(LictermError):
+    """A data file is syntactically malformed."""
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of a data file, broken only at ``\\r\\n``, ``\\r`` and ``\\n``.
+
+    Line ``i`` is element ``i - 1``; after a final line break comes an empty element.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a data file; a byte that does not decode is a FormatError at its line."""
     data = Path(path).read_bytes()
@@ -31,7 +39,7 @@ def read_text(path: str | Path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         message = f"byte {data[exc.start]:#04x} is not valid UTF-8"
-        line = data.count(b"\n", 0, exc.start) + 1
+        line = len(split_lines(data[: exc.start].decode("utf-8")))
         raise FormatError(message, source=str(path), line=line) from None
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "expression_ids",
     "KnownLicenses",
     "UnresolvableReason",
-    "Resolved",
     "Unresolvable",
     "NormalizationOutcome",
     "normalize",
@@ -52,8 +51,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """Base of the tree classes: a tree prints as its :func:`render` form."""
+
+    def __str__(self) -> str:
+        return render(self)
+
+
 @dataclass(frozen=True)
-class LicenseRef:
+class LicenseRef(_Node):
     """A single license id, optionally or-later and/or with an exception."""
 
     id: str
@@ -62,13 +68,13 @@ class LicenseRef:
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "LicenseExpression"
     right: "LicenseExpression"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "LicenseExpression"
     right: "LicenseExpression"
 
@@ -252,28 +258,28 @@ def fold_key(text: str) -> str:
 
 
 class KnownLicenses:
-    """The set of recognized SPDX ids with display names and copyleft classes.
+    """The set of recognized SPDX ids with display names.
 
     Lookup is case-insensitive over both the ids and their full names.
     Ids that come in -only / -or-later pairs are linked so that a bare
-    ``+`` suffix can be rewritten to the -or-later form.
+    ``+`` suffix can be rewritten to the -or-later form. ``copyleft``
+    holds the ids whose copyleft class is weak or strong, as
+    :func:`licterm.dataset.known_licenses` reads it from the dataset.
     """
 
     def __init__(self, entries: Iterable[tuple[str, str]]):
         self.ids: set[str] = set()
+        self.copyleft: set[str] = set()
         self._by_fold: dict[str, str] = {}
         self._by_name: dict[str, str] = {}
-        self._copyleft: dict[str, str] = {}
         for spdx_id, full_name in entries:
             self.add(spdx_id, full_name)
 
-    def add(self, spdx_id: str, full_name: str = "", copyleft: str = "") -> None:
+    def add(self, spdx_id: str, full_name: str = "") -> None:
         self.ids.add(spdx_id)
         self._by_fold[spdx_id.casefold()] = spdx_id
         if full_name:
             self._by_name[fold_key(full_name)] = spdx_id
-        if copyleft:
-            self._copyleft[spdx_id] = copyleft
 
     def __contains__(self, spdx_id: str) -> bool:
         return spdx_id in self.ids
@@ -292,9 +298,6 @@ class KnownLicenses:
             twin = spdx_id + "-or-later"
         return twin if twin in self.ids else None
 
-    def copyleft_of(self, spdx_id: str) -> str:
-        return self._copyleft.get(spdx_id, "none")
-
 
 class UnresolvableReason(Enum):
     NO_LICENSE = "no-license"
@@ -302,14 +305,6 @@ class UnresolvableReason(Enum):
     URL = "url"
     HASH_LIKE = "hash-like"
     UNKNOWN_NAME = "unknown-name"
-
-
-@dataclass(frozen=True)
-class Resolved:
-    expr: LicenseExpression
-
-    def __str__(self) -> str:
-        return render(self.expr)
 
 
 @dataclass(frozen=True)
@@ -321,7 +316,7 @@ class Unresolvable:
         return f"unresolvable:{self.reason.value}"
 
 
-NormalizationOutcome = Union[Resolved, Unresolvable]
+NormalizationOutcome = Union[LicenseExpression, Unresolvable]
 
 _NO_LICENSE_FORMS = {"", "unlicensed", "none", "no license", "no-license", "nolicense"}
 _FILE_REF_RE = re.compile(
@@ -411,11 +406,11 @@ def normalize(
 
     for match in (known.match_id(trimmed), known.match_name(trimmed)):
         if match is not None:
-            return Resolved(LicenseRef(match))
+            return LicenseRef(match)
     if aliases is not None:
         target = aliases.resolve(trimmed)
         if target is not None:
-            return Resolved(LicenseRef(target))
+            return LicenseRef(target)
 
     cleaned = _LOWER_OP_RE.sub(lambda m: m.group(1).upper(), " ".join(trimmed.split()))
     try:
@@ -425,4 +420,4 @@ def normalize(
     normalized = _normalize_tree(tree, aliases, known)
     if normalized is None:
         return Unresolvable(UnresolvableReason.UNKNOWN_NAME, raw)
-    return Resolved(normalized)
+    return normalized

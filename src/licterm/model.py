@@ -58,22 +58,18 @@ class Term(Enum):
 
     @property
     def kind(self) -> TermKind:
-        return TermKind.RIGHT if self in _RIGHT_TERMS else TermKind.OBLIGATION
+        return TermKind.RIGHT if self in RIGHT_TERMS else TermKind.OBLIGATION
 
     @property
     def definition(self) -> str:
         return _TERM_DEFINITIONS[self]
 
 
-_RIGHT_TERMS = frozenset(list(Term)[:11])
-
 #: All 22 terms in catalog order (rights first, then obligations).
 TERM_ORDER: tuple[Term, ...] = tuple(Term)
 
-RIGHT_TERMS: tuple[Term, ...] = tuple(t for t in Term if t.kind is TermKind.RIGHT)
-OBLIGATION_TERMS: tuple[Term, ...] = tuple(
-    t for t in Term if t.kind is TermKind.OBLIGATION
-)
+RIGHT_TERMS: tuple[Term, ...] = TERM_ORDER[:11]
+OBLIGATION_TERMS: tuple[Term, ...] = TERM_ORDER[11:]
 
 
 class Attitude(Enum):

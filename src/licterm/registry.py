@@ -1,6 +1,7 @@
 """Offline registry snapshots: parsing, dependency resolution, license changes.
 
-Snapshot format: plain UTF-8 text, one version record per line, five
+Snapshot format: plain UTF-8 text, one version record per line (lines
+end at ``\r\n``, ``\r`` or ``\n``; see ``errors.split_lines``), five
 tab-separated fields::
 
     package<TAB>version<TAB>published<TAB>license_raw<TAB>dependencies
@@ -37,11 +38,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DuplicateVersionError, FormatError, read_text
+from .errors import DuplicateVersionError, FormatError, read_text, split_lines
 from .expression import (
     KnownLicenses,
+    LicenseExpression,
     NormalizationOutcome,
-    Resolved,
     Unresolvable,
     expression_ids,
     normalize,
@@ -99,7 +100,7 @@ def _parse_lines(text: str, source: str, parse_line) -> None:
 
     A ``FormatError`` is re-raised, as the same subclass, at ``source:line``.
     """
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split_lines(text), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         try:
@@ -231,9 +232,6 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
 # License change detection
 # ---------------------------------------------------------------------------
 
-_PERMISSIVE_CLASSES = {"none"}
-
-
 @dataclass(frozen=True)
 class LicenseChange:
     package: str
@@ -251,9 +249,8 @@ def _classify(
     if isinstance(from_outcome, Unresolvable) or isinstance(to_outcome, Unresolvable):
         return "involving-unresolvable"
 
-    def side(outcome: Resolved) -> str:
-        classes = {known.copyleft_of(i) for i in expression_ids(outcome.expr)}
-        return "copyleft" if classes - _PERMISSIVE_CLASSES else "permissive"
+    def side(expr: LicenseExpression) -> str:
+        return "copyleft" if expression_ids(expr) & known.copyleft else "permissive"
 
     return f"{side(from_outcome)}-to-{side(to_outcome)}"
 
@@ -338,7 +335,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     source = str(path)
     text = read_text(path)
     # The header line is whole only if a line break or the end follows it.
-    if text[: len(GRAPH_HEADER) + 1].splitlines()[:1] != [GRAPH_HEADER]:
+    if split_lines(text[: len(GRAPH_HEADER) + 1])[0] != GRAPH_HEADER:
         raise FormatError(
             f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1
         )

@@ -48,7 +48,6 @@ class ScanReport:
     unknown_license_edges: int
     top_pairs: dict[ConflictType, Counter]  # (parent expr, dep expr) -> edge count
     usage: dict[tuple[int, str], int]  # (year, license bucket) -> package count
-    warnings: tuple[str, ...]
 
 
 def _usage_bucket(outcome: NormalizationOutcome) -> str:
@@ -90,7 +89,7 @@ def scan(
     for raw in dict.fromkeys(record.license_raw for record in records):
         outcome = outcome_of[raw] = normalize(raw, aliases, known)
         id_of[raw] = ids.setdefault((isinstance(outcome, Unresolvable), str(outcome)), len(ids))
-    # By outcome id. Resolved outcomes that share an id have equal trees: render is one-to-one.
+    # By outcome id. Trees that share an id are equal: render is one-to-one.
     outcomes = {i: outcome_of[raw] for raw, i in id_of.items()}
     outcome_id = [id_of[record.license_raw] for record in records]  # by node
     # Edges per (parent, dependency) outcome id pair, in first-seen edge order.
@@ -103,14 +102,12 @@ def scan(
     top_pairs: dict[ConflictType, Counter] = {ctype: Counter() for ctype in ConflictType}
     conflicted = 0
     unknown_edges = 0
-    warnings: dict[str, None] = {}  # first-seen order
     for (parent_id, dep_id), edges in edges_of_pair.items():
         parent, dep = outcomes[parent_id], outcomes[dep_id]
         if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
             unknown_edges += edges
             continue
-        verdict = check_expressions(parent.expr, dep.expr, ds, strict_not_mentioned)
-        warnings.update(dict.fromkeys(verdict.warnings))
+        verdict = check_expressions(parent, dep, ds, strict_not_mentioned)
         if not verdict.findings:
             continue
         conflicted += edges
@@ -125,7 +122,6 @@ def scan(
         unknown_license_edges=unknown_edges,
         top_pairs=top_pairs,
         usage=_yearly_usage(records, outcome_of),
-        warnings=tuple(warnings),
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 from licterm.cli import main as cli_main
 from licterm.conflicts import ConflictType, check_profiles, build_matrix, check_expressions
 from licterm.dataset import Dataset, dumps_dataset, load_dataset, loads_dataset
-from licterm.expression import Resolved, normalize, parse_expression, render
+from licterm.expression import Unresolvable, normalize, parse_expression, render
 from licterm.mining import mine, profile_items
 from licterm.model import Attitude, TermKind
 from licterm.registry import (
@@ -144,11 +144,7 @@ def test_criterion_3_copyleft_validation_at_desk_scale(seed_dataset):
 def test_criterion_4_matrix_oracle_equality_and_speed(seed_dataset):
     matrix = build_matrix(seed_dataset)
     counts, degrees = oracle_matrix(seed_dataset)
-    assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (
-        counts["C1"],
-        counts["C2"],
-        counts["C3"],
-    )
+    assert matrix.pairs == {ctype: counts[ctype.value] for ctype in ConflictType}
     assert matrix.degrees == degrees
 
     # 453-license all-pairs timing on a synthetic dataset of that size.
@@ -176,7 +172,7 @@ def test_criterion_4_full_dataset_totals_if_available():
     matrix = build_matrix(ds)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
-    assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (28918, 140870, 14593)
+    assert matrix.pairs == dict(zip(ConflictType, (28918, 140870, 14593)))
     _report(4, "full-dataset matrix totals")
 
 
@@ -302,10 +298,10 @@ def test_criterion_6_semver_and_graph_oracle_equivalence(seed_dataset, aliases, 
         package, version, dep_package, dep_version, _ = edge_key(edge, records)
         parent = normalize(license_of[(package, version)], aliases, known)
         dep = normalize(license_of[(dep_package, dep_version)], aliases, known)
-        if not (isinstance(parent, Resolved) and isinstance(dep, Resolved)):
+        if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
             naive_unknown += 1
             continue
-        verdict = check_expressions(parent.expr, dep.expr, seed_dataset, False)
+        verdict = check_expressions(parent, dep, seed_dataset, False)
         if verdict.findings:
             naive_conflicted += 1
         for ctype in ConflictType:
@@ -383,9 +379,9 @@ def test_criterion_7_license_change_detection(aliases, known):
     assert len({r.package for r in records}) == 20
 
     def show(outcome):
-        return render(outcome.expr) if isinstance(outcome, Resolved) else (
-            f"unresolvable:{outcome.reason.value}"
-        )
+        if isinstance(outcome, Unresolvable):
+            return f"unresolvable:{outcome.reason.value}"
+        return render(outcome)
 
     got = [
         (c.package, show(c.from_outcome), show(c.to_outcome), str(c.at_version), c.classification)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from licterm.cli import main
 from licterm.dataset import Dataset, dumps_dataset
 from licterm.model import TERM_ORDER
-from licterm.registry import GRAPH_HEADER
+from licterm.registry import GRAPH_HEADER, read_graph
 
 
 # 2**13 OR choices against one: past the cap on choice pairs.
@@ -434,6 +434,66 @@ class TestMalformedInputs:
         assert err == f"error: {path}:2: {message}\n"
 
 
+# A command that reads {path} as each kind of data file.
+EACH_DATA_FILE = pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "{path}", "-o", "{tmp}/graph.dat"],
+        ["scan", "{path}"],
+        ["check", "--dataset", "{path}", "MIT", "ISC"],
+        ["check", "--aliases", "{path}", "MIT", "ISC"],
+    ],
+    ids=["snapshot", "graph", "dataset", "aliases"],
+)
+# Characters at which str.splitlines() breaks a line but a data file does not.
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """Every data file breaks lines at \\r\\n, \\r and \\n, and nowhere else."""
+
+    @pytest.mark.parametrize("sep", NOT_LINE_ENDS, ids=[f"U+{ord(c):04X}" for c in NOT_LINE_ENDS])
+    def test_other_breaks_stay_inside_a_license(self, capsys, tmp_path, sep):
+        license_raw = f"MIT{sep}X"
+        snapshot, graph = tmp_path / "ls.tsv", tmp_path / "graph.dat"
+        lines = [
+            snapshot_line("a", "1.0.0", "2020-01-01", license_raw, "b@*"),
+            snapshot_line("b", "1.0.0", "2020-01-01", "MIT"),
+        ]
+        snapshot.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "ingest", str(snapshot), "-o", str(graph)) == (
+            0, "nodes=2 edges=1 unresolved=0\n", ""
+        )
+        assert [r.license_raw for r in read_graph(graph)[1]] == [license_raw, "MIT"]
+        code, out, err = run(capsys, "scan", str(graph))
+        assert (code, err) == (0, "")
+        assert out.startswith("edges=1 conflicted=0 C1=0 C2=0 C3=0 unknown-license=1\n")
+        text = graph.read_text(encoding="utf-8")
+        for eol in ("\r", "\r\n"):
+            graph.write_text(text.replace("\n", eol), encoding="utf-8", newline="")
+            assert run(capsys, "scan", str(graph)) == (code, out, err)
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["CR", "CRLF"])
+    @EACH_DATA_FILE
+    def test_bad_byte_is_located_at_its_line(self, capsys, tmp_path, eol, argv):
+        path = tmp_path / "input.dat"
+        path.write_bytes(eol.encode().join([b"# line 1", b"# line 2", b"bad \xff byte", b""]))
+        code, out, err = run(capsys, *(a.format(path=path, tmp=tmp_path) for a in argv))
+        assert (code, out, err) == (5, "", f"error: {path}:3: byte 0xff is not valid UTF-8\n")
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["CR", "CRLF"])
+    def test_bad_date_is_located_at_its_line(self, capsys, tmp_path, eol):
+        path = tmp_path / "ls.tsv"
+        lines = [
+            snapshot_line("a", "1.0.0", "2020-01-01", "MIT"),
+            snapshot_line("b", "1.0.0", "2020-13-01", "MIT"),
+            snapshot_line("c", "1.0.0", "2020-01-01", "MIT"),
+        ]
+        path.write_text(eol.join(lines) + eol, encoding="utf-8", newline="")
+        code, out, err = run(capsys, "ingest", str(path), "-o", str(tmp_path / "graph.dat"))
+        assert (code, out, err) == (5, "", f"error: {path}:2: invalid date '2020-13-01'\n")
+
+
 class TestDeterminismAndConfig:
     def test_identical_invocations_byte_identical(self, capsys):
         first = [run(capsys, "matrix")[1] for _ in range(2)]
@@ -489,16 +549,7 @@ class TestDeterminismAndConfig:
         assert exc.value.code == 2
         assert "--top: expected an integer of at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["ingest", "{path}", "-o", "{tmp}/graph.dat"],
-            ["scan", "{path}"],
-            ["check", "--dataset", "{path}", "MIT", "ISC"],
-            ["check", "--aliases", "{path}", "MIT", "ISC"],
-        ],
-        ids=["snapshot", "graph", "dataset", "aliases"],
-    )
+    @EACH_DATA_FILE
     def test_non_utf8_input_is_data_error_with_line(self, capsys, tmp_path, argv):
         path = tmp_path / "input.dat"
         path.write_bytes(b"# line 1\n# line 2\nbad \xff byte\n")

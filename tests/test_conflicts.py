@@ -369,11 +369,7 @@ def _family_datasets(draw):
 def _assert_matrix_matches_oracle(ds, strict):
     matrix = build_matrix(ds, strict)
     counts, degrees = oracle_matrix(ds, strict)
-    assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (
-        counts["C1"],
-        counts["C2"],
-        counts["C3"],
-    )
+    assert matrix.pairs == {ctype: counts[ctype.value] for ctype in ConflictType}
     assert matrix.degrees == degrees
 
 
@@ -403,15 +399,16 @@ class TestMatrix:
 
         one = Dataset(profiles={"MIT": seed_dataset.profiles["MIT"]})
         matrix = build_matrix(one)
-        assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (0, 0, 0)
+        assert matrix.pairs == dict.fromkeys(ConflictType, 0)
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_matrix_equals_oracle_on_seed(self, seed_dataset, strict):
         matrix = build_matrix(seed_dataset, strict)
         counts, degrees = oracle_matrix(seed_dataset, strict)
-        assert matrix.c1_pairs == counts["C1"]
-        assert matrix.c2_pairs == counts["C2"]
-        assert matrix.c3_pairs == counts["C3"]
+        assert matrix.pairs[ConflictType.C1] == counts["C1"]
+        assert matrix.pairs[ConflictType.C2] == counts["C2"]
+        assert matrix.pairs[ConflictType.C3] == counts["C3"]
+        assert len(matrix.pairs) == 3
         assert matrix.degrees == degrees
 
     def test_matrix_equals_oracle_on_random_dataset(self):
@@ -423,15 +420,11 @@ class TestMatrix:
         for strict in (False, True):
             matrix = build_matrix(ds, strict)
             counts, degrees = oracle_matrix(ds, strict)
-            assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (
-                counts["C1"],
-                counts["C2"],
-                counts["C3"],
-            )
+            assert matrix.pairs == {ctype: counts[ctype.value] for ctype in ConflictType}
             assert matrix.degrees == degrees
 
     def test_seed_matrix_frozen_counts(self, seed_dataset):
         # Computed once with the brute-force oracle over the bundled
         # dataset; guards against accidental relabeling.
         matrix = build_matrix(seed_dataset)
-        assert (matrix.c1_pairs, matrix.c2_pairs, matrix.c3_pairs) == (115, 361, 101)
+        assert matrix.pairs == dict(zip(ConflictType, (115, 361, 101)))

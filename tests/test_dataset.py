@@ -100,6 +100,16 @@ class TestFileFormat:
         with pytest.raises(ValidationError) as exc:
             loads_dataset(MINIMAL_RECORD + "\n" + MINIMAL_RECORD, source="test.dat")
         assert str(exc.value) == f"test.dat:{second}: duplicate spdx-id 'Test-1.0'"
+        assert (exc.value.source, exc.value.line) == ("test.dat", second)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_only_cr_and_lf_end_a_line(self, eol):
+        # str.splitlines() would also break at U+2028, U+0085, form feed and others.
+        notes = "a\u2028b\x85c\x0cd\x1ee"
+        text = (MINIMAL_RECORD + f"notes: {notes}\n").replace("\n", eol)
+        ds = loads_dataset(text)
+        assert ds.profiles["Test-1.0"].notes == notes
+        assert loads_dataset(dumps_dataset(ds)) == ds
 
     def test_metadata_block(self):
         text = "dataset-version: 7\nprovenance: somewhere\n\n" + MINIMAL_RECORD
@@ -201,8 +211,22 @@ class TestAliases:
         assert table.resolve("  APACHE   2.0 ") == "Apache-2.0"
 
     def test_alias_target_must_be_known(self, known):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             loads_aliases("something\tNot-A-Real-Id\n", known)
+        assert str(exc.value) == "<string>:1: alias target 'Not-A-Real-Id' is not a known SPDX id"
+
+    def test_key_listed_again_with_another_target_is_validation_error(self, known):
+        text = "# aliases\nApache2\tApache-2.0\n\n  APACHE2 \tMIT\nother\tISC\n"
+        with pytest.raises(ValidationError) as exc:
+            loads_aliases(text, known, source="aliases.dat")
+        assert str(exc.value) == (
+            "aliases.dat:4: alias 'APACHE2' already maps to 'Apache-2.0', not 'MIT'"
+        )
+        assert (exc.value.source, exc.value.line) == ("aliases.dat", 4)
+
+    def test_key_listed_again_with_the_same_target_is_allowed(self, known):
+        table = loads_aliases("Apache2\tApache-2.0\napache  2\tISC\nAPACHE2\tApache-2.0\n", known)
+        assert table.entries == {"apache2": "Apache-2.0", "apache 2": "ISC"}
 
     def test_alias_file_needs_two_columns(self, known):
         with pytest.raises(FormatError):
@@ -220,8 +244,8 @@ def test_known_licenses_includes_dataset_and_extra(seed_dataset):
     assert "EPL-2.0" in known  # extra id without a profile
     assert known.match_id("epl-2.0") == "EPL-2.0"
     assert known.match_name("eclipse public license 2.0") == "EPL-2.0"
-    assert known.copyleft_of("GPL-3.0-only") == "strong"
-    assert known.copyleft_of("EPL-2.0") == "none"
+    assert "GPL-3.0-only" in known.copyleft
+    assert "EPL-2.0" not in known.copyleft
 
 
 def test_load_dataset_missing_file(tmp_path):

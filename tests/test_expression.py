@@ -13,7 +13,6 @@ from licterm.expression import (
     KnownLicenses,
     LicenseRef,
     Or,
-    Resolved,
     Unresolvable,
     UnresolvableReason,
     expression_ids,
@@ -93,6 +92,7 @@ class TestRenderRoundTrip:
         for _ in range(500):
             tree = random_expression(rng)
             assert parse_expression(render(tree)) == tree
+            assert str(tree) == render(tree)
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_round_trip_property(self, seed):
@@ -137,7 +137,7 @@ class TestTokenBound:
             assert parse_expression(render(tree)) == tree
             assert hash(tree) == hash(parse_expression(text))
             outcome = normalize(text, aliases, known)
-            assert outcome == Resolved(tree)
+            assert outcome == tree
             gpl = LicenseRef("GPL-3.0-only")
             for parent, dep in ((tree, gpl), (gpl, tree)):
                 got = check_expressions(parent, dep, seed_dataset).findings
@@ -191,12 +191,10 @@ class TestNormalize:
         )
 
     def test_case_fold_to_known_id(self, aliases, known):
-        assert normalize("mit", aliases, known) == Resolved(LicenseRef("MIT"))
+        assert normalize("mit", aliases, known) == LicenseRef("MIT")
 
     def test_full_name_lookup(self, aliases, known):
-        assert normalize("Apache License 2.0", aliases, known) == Resolved(
-            LicenseRef("Apache-2.0")
-        )
+        assert normalize("Apache License 2.0", aliases, known) == LicenseRef("Apache-2.0")
 
     def test_no_license_markers(self, aliases, known):
         for raw in ("", "   ", "UNLICENSED", "none", "None"):
@@ -206,7 +204,7 @@ class TestNormalize:
             assert outcome.raw == raw
 
     def test_unlicense_is_not_no_license(self, aliases, known):
-        assert normalize("Unlicense", aliases, known) == Resolved(LicenseRef("Unlicense"))
+        assert normalize("Unlicense", aliases, known) == LicenseRef("Unlicense")
 
     def test_url_and_hash(self, aliases, known):
         assert normalize("https://example.com/l", aliases, known).reason is UnresolvableReason.URL
@@ -220,25 +218,21 @@ class TestNormalize:
         assert outcome == Unresolvable(UnresolvableReason.UNKNOWN_NAME, "My Cool License")
 
     def test_alias_expansion(self, aliases, known):
-        assert normalize("Apache2", aliases, known) == Resolved(LicenseRef("Apache-2.0"))
-        assert normalize("BSD", aliases, known) == Resolved(LicenseRef("BSD-3-Clause"))
+        assert normalize("Apache2", aliases, known) == LicenseRef("Apache-2.0")
+        assert normalize("BSD", aliases, known) == LicenseRef("BSD-3-Clause")
 
     def test_plus_folds_into_or_later_pair(self, aliases, known):
-        assert normalize("GPL-3.0+", aliases, known) == Resolved(
-            LicenseRef("GPL-3.0-or-later")
-        )
-        assert normalize("gplv2+", aliases, known) == Resolved(
-            LicenseRef("GPL-2.0-or-later")
-        )
+        assert normalize("GPL-3.0+", aliases, known) == LicenseRef("GPL-3.0-or-later")
+        assert normalize("gplv2+", aliases, known) == LicenseRef("GPL-2.0-or-later")
 
     def test_plus_kept_when_no_pair_exists(self, aliases, known):
         outcome = normalize("Apache-2.0+", aliases, known)
-        assert outcome == Resolved(LicenseRef("Apache-2.0", or_later=True))
+        assert outcome == LicenseRef("Apache-2.0", or_later=True)
 
     def test_expression_with_irregular_ids(self, aliases, known):
         outcome = normalize("(mit or apache2)", aliases, known)
-        assert isinstance(outcome, Resolved)
-        assert render(outcome.expr) == "MIT OR Apache-2.0"
+        assert isinstance(outcome, Or)
+        assert render(outcome) == "MIT OR Apache-2.0"
 
     def test_expression_with_unknown_leaf_is_unknown(self, aliases, known):
         outcome = normalize("MIT OR Foo-1.0", aliases, known)
@@ -250,8 +244,8 @@ class TestNormalize:
 
     def test_idempotent_on_resolved(self, aliases, known):
         first = normalize("mit OR apache2 AND gpl-3.0+", aliases, known)
-        assert isinstance(first, Resolved)
-        second = normalize(render(first.expr), aliases, known)
+        assert not isinstance(first, Unresolvable)
+        second = normalize(render(first), aliases, known)
         assert second == first
 
     def test_deterministic(self, aliases, known):
@@ -261,7 +255,7 @@ class TestNormalize:
         assert first == second
 
     def test_without_alias_table(self, tiny_known):
-        assert normalize("MIT", None, tiny_known) == Resolved(LicenseRef("MIT"))
+        assert normalize("MIT", None, tiny_known) == LicenseRef("MIT")
         assert isinstance(normalize("apache2", None, tiny_known), Unresolvable)
 
 

@@ -305,8 +305,8 @@ class TestLicenseChanges:
         assert len(changes) == 1
         change = changes[0]
         assert change.package == "pkg"
-        assert render(change.from_outcome.expr) == "MIT"
-        assert render(change.to_outcome.expr) == "ISC"
+        assert render(change.from_outcome) == "MIT"
+        assert render(change.to_outcome) == "ISC"
         assert change.at_version == Semver(2, 0, 0)
         assert change.classification == "permissive-to-permissive"
 
@@ -345,7 +345,7 @@ class TestLicenseChanges:
             ("pkg", "1.0.0", "2020-01-01", "MIT"),
         )
         (change,) = license_changes(records, aliases, known)
-        assert render(change.from_outcome.expr) == "MIT"
+        assert render(change.from_outcome) == "MIT"
         assert change.at_version == Semver(2, 0, 0)
 
     def test_expression_changes_detected(self, aliases, known):
@@ -355,8 +355,8 @@ class TestLicenseChanges:
             ("pkg", "2.0.0", "2020-03-01", "MIT"),
         )
         (change,) = license_changes(records, aliases, known)
-        assert render(change.from_outcome.expr) == "MIT OR Apache-2.0"
-        assert render(change.to_outcome.expr) == "MIT"
+        assert render(change.from_outcome) == "MIT OR Apache-2.0"
+        assert render(change.to_outcome) == "MIT"
 
 
 def _seeded_snapshot(rng: random.Random) -> str:
