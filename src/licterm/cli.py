@@ -323,6 +323,8 @@ def _cmd_explain(args) -> int:
             file=sys.stderr,
         )
         return EXIT_UNRESOLVABLE
+    if outcome.or_later or outcome.exception:
+        print(f"warning: {outcome} is not modeled; showing the base license", file=sys.stderr)
     print(dumps_profile(profile), end="")
     return EXIT_OK
 

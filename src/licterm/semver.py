@@ -1,17 +1,28 @@
 """Semantic versions and npm-style dependency ranges.
 
 A range is ``||`` disjunctions of space-separated conjunctions of
-tokens. Each token but a spaced hyphen range desugars by one rule, as
-in node-semver: a floor version (the given parts, then zeros) and the
-part bumped to form the upper bound. ``^`` bumps the first non-zero
-given part, ``~`` the minor part (the major if only it is given), and a
-partial version like ``1.2`` or ``1.x`` spans its floor up to the bump
-of its last given part; ``>`` ``>=`` ``<`` ``<=`` keep one end of it.
-Anything else (git URLs, tags) is a parse error for the caller to record.
+tokens, after node-semver's range grammar. Every token, each end of a
+spaced hyphen range included, desugars by one rule: a floor version
+(the given parts, then zeros) and the part bumped to form the upper
+bound. ``^`` bumps the first non-zero given part, ``~`` (also written
+``~>``) the minor part (the major if only it is given), and a partial
+version like ``1.2`` or ``1.x`` spans its floor up to the bump of its
+last given part; ``>`` ``>=`` ``<`` ``<=`` keep one end of it. An
+operator may be followed by spaces, so ``>= 1.2`` is ``>=1.2``. A
+hyphen range ``A - B`` is ``>=A <=B``, so ``1.2 - 2.3`` is
+``>=1.2.0 <2.4.0``. Anything else (git URLs, dist-tags such as
+``latest``) is a parse error for the caller to record.
 
 Prerelease versions satisfy a range only when some comparator in the
 range carries a prerelease with the same (major, minor, patch) triple,
-mirroring registry resolution behavior.
+mirroring registry resolution behavior. node-semver instead ends a
+bumped upper bound at the lowest prerelease (``^1.2.3`` is
+``>=1.2.3 <2.0.0-0``); no release lies between ``2.0.0-0`` and
+``2.0.0``, so both admit the same releases. They differ on
+prereleases: here a prerelease comparator in one ``||`` alternative
+admits its triple's prereleases through another alternative too, and
+within one conjunction ``1.x >=2.0.0-rc.1`` admits ``2.0.0-rc.2``,
+which node-semver's ``<2.0.0-0`` excludes.
 """
 
 from __future__ import annotations
@@ -102,18 +113,6 @@ class Comparator:
     op: str  # one of < <= > >= =
     version: Semver
 
-    def matches(self, version: Semver) -> bool:
-        key, bound = version.key, self.version.key
-        if self.op == "<":
-            return key < bound
-        if self.op == "<=":
-            return key <= bound
-        if self.op == ">":
-            return key > bound
-        if self.op == ">=":
-            return key >= bound
-        return key == bound
-
 
 @dataclass(frozen=True, slots=True)
 class VersionRange:
@@ -123,12 +122,9 @@ class VersionRange:
     alternatives: tuple[tuple[Comparator, ...], ...]
 
     def satisfies(self, version: Semver) -> bool:
-        for conjunction in self.alternatives:
-            if all(c.matches(version) for c in conjunction):
-                if version.prerelease and not self._prerelease_allowed(version):
-                    continue
-                return True
-        return False
+        if version.prerelease and not self._prerelease_allowed(version):
+            return False
+        return any(_window(conjunction, [version]) == (0, 1) for conjunction in self.alternatives)
 
     def _prerelease_allowed(self, version: Semver) -> bool:
         return any(
@@ -207,7 +203,8 @@ def _span(op: str, text: str) -> tuple[Comparator, ...]:
     return (Comparator(">=", low), Comparator("<", high))  # "=1.2" == "1.2" == "1.2.x"
 
 
-_OP_RE = re.compile(r"(?:>=|<=|>|<|=|\^|~)?")
+# One range token: an operator (maybe none), optional spaces, a version.
+_TOKEN_RE = re.compile(r"\s*(>=|<=|>|<|=|\^|~>?|)\s*(\S+)")
 
 
 def _parse_conjunction(text: str) -> tuple[Comparator, ...]:
@@ -216,15 +213,10 @@ def _parse_conjunction(text: str) -> tuple[Comparator, ...]:
     if "-" in tokens:
         if tokens.index("-") != 1 or len(tokens) != 3:
             raise RangeSyntaxError(f"malformed hyphen range: {text!r}")
-        low, low_given = _parse_partial(tokens[0])
-        high, high_given = _parse_partial(tokens[2])
-        if low_given < 3 or high_given < 3:
-            raise RangeSyntaxError(f"hyphen range requires full versions: {text!r}")
-        return (Comparator(">=", low), Comparator("<=", high))
+        return _span(">=", tokens[0]) + _span("<=", tokens[2])
     comparators: list[Comparator] = []
-    for token in tokens:
-        op = _OP_RE.match(token).group()
-        comparators.extend(_span(op, token[len(op):]))
+    for op, version in _TOKEN_RE.findall(text):
+        comparators.extend(_span("~" if op == "~>" else op, version))
     return tuple(comparators)
 
 
@@ -265,9 +257,10 @@ def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
 
     Work per call is one sort (linear on a presorted list), a bisection
     of each conjunction's bounds, and a walk down from the top of each
-    window that stops at the first version ``rng.satisfies`` accepts,
-    so only the prereleases it skips on the way are examined besides
-    the answer, not every available version.
+    window. Every version in a window meets its conjunction's
+    comparators, so the walk stops at the first release and asks
+    ``rng.satisfies`` (the prerelease rule) only about the prereleases
+    above it, not about every available version.
     """
     ordered = sorted(available, key=_KEY)  # stable: ties keep input order
     best: Semver | None = None
@@ -277,7 +270,7 @@ def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
             version = ordered[i]
             if best is not None and version.key <= best.key:
                 break
-            if rng.satisfies(version):
+            if not version.prerelease or rng.satisfies(version):
                 # Precedence-equal versions satisfy alike; take the first.
                 best = ordered[bisect_left(ordered, version.key, lo, i, key=_KEY)]
                 break

@@ -126,6 +126,18 @@ class TestExplain:
         assert code == 3
         assert "no profile" in err
 
+    @pytest.mark.parametrize("license", ["Apache-2.0 WITH LLVM-exception", "Apache-2.0+"])
+    def test_exception_or_kept_plus_warns_and_shows_base(self, capsys, license):
+        base = run(capsys, "explain", "Apache-2.0")
+        code, out, err = run(capsys, "explain", license)
+        assert (code, out) == base[:2]
+        assert err == f"warning: {license} is not modeled; showing the base license\n"
+
+    def test_plus_folded_to_or_later_id_is_silent(self, capsys):
+        code, out, err = run(capsys, "explain", "GPL-2.0+")
+        assert code == 0 and err == ""
+        assert "spdx-id: GPL-2.0-or-later" in out.splitlines()
+
 
 class TestNormalize:
     def test_resolved(self, capsys):

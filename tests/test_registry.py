@@ -162,6 +162,26 @@ class TestBuildGraph:
             ("lib", "^\u0661.2.3", "unparsable-range")
         ]
 
+    def test_spaced_tilde_arrow_and_partial_hyphen_ranges_resolve(self):
+        # node-semver reads ">= 1.2.3" as ">=1.2.3", "~>1.2" as "~1.2" and
+        # "1.2 - 2" as ">=1.2.0 <3.0.0"; none is an unparsable range.
+        deps = "lib@>= 1.2.3;lib@~>1.2;lib@1.2 - 2"
+        text = "\n".join(
+            [line("app", "1.0.0", "2020-01-01", "MIT", deps)]
+            + [line("lib", version, "2020-01-01", "MIT")
+               for version in ("1.1.0", "1.2.5", "2.9.0", "3.0.0")]
+        )
+        records = parse_snapshot_text(text)
+        graph = build_graph(records)
+        assert graph.unresolved == ()
+        got = {edge_key(e, records) for e in graph.edges}
+        assert got == oracle_build_graph_edges(records)
+        assert got == {
+            ("app", "1.0.0", "lib", "3.0.0", ">= 1.2.3"),
+            ("app", "1.0.0", "lib", "1.2.5", "~>1.2"),
+            ("app", "1.0.0", "lib", "2.9.0", "1.2 - 2"),
+        }
+
     def test_every_edge_satisfies_its_range(self):
         from licterm.semver import parse_range
 
@@ -248,9 +268,11 @@ class TestDuplicateEntries:
 class TestResolutionWork:
     def test_one_candidate_per_conjunction_per_distinct_range(self, monkeypatch):
         # A count, not a timing: each distinct (package, range) is resolved
-        # once, and with no prereleases to skip the top of each bisected
-        # window is the answer, so `satisfies` runs at most once per
-        # conjunction. A resolver that scans every version calls it 500
+        # once, and the top of each bisected window is the answer. Every
+        # version in a window meets its conjunction's comparators, so only
+        # prerelease candidates reach `satisfies`. With none here it is not
+        # called at all, inside the bound of one call per conjunction. A
+        # resolver that asks `satisfies` about every version calls it 500
         # times per dependency entry.
         lib = [f"{major}.{minor}.{patch}" for major in range(5)
                for minor in range(10) for patch in range(10)]

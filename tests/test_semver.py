@@ -119,8 +119,10 @@ class TestRangeExamples:
             "=*",
             "1.2-beta",
             "^1-rc.1",
-            "1.2 - 2.0.0",
             "^1.2.3 - 2.0.0",
+            ">=",
+            "~>",
+            "1.2.3 ^",
             "file:../local",
             ">=1.0.0-a..b",
             "1.0.0+a..b",
@@ -135,9 +137,10 @@ class TestRangeExamples:
 
 # The desugaring spec: every operator (none, =, ^, ~, >, >=, <, <=) against
 # "*", "M", "M.m", "M.x.p", "M.m.p" and "M.m.p-pre", with zero and non-zero
-# leading parts, each mapped to the text of its comparators. A conjunction's
-# comparators are joined by spaces and alternatives by " || ". The forms
-# that raise (">*", "<*", "=*", "1.2-beta") are in test_unsupported_forms_raise.
+# leading parts, each mapped to the text of its comparators, then hyphen,
+# spaced and "~>" forms. A conjunction's comparators are joined by spaces
+# and alternatives by " || ". The forms that raise (">*", "<*", "=*",
+# "1.2-beta") are in test_unsupported_forms_raise.
 DESUGARED = [
     ("*", ""),
     ("0", ">=0.0.0 <1.0.0"),
@@ -264,6 +267,21 @@ DESUGARED = [
     ("1.2.3+build", "=1.2.3"),
     ("^1.2.3-rc.1+build", ">=1.2.3-rc.1 <2.0.0"),
     ("1.2.3 - 2.3.4-rc.1", ">=1.2.3 <=2.3.4-rc.1"),
+    # node-semver's "Advanced Range Syntax" hyphen examples: each end is a
+    # token, ">=" on the low end and "<=" on the high end.
+    ("1.2 - 2.3.4", ">=1.2.0 <=2.3.4"),
+    ("1.2.3 - 2.3", ">=1.2.3 <2.4.0"),
+    ("1.2.3 - 2", ">=1.2.3 <3.0.0"),
+    ("1.2 - 2.0.0", ">=1.2.0 <=2.0.0"),
+    ("* - 2", "<3.0.0"),
+    ("1.2.3 - *", ">=1.2.3"),
+    # An operator may be followed by spaces, and "~>" is "~".
+    (">= 1.2.3", ">=1.2.3"),
+    ("^ 1.2.3", ">=1.2.3 <2.0.0"),
+    ("<  2", "<2.0.0"),
+    ("~>1.2", ">=1.2.0 <1.3.0"),
+    ("~> 1.2.3", ">=1.2.3 <1.3.0"),
+    (">= 1.2 < 2", ">=1.2.0 <2.0.0"),
     (">=1.2 <2", ">=1.2.0 <2.0.0"),
     ("^1.2 || ~0.1", ">=1.2.0 <2.0.0 || >=0.1.0 <0.2.0"),
 ]
@@ -358,14 +376,13 @@ def _random_range(rng: random.Random) -> str:
 
     def simple():
         kind = rng.random()
+        space = rng.choice(("", "", " ", "  "))
         if kind < 0.25:
-            return rng.choice(("^", "~")) + partial()
+            return rng.choice(("^", "~", "~>")) + space + partial()
         if kind < 0.5:
-            return rng.choice((">", ">=", "<", "<=", "=")) + partial()
+            return rng.choice((">", ">=", "<", "<=", "=")) + space + partial()
         if kind < 0.6:
-            a = f"{rng.randint(0, 2)}.{rng.randint(0, 4)}.{rng.randint(0, 6)}"
-            b = f"{rng.randint(1, 3)}.{rng.randint(0, 4)}.{rng.randint(0, 6)}"
-            return f"{a} - {b}"
+            return f"{partial()} - {partial()}"
         return partial()
 
     conj = " ".join(simple() for _ in range(rng.randint(1, 2)))
