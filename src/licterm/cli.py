@@ -12,6 +12,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -422,6 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's records, edges and trees hold no reference cycles, so the
+    # cyclic collector would only rescan them. Library callers keep it on.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = args.func(args)
     except SystemExit as exc:
@@ -429,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ExpressionTooComplex, LictermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNRESOLVABLE if isinstance(exc, ExpressionTooComplex) else EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
     if argv is None:  # invoked as a console script
         sys.exit(code)
     return code

@@ -184,7 +184,7 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     """
     order = _node_order(records)
     rank = [0] * len(records)  # position in (package, version) order
-    # Each list is in key order, so resolve_range's stable sort is linear.
+    # Each list is in key order, as resolve_range requires.
     versions_by_package: dict[str, list[Semver]] = defaultdict(list)
     node_of: dict[tuple[str, tuple], int] = {}  # (package, version key) -> records index
     for position, i in enumerate(order):

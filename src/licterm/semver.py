@@ -251,27 +251,26 @@ def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
     """Highest available version satisfying the range, or None.
 
     Prereleases are skipped unless the range itself names a prerelease
-    of the same (major, minor, patch). ``available`` may be in any
-    order; among precedence-equal versions the first in input order is
-    returned.
+    of the same (major, minor, patch). ``available`` must be in
+    precedence order, as ``sorted(versions, key=attrgetter("key"))``
+    gives it; among precedence-equal versions the first is returned, so
+    a stable sort returns the first in the caller's original order.
 
-    Work per call is one sort (linear on a presorted list), a bisection
-    of each conjunction's bounds, and a walk down from the top of each
-    window. Every version in a window meets its conjunction's
-    comparators, so the walk stops at the first release and asks
-    ``rng.satisfies`` (the prerelease rule) only about the prereleases
-    above it, not about every available version.
+    Work per call is a bisection of each conjunction's bounds and a walk
+    down from the top of each window. Every version in a window meets
+    its conjunction's comparators, so the walk stops at the first
+    release and asks ``rng.satisfies`` (the prerelease rule) only about
+    the prereleases above it, not about every available version.
     """
-    ordered = sorted(available, key=_KEY)  # stable: ties keep input order
     best: Semver | None = None
     for conjunction in rng.alternatives:
-        lo, hi = _window(conjunction, ordered)
+        lo, hi = _window(conjunction, available)
         for i in range(hi - 1, lo - 1, -1):
-            version = ordered[i]
+            version = available[i]
             if best is not None and version.key <= best.key:
                 break
             if not version.prerelease or rng.satisfies(version):
                 # Precedence-equal versions satisfy alike; take the first.
-                best = ordered[bisect_left(ordered, version.key, lo, i, key=_KEY)]
+                best = available[bisect_left(available, version.key, lo, i, key=_KEY)]
                 break
     return best

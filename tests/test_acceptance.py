@@ -38,7 +38,7 @@ from oracles import (
     oracle_mine,
     oracle_resolve,
 )
-from test_semver import _random_range, _random_version
+from test_semver import _random_range, _random_version, by_key
 
 FULL_DATASET_ENV = "LICTERM_FULL_DATASET"
 
@@ -277,7 +277,7 @@ def test_criterion_6_semver_and_graph_oracle_equivalence(seed_dataset, aliases, 
         except RangeSyntaxError:
             continue
         available = [_random_version(rng) for _ in range(rng.randint(0, 10))]
-        assert resolve_range(parsed, available) == oracle_resolve(parsed, available)
+        assert resolve_range(parsed, by_key(available)) == oracle_resolve(parsed, available)
         cases += 1
 
     # 300-record synthetic snapshot: edges equal the naive resolver's.

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import tempfile
@@ -307,6 +308,45 @@ class TestPipeline:
         assert "C1=2" in out
         assert "MIT -> CC-BY-4.0: 2" in out
         assert "unknown-license=1" in out
+
+    def _commands(self, tmp_path, snapshot):
+        """ingest (exit 0), scan (exit 4) and ingest of a missing snapshot (exit 5)."""
+        graph_path = str(tmp_path / "graph.dat")
+        return [
+            (0, ("ingest", str(snapshot), "-o", graph_path)),
+            (4, ("scan", graph_path)),
+            (5, ("ingest", str(tmp_path / "missing.dat"), "-o", graph_path)),
+        ]
+
+    def test_commands_run_without_the_cyclic_collector(
+        self, capsys, tmp_path, snapshot, monkeypatch
+    ):
+        import licterm.cli as cli
+
+        seen = []
+
+        def spy(real):
+            def wrapper(*args):
+                seen.append(gc.isenabled())
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_snapshot", spy(cli.parse_snapshot))
+        monkeypatch.setattr(cli, "read_graph", spy(cli.read_graph))
+        assert gc.isenabled()
+        for expected, argv in self._commands(tmp_path, snapshot):
+            assert run(capsys, *argv)[0] == expected
+            assert gc.isenabled()
+        assert seen == [False, False, False]
+
+    def test_collector_the_caller_turned_off_stays_off(self, capsys, tmp_path, snapshot):
+        gc.disable()
+        try:
+            for expected, argv in self._commands(tmp_path, snapshot):
+                assert run(capsys, *argv)[0] == expected
+                assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_scan_records_format(self, capsys, tmp_path, snapshot):
         graph_path = tmp_path / "graph.dat"

@@ -18,7 +18,7 @@ from licterm.registry import (
     read_graph,
     write_graph,
 )
-from licterm.semver import Semver, VersionRange, parse_range
+from licterm.semver import Semver, VersionRange, parse_range, resolve_range
 
 from oracles import edge_key, oracle_build_graph_edges
 
@@ -180,6 +180,43 @@ class TestBuildGraph:
             ("app", "1.0.0", "lib", "3.0.0", ">= 1.2.3"),
             ("app", "1.0.0", "lib", "1.2.5", "~>1.2"),
             ("app", "1.0.0", "lib", "2.9.0", "1.2 - 2"),
+        }
+
+    def test_resolves_against_versions_in_precedence_order(self, monkeypatch):
+        # Snapshot order, text order and precedence order all differ here.
+        ranges = []
+
+        def in_key_order(rng, available):
+            assert all(a.key < b.key for a, b in zip(available, available[1:])), [
+                str(version) for version in available
+            ]
+            ranges.append(rng.raw)
+            return resolve_range(rng, available)
+
+        monkeypatch.setattr("licterm.registry.resolve_range", in_key_order)
+        versions = ("2.0.0", "10.0.0-rc.1", "2.0.0-beta.11", "1.9.0+build.7",
+                    "2.0.0-beta.2", "10.0.0", "1.10.0", "2.0.0-alpha+exp", "1.2.3")
+        deps = ";".join(
+            "lib@" + range_str
+            for range_str in (">=2.0.0-beta.2 <2.0.0", "^1.2.0", "~1.9",
+                              "2.0.0-beta.11 - 10.0.0-rc.1", "*", "10.0.0-rc.1")
+        )
+        text = "\n".join(
+            [line("app", "1.0.0", "2020-01-01", "MIT", deps)]
+            + [line("lib", version, "2020-01-01", "MIT") for version in versions]
+        )
+        records = parse_snapshot_text(text)
+        graph = build_graph(records)
+        assert len(ranges) == 6 and graph.unresolved == ()
+        got = {edge_key(e, records) for e in graph.edges}
+        assert got == oracle_build_graph_edges(records)
+        assert {(dep_version, range_str) for *_, dep_version, range_str in got} == {
+            ("2.0.0-beta.11", ">=2.0.0-beta.2 <2.0.0"),
+            ("1.10.0", "^1.2.0"),
+            ("1.9.0+build.7", "~1.9"),
+            ("10.0.0-rc.1", "2.0.0-beta.11 - 10.0.0-rc.1"),
+            ("10.0.0", "*"),
+            ("10.0.0-rc.1", "10.0.0-rc.1"),
         }
 
     def test_every_edge_satisfies_its_range(self):

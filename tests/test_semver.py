@@ -1,4 +1,5 @@
 import random
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,11 @@ from oracles import oracle_resolve, oracle_satisfies
 
 def v(text):
     return Semver.parse(text)
+
+
+def by_key(versions):
+    """``versions`` in precedence order, as resolve_range requires; ties keep their order."""
+    return sorted(versions, key=attrgetter("key"))
 
 
 class TestSemverParse:
@@ -66,11 +72,11 @@ class TestRangeExamples:
     def test_caret_picks_highest_in_major(self):
         rng = parse_range("^1.2.3")
         available = [v("1.2.2"), v("1.2.4"), v("1.3.0"), v("2.0.0")]
-        assert resolve_range(rng, available) == v("1.3.0")
+        assert resolve_range(rng, by_key(available)) == v("1.3.0")
 
     def test_tilde_bounds_to_minor(self):
         rng = parse_range("~1.2.3")
-        assert resolve_range(rng, [v("1.2.4"), v("1.3.0")]) == v("1.2.4")
+        assert resolve_range(rng, by_key([v("1.2.4"), v("1.3.0")])) == v("1.2.4")
 
     def test_star_over_empty_domain(self):
         assert resolve_range(parse_range("*"), []) is None
@@ -100,11 +106,11 @@ class TestRangeExamples:
     )
     def test_examples(self, range_str, versions, expected):
         rng = parse_range(range_str)
-        got = resolve_range(rng, [v(t) for t in versions])
+        got = resolve_range(rng, by_key([v(t) for t in versions]))
         assert got == v(expected)
 
     def test_no_match(self):
-        assert resolve_range(parse_range("^3.0.0"), [v("1.0.0"), v("2.0.0")]) is None
+        assert resolve_range(parse_range("^3.0.0"), by_key([v("1.0.0"), v("2.0.0")])) is None
 
     @pytest.mark.parametrize(
         "bad",
@@ -300,20 +306,20 @@ class TestDesugaring:
 class TestPrereleaseRule:
     def test_excluded_by_default(self):
         rng = parse_range("^1.0.0")
-        assert resolve_range(rng, [v("1.1.0-beta.1"), v("1.0.5")]) == v("1.0.5")
+        assert resolve_range(rng, by_key([v("1.1.0-beta.1"), v("1.0.5")])) == v("1.0.5")
 
     def test_allowed_when_range_names_same_triple(self):
         rng = parse_range(">=1.1.0-alpha <2.0.0")
-        assert resolve_range(rng, [v("1.1.0-beta.1"), v("1.0.5")]) == v("1.1.0-beta.1")
+        assert resolve_range(rng, by_key([v("1.1.0-beta.1"), v("1.0.5")])) == v("1.1.0-beta.1")
 
     def test_not_allowed_for_different_triple(self):
         rng = parse_range(">=1.1.0-alpha")
         # 1.2.0-beta has a different triple than the anchored 1.1.0.
-        assert resolve_range(rng, [v("1.2.0-beta")]) is None
+        assert resolve_range(rng, by_key([v("1.2.0-beta")])) is None
 
     def test_exact_prerelease(self):
         rng = parse_range("1.2.3-beta.1")
-        assert resolve_range(rng, [v("1.2.3-beta.1"), v("1.2.3-beta.2")]) == v("1.2.3-beta.1")
+        assert resolve_range(rng, by_key([v("1.2.3-beta.1"), v("1.2.3-beta.2")])) == v("1.2.3-beta.1")
 
 
 class TestWindowBoundaries:
@@ -347,8 +353,8 @@ class TestWindowBoundaries:
         rng = parse_range(range_str)
         for order in (versions, versions[::-1]):
             available = [v(t) for t in order]
-            assert str(resolve_range(rng, available)) == str(oracle_resolve(rng, available))
-        assert str(resolve_range(rng, [v(t) for t in versions])) == str(expected)
+            assert str(resolve_range(rng, by_key(available))) == str(oracle_resolve(rng, available))
+        assert str(resolve_range(rng, by_key([v(t) for t in versions]))) == str(expected)
 
 
 def _random_version(rng: random.Random) -> Semver:
@@ -404,8 +410,9 @@ def _with_build_twins(rng: random.Random, versions: list[Semver]) -> list[Semver
 
 class TestOracleEquivalence:
     def test_resolve_matches_oracle_seeded_bulk(self):
-        # Precedence ties are resolved to the first in input order, so the
-        # text (build metadata included) must match too, not just `==`.
+        # Precedence ties are resolved to the first in input order (the
+        # stable sort keeps it), so the text (build metadata included) must
+        # match too, not just `==`.
         rng = random.Random(0x5EED)
         checked = 0
         for _ in range(2000):
@@ -417,7 +424,7 @@ class TestOracleEquivalence:
             available = _with_build_twins(
                 rng, [_random_version(rng) for _ in range(rng.randint(0, 12))]
             )
-            got, expected = resolve_range(parsed, available), oracle_resolve(parsed, available)
+            got, expected = resolve_range(parsed, by_key(available)), oracle_resolve(parsed, available)
             context = (range_str, [str(a) for a in available])
             assert got == expected, context
             assert str(got) == str(expected), context
