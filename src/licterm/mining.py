@@ -6,14 +6,20 @@ An attitude is part of the item identity on purpose: "cannot
 place-warranty" and "can place-warranty" are different stances and
 conflating them would merge licenses that disagree. Mining reports, for every itemset at or above
 the support threshold, the exact set of licenses containing it.
+
+Supporting sets are Python ``int`` bitsets: bit i stands for the i-th id
+of the dataset's sorted license ids, a tuple that every pattern of one
+``mine()`` call shares. Intersection is ``&`` and support is
+``int.bit_count()``; the ids themselves are only spelled out for the
+patterns someone reads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections import defaultdict
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from operator import and_, or_
 
 from .dataset import Dataset
 from .model import Attitude, LicenseProfile, TERM_ORDER, Term
@@ -27,7 +33,12 @@ class InvalidThreshold(ValueError):
 class FrequentPattern:
     items: frozenset[str]
     support_count: int
-    supporting_ids: frozenset[str]
+    support: int  # bit i set: licenses[i] supports the itemset
+    licenses: tuple[str, ...] = field(repr=False)  # sorted ids, one tuple per mine() call
+
+    @cached_property
+    def supporting_ids(self) -> frozenset[str]:
+        return frozenset(self.licenses[i] for i in _bits(self.support))
 
     def sorted_items(self) -> tuple[str, ...]:
         return tuple(sorted(self.items))
@@ -46,37 +57,42 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
 
     Output is sorted by descending support, ascending itemset size,
     then item spelling, and is independent of profile order. The search
-    runs depth-first over supporting-id sets: each itemset is extended
-    by one later item at a time and kept while the intersection of its
-    id sets still reaches ``min_support``, so every supporting set is
-    exact by construction.
+    runs depth-first over supporting sets, Eclat's vertical layout
+    (Zaki, IEEE TKDE 2000) with each set an ``int`` bitset over the
+    sorted license ids: each itemset is extended by one later item at a
+    time and kept while the ``&`` of its bitsets still has
+    ``min_support`` bits set, so every supporting set is exact by
+    construction. Every returned pattern shares one ``licenses`` tuple.
     """
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
-    inverted: dict[str, set[str]] = defaultdict(set)
-    for spdx_id, profile in ds.profiles.items():
-        for item in profile_items(profile):
-            inverted[item].add(spdx_id)
+    licenses = tuple(sorted(ds.profiles))
+    inverted: dict[str, int] = {}
+    for i, spdx_id in enumerate(licenses):
+        for item in profile_items(ds.profiles[spdx_id]):
+            inverted[item] = inverted.get(item, 0) | 1 << i
     patterns: list[FrequentPattern] = []
 
-    def extend(
-        prefix: frozenset[str], candidates: list[tuple[str, frozenset[str]]]
-    ) -> None:
-        # Each candidate pairs a later item with the ids supporting prefix + item.
-        for k, (item, ids) in enumerate(candidates):
+    def extend(prefix: frozenset[str], candidates: list[tuple[str, int]]) -> None:
+        # Each candidate pairs a later item with the bitset of prefix + item.
+        for k, (item, support) in enumerate(candidates):
             itemset = prefix | {item}
-            patterns.append(FrequentPattern(itemset, len(ids), ids))
+            patterns.append(FrequentPattern(itemset, support.bit_count(), support, licenses))
             extend(
                 itemset,
                 [
                     (other, both)
-                    for other, other_ids in candidates[k + 1:]
-                    if len(both := ids & other_ids) >= min_support
+                    for other, other_support in candidates[k + 1:]
+                    if (both := support & other_support).bit_count() >= min_support
                 ],
             )
 
-    frequent = sorted(item for item, ids in inverted.items() if len(ids) >= min_support)
-    extend(frozenset(), [(item, frozenset(inverted[item])) for item in frequent])
+    frequent = [
+        (item, support)
+        for item, support in sorted(inverted.items())
+        if support.bit_count() >= min_support
+    ]
+    extend(frozenset(), frequent)
     patterns.sort(
         key=lambda p: (-p.support_count, len(p.items), p.sorted_items())
     )
@@ -94,49 +110,75 @@ def dedup_similar(
     and one itemset contains the other; the larger itemset survives, so
     a kept pattern can be replaced by a later superset.
 
-    Kept patterns are bucketed by supporting-set size. Since
-    Jaccard(A, B) <= min(|A|, |B|) / max(|A|, |B|), a pattern with n
-    supporters is compared only with kept patterns whose size lies in
-    [j*n, n/j] (widened by one on each side against rounding), the
-    length filter of Bayardo, Ma and Srikant (WWW 2007). The result
-    equals that of comparing with every kept pattern, for any input
-    order.
+    Kept patterns hold slots, and an item index maps each item to the
+    mask of the slots whose itemsets hold it. The kept supersets of a
+    pattern are the ``&`` of its items' masks; its kept subsets are the
+    slots in no mask of an item outside it. Of these, only the ones
+    whose supporting-set size lies in [j*n, n/j] for a pattern with n
+    supporters (widened by one on each side against rounding) get their
+    Jaccard computed, from popcounts: Jaccard(A, B) <= min(|A|, |B|) /
+    max(|A|, |B|), the length filter of Bayardo, Ma and Srikant (WWW
+    2007). The result equals that of comparing with every kept pattern,
+    for any input order.
+
+    Raises ``ValueError`` unless every pattern has the same ``licenses``
+    tuple: bitsets over different id tuples cannot be compared.
     """
     if not 0 < jaccard_min <= 1:
         raise InvalidThreshold(f"jaccard_min must be in (0, 1], got {jaccard_min}")
-    kept: dict[int, FrequentPattern] = {}  # id(pattern) -> pattern, in keeping order
-    buckets: dict[int, dict[int, FrequentPattern]] = {}  # len(supporting_ids) -> kept
-    sizes: list[int] = []  # sorted keys of ``buckets``
+    licenses = patterns[0].licenses if patterns else ()
+    if any(p.licenses is not licenses and p.licenses != licenses for p in patterns):
+        raise ValueError("patterns over different licenses tuples cannot be compared")
+    kept: dict[int, FrequentPattern] = {}  # slot -> pattern, in keeping order
+    free: list[int] = []  # slots of dropped patterns, reused so masks stay narrow
+    postings: dict[str, int] = {}  # item -> mask of the kept slots holding it
+    live = 0  # mask of every kept slot
     for pattern in patterns:
-        n = len(pattern.supporting_ids)
-        window = sizes[
-            bisect_left(sizes, jaccard_min * n - 1) : bisect_right(sizes, n / jaccard_min + 1)
+        items, support = pattern.items, pattern.support
+        n = support.bit_count()
+        lo, hi = jaccard_min * n - 1, n / jaccard_min + 1
+        supersets = reduce(and_, [postings.get(item, 0) for item in items], live)
+        outside = reduce(or_, map(postings.__getitem__, postings.keys() - items), 0)
+        similars = [
+            slot
+            for slot in _bits(supersets | live & ~outside)
+            if lo <= (k := kept[slot].support).bit_count() <= hi
+            and _jaccard(k, support) >= jaccard_min
         ]
-        items = pattern.items
-        similars = []
-        for k in chain.from_iterable([buckets[size].values() for size in window]):
-            if (k.items <= items or items <= k.items) and _jaccard(
-                k.supporting_ids, pattern.supporting_ids
-            ) >= jaccard_min:
-                if len(k.items) >= len(items):
-                    break  # a similar pattern at least as large: drop this one
-                similars.append(k)
-        else:
-            for k in similars:
-                del kept[id(k)]
-                del buckets[len(k.supporting_ids)][id(k)]
-            if n not in buckets:
-                buckets[n] = {}
-                insort(sizes, n)
-            kept[id(pattern)] = buckets[n][id(pattern)] = pattern
+        if any(supersets >> slot & 1 for slot in similars):
+            continue  # a similar pattern at least as large: drop this one
+        for slot in similars:
+            bit = 1 << slot
+            live ^= bit
+            for item in kept.pop(slot).items:
+                postings[item] ^= bit
+            free.append(slot)
+        slot = free.pop() if free else len(kept)
+        bit = 1 << slot
+        live |= bit
+        for item in items:
+            postings[item] = postings.get(item, 0) | bit
+        kept[slot] = pattern
     return list(kept.values())
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    common = len(a & b)
-    return common / (len(a) + len(b) - common)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, highest first.
+
+    Reads them off ``bin(mask)``, one pass over the digits, where clearing
+    one bit at a time would copy a wide mask once per bit.
+    """
+    digits = bin(mask)
+    top = len(digits) - 1
+    position = digits.find("1")
+    while position != -1:
+        yield top - position
+        position = digits.find("1", position + 1)
+
+
+def _jaccard(a: int, b: int) -> float:
+    union = (a | b).bit_count()
+    return (a & b).bit_count() / union if union else 1.0
 
 
 def common_term_report(ds: Dataset) -> dict[Term, dict[Attitude, int]]:

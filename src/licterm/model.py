@@ -187,20 +187,3 @@ def validate_profile(profile: LicenseProfile) -> tuple[str, ...]:
                 f"{term.value}: {kind} cannot be {attitude.value!r}"
             )
     return tuple(violations)
-
-
-def make_terms(**attitudes: str) -> dict[Term, Attitude]:
-    """Build a total term mapping from keyword overrides.
-
-    Keys are term ids with ``-`` replaced by ``_``; values are attitude
-    spellings (``"can"``, ``"cannot"``, ``"must"``). Unlisted terms
-    default to not-mentioned. Convenience for tests and fixtures.
-    """
-    terms = {t: Attitude.NOT_MENTIONED for t in TERM_ORDER}
-    by_key = {t.value.replace("-", "_"): t for t in TERM_ORDER}
-    for key, value in attitudes.items():
-        term = by_key.get(key)
-        if term is None:
-            raise KeyError(f"unknown term {key!r}")
-        terms[term] = Attitude(value)
-    return terms

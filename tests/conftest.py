@@ -10,6 +10,8 @@ from licterm.model import (
     LicenseProfile,
     OBLIGATION_TERMS,
     RIGHT_TERMS,
+    TERM_ORDER,
+    Term,
 )
 
 
@@ -26,6 +28,23 @@ def known(seed_dataset):
 @pytest.fixture(scope="session")
 def aliases(known):
     return bundled_aliases(known)
+
+
+def make_terms(**attitudes: str) -> dict[Term, Attitude]:
+    """Build a total term mapping from keyword overrides.
+
+    Keys are term ids with ``-`` replaced by ``_``; values are attitude
+    spellings (``"can"``, ``"cannot"``, ``"must"``). Unlisted terms
+    default to not-mentioned.
+    """
+    terms = {t: Attitude.NOT_MENTIONED for t in TERM_ORDER}
+    by_key = {t.value.replace("-", "_"): t for t in TERM_ORDER}
+    for key, value in attitudes.items():
+        term = by_key.get(key)
+        if term is None:
+            raise KeyError(f"unknown term {key!r}")
+        terms[term] = Attitude(value)
+    return terms
 
 
 RIGHT_CHOICES = (Attitude.CAN, Attitude.CANNOT, Attitude.NOT_MENTIONED)

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import tempfile
@@ -236,7 +237,34 @@ class TestMatrix:
         assert sum(1 for r in records if r["kind"] == "degree") == 25
 
 
+# sha256 of `mine` stdout on the bundled dataset, keyed by
+# (--min-support, --format, --no-dedup); recorded when supporting sets
+# were still frozensets of ids, so the bitset search must match them.
+MINE_DIGESTS = {
+    (1, "table", False): "3d18a6680e85a94ddca92356fb5edbe34f4f8e8a1bc09e1cc2ed8a419f03d2e1",
+    (1, "table", True): "a650483992230575dc5881ed89bed5912789488915c49a60f9fb9161d0233b88",
+    (1, "records", False): "f5401c23e3bd75392edd8dc7e0626a48bc434a5f41a624a60bed83538e42ade7",
+    (1, "records", True): "3bdd3e7953d0e5bb2135943c9a6e1b23fabff1a27d3f7d3e68accfbec65e623b",
+    (5, "table", False): "da21d73bab4ce5b10b0c3b38056923791551fada126b756dadead881fef659ac",
+    (5, "table", True): "26cae1988641b1c97c562f355a0f0795fd8e7237caeebe36ed895006d0dbbe6f",
+    (5, "records", False): "97c97615b47e8bcef4916b1c0999db45a5516fdd0e1bd5b780ee3f37cc8a5eee",
+    (5, "records", True): "2b68f2c05be2e6107f1f478255a04b2e6adb3f4491f6206ec7d223f375b7c8a3",
+    (20, "table", False): "e98094ccad1bde9309bd683701fad19a3d25c17ec1ae74dc1bb53b191ab2e2aa",
+    (20, "table", True): "f4f8fa8d32772fa87d48246c3dd785d68a737980b59a2f2e4438bd2435c970ea",
+    (20, "records", False): "390821ea76cd702146455efe33564b2c10d8612fe77ab515abdc33566a8e35cb",
+    (20, "records", True): "50abc25d3486a00696519439ae179e8729717abac305491a17c15fc6725746fb",
+}
+
+
 class TestMine:
+    @pytest.mark.parametrize("min_support, fmt, no_dedup", sorted(MINE_DIGESTS))
+    def test_stdout_pinned_on_bundled_dataset(self, capsys, min_support, fmt, no_dedup):
+        argv = ["mine", "--min-support", str(min_support), "--format", fmt]
+        code, out, err = run(capsys, *argv, *(["--no-dedup"] if no_dedup else []))
+        assert (code, err) == (0, "")
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == MINE_DIGESTS[min_support, fmt, no_dedup]
+
     def test_table(self, capsys):
         code, out, err = run(capsys, "mine", "--min-support", "20")
         assert code == 0

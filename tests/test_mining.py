@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from licterm.mining import (
     mine,
     profile_items,
 )
-from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER, make_terms
+from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER
 
+from conftest import make_terms
 from oracles import oracle_check_mined, oracle_dedup_similar, oracle_mine
 from test_conflicts import _family_dataset
 
@@ -155,7 +157,10 @@ class TestMine:
         transactions = _as_oracle_input(seed_dataset)
         patterns = mine(seed_dataset, 10)
         longest = max(patterns, key=lambda p: len(p.items))
-        wrong_ids = _pattern(longest.items, longest.supporting_ids - {min(longest.supporting_ids)})
+        first = longest.support & -longest.support  # the lowest supporting id
+        wrong_ids = replace(
+            longest, support=longest.support ^ first, support_count=longest.support_count - 1
+        )
         for broken in (
             [p for p in patterns if p is not longest],
             [p for p in patterns if p is not patterns[-1]],
@@ -182,10 +187,27 @@ def _restricted_random_profile(rng, spdx_id):
     return _profile(spdx_id, **kwargs)
 
 
-def _pattern(items, ids):
-    return FrequentPattern(
-        frozenset(items), len(ids), frozenset(ids)
+# The id universe of hand-built patterns: dedup_similar compares bitsets
+# only over one shared licenses tuple, as mine() gives its patterns. The
+# T ids cover TestDedupWork's 63,808 disjoint supporters.
+TEST_LICENSES = tuple(
+    sorted(
+        {
+            *"ABCDEFGHX",
+            *(f"L{i}" for i in range(9)),
+            *(f"X{i}" for i in range(93)),
+            *(f"T{i:05d}" for i in range(64_000)),
+        }
     )
+)
+_TEST_BITS = {spdx_id: i for i, spdx_id in enumerate(TEST_LICENSES)}
+
+
+def _pattern(items, ids, support_count=None):
+    """A hand-built pattern over TEST_LICENSES; support_count defaults to len(ids)."""
+    support = sum(1 << _TEST_BITS[i] for i in set(ids))
+    count = support.bit_count() if support_count is None else support_count
+    return FrequentPattern(frozenset(items), count, support, TEST_LICENSES)
 
 
 class TestDedup:
@@ -235,8 +257,8 @@ class TestDedup:
 
     def test_buckets_by_supporting_set_not_support_count(self):
         # The two disagree on hand-built patterns; only the set decides.
-        small = FrequentPattern(frozenset([D_CAN]), 1, frozenset("ABCD"))
-        large = FrequentPattern(frozenset([D_CAN, SUB_CAN]), 50, frozenset("ABCD"))
+        small = _pattern([D_CAN], "ABCD", support_count=1)
+        large = _pattern([D_CAN, SUB_CAN], "ABCD", support_count=50)
         assert dedup_similar([small, large], 0.9) == [large]
         assert dedup_similar([large, small], 0.9) == [large]
 
@@ -253,6 +275,35 @@ class TestDedup:
     def test_equals_linear_scan_in_reverse_order(self, seed_dataset, jaccard_min):
         _assert_dedup_matches_oracle(mine(seed_dataset, 5)[::-1], jaccard_min)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_mined_patterns_equal_linear_scan_hypothesis(self, data):
+        # Low support over a 6-term vocabulary: itemsets overlap heavily, so
+        # the subset and superset masks of the item index select many kept
+        # patterns, in mine() order, reversed and shuffled.
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(1, 8))
+        ds = Dataset(
+            profiles={f"L{i}": _restricted_random_profile(rng, f"L{i}") for i in range(n)}
+        )
+        patterns = mine(ds, data.draw(st.integers(1, 3)))
+        shuffled = patterns[:]
+        rng.shuffle(shuffled)
+        for jaccard_min in (0.3, 0.5, 2 / 3, 0.9, 1.0):
+            for order in (patterns, patterns[::-1], shuffled):
+                _assert_dedup_matches_oracle(order, jaccard_min)
+
+    def test_patterns_over_different_licenses_raise(self):
+        one = mine(THREE_PROFILE_FIXTURE, 1)
+        other = mine(_ds(_profile("A", distribute="can"), _profile("D", distribute="can")), 1)
+        with pytest.raises(ValueError, match="different licenses"):
+            dedup_similar(one + other, 0.9)
+        # Equal tuples from two mine() calls are one universe.
+        again = mine(THREE_PROFILE_FIXTURE, 1)
+        assert again[0].licenses == one[0].licenses and again[0].licenses is not one[0].licenses
+        got = dedup_similar(one + again, 0.9)
+        assert list(map(id, got)) == list(map(id, dedup_similar(one, 0.9)))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_equals_linear_scan_hypothesis(self, data):
@@ -267,11 +318,11 @@ class TestDedup:
 
 
 _hand_built_patterns = st.builds(
-    FrequentPattern,
+    _pattern,
     st.frozensets(st.sampled_from([D_CAN, SUB_CAN, "modify=can"])),
-    st.integers(0, 9),  # need not be len(supporting_ids)
     st.frozensets(st.sampled_from("ABCDEFGH"), max_size=8)
     | st.frozensets(st.sampled_from("ABCD"), max_size=3),
+    st.integers(0, 9),  # need not be len(supporting_ids)
 )
 
 
@@ -293,7 +344,7 @@ class TestDedupWork:
         sizes = [round(1.02**k) + k for k in range(300)]
         starts = [sum(sizes[:k]) for k in range(300)]
         patterns = [
-            _pattern(items[:n], range(starts[-n], starts[-n] + sizes[-n]))
+            _pattern(items[:n], [f"T{i:05d}" for i in range(starts[-n], starts[-n] + sizes[-n])])
             for n in range(1, 301)
         ]
         calls = 0

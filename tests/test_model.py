@@ -10,9 +10,10 @@ from licterm.model import (
     TERM_ORDER,
     Term,
     TermKind,
-    make_terms,
     validate_profile,
 )
+
+from conftest import make_terms
 
 
 def test_exactly_22_terms_partitioned_11_11():
