@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from functools import cached_property
+from itertools import islice
 
 from . import __version__
 from .conflicts import ConflictType, ExpressionTooComplex, build_matrix, check_expressions
@@ -210,14 +211,14 @@ def _cmd_mine(args) -> int:
                     "kind": "pattern",
                     "items": list(p.sorted_items()),
                     "support": p.support_count,
-                    "licenses": sorted(p.supporting_ids),
+                    "licenses": list(p.sorted_ids()),
                 }
             )
     else:
         print(f"{len(patterns)} patterns (min support {args.min_support})")
         for p in patterns:
             items = " ".join(p.sorted_items())
-            sample = ", ".join(sorted(p.supporting_ids)[:4])
+            sample = ", ".join(islice(p.sorted_ids(), 4))
             print(f"{p.support_count:>4}  {items}  [{sample}]")
     return EXIT_OK
 

@@ -22,16 +22,20 @@ catalog order (:attr:`licterm.model.LicenseProfile.masks`):
 :func:`_rule_masks` gives each profile one mask per rule for the parent
 side and one for the dependency side, and a rule fires where the two
 intersect. :func:`check_profiles` decodes the intersecting bits into
-findings. :func:`build_matrix` inverts the masks into term-holder
-bitsets, one license bitset per rule, side and term, and unions the
-holders of a license's term bits to get its conflict partners.
+findings. :func:`check_expressions` scores OR choices by the popcounts
+of the intersections alone; its verdict names the conflict types that
+fired and decodes the winning choice's findings only when they are
+read. :func:`build_matrix` inverts the masks into term-holder bitsets,
+one license bitset per rule, side and term, and unions the holders of a
+license's term bits to get its conflict partners.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .dataset import Dataset
 from .expression import And, LicenseExpression, LicenseRef, Or, render
@@ -161,49 +165,89 @@ class ExpressionTooComplex(ValueError):
     """An expression pair has more than :data:`MAX_CHOICE_PAIRS` pairs of OR choices."""
 
 
+#: A leaf of a chosen tree with its dataset profile, ``None`` if it has none.
+_Leaf = tuple[LicenseRef, LicenseProfile | None]
+
+
 @dataclass(frozen=True)
 class ExpressionVerdict:
     """Outcome of checking a parent expression against a dependency expression.
 
-    ``parent_resolved`` and ``dep_resolved`` render the chosen OR
-    choices, one branch per OR node for the whole expression. Ids missing
-    from the dataset appear in ``unknown_ids`` and add no findings.
+    ``parent_choice`` and ``dep_choice`` are the winning OR choices, one
+    branch per OR node for the whole expression, and ``parent_resolved``
+    and ``dep_resolved`` render them. Each leaf keeps the profile it had
+    when the check ran. ``conflict_types`` lists, in :class:`ConflictType`
+    order, the types of the findings. The findings themselves, the
+    warnings and the renders are built from the chosen leaves on first
+    access. Ids missing from the dataset appear in ``unknown_ids`` and add
+    no findings.
     """
 
-    findings: tuple[ConflictFinding, ...]
-    unknown_ids: tuple[str, ...]
-    warnings: tuple[str, ...]
-    parent_resolved: str
-    dep_resolved: str
+    conflict_types: tuple[ConflictType, ...]
+    parent_choice: LicenseExpression
+    dep_choice: LicenseExpression
+    parent_leaves: tuple[_Leaf, ...] = field(repr=False)  # the choices show the refs
+    dep_leaves: tuple[_Leaf, ...] = field(repr=False)
+    strict_not_mentioned: bool
 
     @property
     def conflict_free(self) -> bool:
-        return not self.findings
+        return not self.conflict_types
+
+    @cached_property
+    def findings(self) -> tuple[ConflictFinding, ...]:
+        """Every parent leaf checked against every dependency leaf, parent leaves outer."""
+        return tuple(
+            finding
+            for _, p_profile in self.parent_leaves
+            if p_profile is not None
+            for _, d_profile in self.dep_leaves
+            if d_profile is not None
+            for finding in check_profiles(p_profile, d_profile, self.strict_not_mentioned)
+        )
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        return tuple(
+            dict.fromkeys(
+                warning
+                for parent in self.parent_leaves
+                for dep in self.dep_leaves
+                for warning in _leaf_warnings(parent, dep)
+            )
+        )
+
+    @cached_property
+    def unknown_ids(self) -> tuple[str, ...]:
+        leaves = self.parent_leaves + self.dep_leaves
+        return tuple(sorted({ref.id for ref, profile in leaves if profile is None}))
+
+    @cached_property
+    def parent_resolved(self) -> str:
+        return render(self.parent_choice)
+
+    @cached_property
+    def dep_resolved(self) -> str:
+        return render(self.dep_choice)
 
 
-def _check_leaves(
-    parent: LicenseRef, dep: LicenseRef, ds: Dataset, strict: bool
-) -> tuple[list[ConflictFinding], list[str]]:
-    warnings: list[str] = []
-    for ref in (parent, dep):
+def _leaf_warnings(parent: _Leaf, dep: _Leaf) -> Iterator[str]:
+    (p_ref, p_profile), (d_ref, d_profile) = parent, dep
+    for ref in (p_ref, d_ref):
         if ref.exception:
-            warnings.append(
+            yield (
                 f"exception {ref.exception} on {ref.id} is not modeled; "
                 "checked against the base license"
             )
-    p_profile, d_profile = ds.profiles.get(parent.id), ds.profiles.get(dep.id)
-    for ref, profile in ((parent, p_profile), (dep, d_profile)):
+    for ref, profile in (parent, dep):
         if profile is None:
-            warnings.append(f"unknown license {ref.id}: treated as conflict-free")
-    findings: list[ConflictFinding] = []
+            yield f"unknown license {ref.id}: treated as conflict-free"
     if p_profile is not None and d_profile is not None:
-        findings = check_profiles(p_profile, d_profile, strict)
         if CopyleftClass.NONE not in (p_profile.copyleft, d_profile.copyleft):
-            warnings.append(
-                f"both {parent.id} and {dep.id} are copyleft; same-license "
+            yield (
+                f"both {p_ref.id} and {d_ref.id} are copyleft; same-license "
                 "propagation between copyleft licenses is not assessed"
             )
-    return findings, warnings
 
 
 def _choices(
@@ -233,35 +277,47 @@ def check_expressions(
 
     OR means the licensee picks one branch for the whole expression, so
     each side is expanded into its OR choices and each (parent choice,
-    dependency choice) pair is scored once: every parent leaf is checked
-    against every dependency leaf, parent leaves in the outer loop. The
-    pair with the fewest findings wins; ties go to the first parent
-    choice, then the first dependency choice, with left branches first.
-    More than :data:`MAX_CHOICE_PAIRS` pairs raise
+    dependency choice) pair is scored once: the number of findings of
+    every parent leaf against every dependency leaf. A leaf pair's count
+    per rule is the popcount of its :func:`_rule_masks` intersection (0
+    when either id has no profile), which is exactly the number of
+    findings :func:`check_profiles` would return, so scoring builds no
+    finding. The pair with the fewest findings wins; ties go to the first
+    parent choice, then the first dependency choice, with left branches
+    first. More than :data:`MAX_CHOICE_PAIRS` pairs raise
     :class:`ExpressionTooComplex` before they are built.
     """
     p_choices = _choices(parent, MAX_CHOICE_PAIRS)
     d_choices = _choices(dep, MAX_CHOICE_PAIRS // len(p_choices))
-    checked = {}  # by leaf identity: each leaf pair is checked once, whatever shares it
+    profiles = ds.profiles
+    counts: dict[tuple[str, str], tuple[int, ...]] = {}  # per rule, by (parent id, dep id)
 
-    def check(p: LicenseRef, d: LicenseRef) -> tuple[list[ConflictFinding], list[str]]:
-        if (id(p), id(d)) not in checked:
-            checked[id(p), id(d)] = _check_leaves(p, d, ds, strict_not_mentioned)
-        return checked[id(p), id(d)]
+    def count(p: LicenseRef, d: LicenseRef) -> tuple[int, ...]:
+        key = (p.id, d.id)
+        if key not in counts:
+            p_profile, d_profile = profiles.get(p.id), profiles.get(d.id)
+            if p_profile is None or d_profile is None:
+                counts[key] = (0, 0, 0)
+            else:
+                parent_side = _rule_masks(p_profile, strict_not_mentioned)[0]
+                dep_side = _rule_masks(d_profile, strict_not_mentioned)[1]
+                counts[key] = tuple((a & b).bit_count() for a, b in zip(parent_side, dep_side))
+        return counts[key]
 
     scored = (
-        ([check(p, d) for p in pl for d in dl], pt, dt, pl + dl)
+        ([sum(n) for n in zip(*[count(p, d) for p in pl for d in dl])], pt, pl, dt, dl)
         for pt, pl in p_choices
         for dt, dl in d_choices
     )
     # min keeps the first of equal scores, which is the tie rule.
-    checks, p_tree, d_tree, leaves = min(scored, key=lambda s: sum(len(f) for f, _ in s[0]))
+    per_rule, p_tree, p_leaves, d_tree, d_leaves = min(scored, key=lambda s: sum(s[0]))
     return ExpressionVerdict(
-        findings=tuple(f for findings, _ in checks for f in findings),
-        unknown_ids=tuple(sorted({ref.id for ref in leaves if ref.id not in ds.profiles})),
-        warnings=tuple(dict.fromkeys(w for _, warnings in checks for w in warnings)),
-        parent_resolved=render(p_tree),
-        dep_resolved=render(d_tree),
+        conflict_types=tuple(ctype for (ctype, _), n in zip(_RULE_TERMS, per_rule) if n),
+        parent_choice=p_tree,
+        dep_choice=d_tree,
+        parent_leaves=tuple((ref, profiles.get(ref.id)) for ref in p_leaves),
+        dep_leaves=tuple((ref, profiles.get(ref.id)) for ref in d_leaves),
+        strict_not_mentioned=strict_not_mentioned,
     )
 
 

@@ -43,6 +43,14 @@ class FrequentPattern:
     def sorted_items(self) -> tuple[str, ...]:
         return tuple(sorted(self.items))
 
+    def sorted_ids(self) -> Iterator[str]:
+        """The supporting ids in sorted order: ``licenses`` is sorted, so bit order."""
+        digits = bin(self.support)[:1:-1]  # lowest bit first
+        position = digits.find("1")
+        while position != -1:
+            yield self.licenses[position]
+            position = digits.find("1", position + 1)
+
 
 def profile_items(profile: LicenseProfile) -> frozenset[str]:
     return frozenset(

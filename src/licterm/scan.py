@@ -13,6 +13,8 @@ resolved ones) as an integer outcome id. Every node maps to its
 outcome id and every edge to a pair of ids, so edges whose licenses
 normalize to the same pair of expressions share one check, whose
 verdict counts once per edge. No version or expression tree is hashed.
+The scan reads only each verdict's ``conflict_types``, so it builds no
+finding, and it takes each pair's spelling from the intern table.
 """
 
 from __future__ import annotations
@@ -91,6 +93,7 @@ def scan(
         id_of[raw] = ids.setdefault((isinstance(outcome, Unresolvable), str(outcome)), len(ids))
     # By outcome id. Trees that share an id are equal: render is one-to-one.
     outcomes = {i: outcome_of[raw] for raw, i in id_of.items()}
+    text = [rendered for _, rendered in ids]  # ids were handed out in insertion order
     outcome_id = [id_of[record.license_raw] for record in records]  # by node
     # Edges per (parent, dependency) outcome id pair, in first-seen edge order.
     at = outcome_id.__getitem__
@@ -108,11 +111,11 @@ def scan(
             unknown_edges += edges
             continue
         verdict = check_expressions(parent, dep, ds, strict_not_mentioned)
-        if not verdict.findings:
+        if verdict.conflict_free:
             continue
         conflicted += edges
-        pair = (str(parent), str(dep))
-        for ctype in {f.ctype for f in verdict.findings}:
+        pair = (text[parent_id], text[dep_id])
+        for ctype in verdict.conflict_types:
             edges_with[ctype] += edges
             top_pairs[ctype][pair] += edges
     return ScanReport(

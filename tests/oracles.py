@@ -4,16 +4,27 @@ These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
 exhaustive subset enumeration, dedup compares each pattern with every
 kept one, expression checking tries every left/right assignment of
-every OR node, range satisfaction re-implements semver precedence
-from scratch, and the file-reference pattern is written the direct way.
-They share only the data types.
+every OR node, scanning checks every edge on its own that way, range
+satisfaction re-implements semver precedence from scratch, and the
+file-reference pattern is written the direct way. They share only the
+data types and, for scanning, ``normalize``.
 """
 
 import re
+from collections import Counter
 from itertools import combinations, product
 
-from licterm.expression import LicenseRef, Or
+from licterm.conflicts import ConflictType
+from licterm.expression import (
+    LicenseRef,
+    Or,
+    Unresolvable,
+    UnresolvableReason,
+    normalize,
+    render,
+)
 from licterm.model import Attitude, CopyleftClass, Term, TermKind
+from licterm.scan import NO_LICENSE_BUCKET, ScanReport
 from licterm.semver import Semver, VersionRange, parse_range, RangeSyntaxError
 
 
@@ -130,13 +141,87 @@ def oracle_leaf_findings(parent_leaves, dep_leaves, ds, strict=False):
     return findings
 
 
+def oracle_best_choice(parent, dep, ds, strict=False):
+    """(parent leaves, dep leaves, findings) of the first assignment pair
+    with the fewest findings, parent sequences in the outer loop."""
+    dep_sequences = oracle_leaf_sequences(dep)
+    best = None
+    for p_leaves in oracle_leaf_sequences(parent):
+        for d_leaves in dep_sequences:
+            findings = oracle_leaf_findings(p_leaves, d_leaves, ds, strict)
+            if best is None or len(findings) < len(best[2]):
+                best = (p_leaves, d_leaves, findings)
+    return best
+
+
 def oracle_check_expressions(parent, dep, ds, strict=False):
     """Fewest findings over every consistent OR assignment of both sides."""
-    dep_sequences = oracle_leaf_sequences(dep)
-    return min(
-        len(oracle_leaf_findings(p_leaves, d_leaves, ds, strict))
-        for p_leaves in oracle_leaf_sequences(parent)
-        for d_leaves in dep_sequences
+    return len(oracle_best_choice(parent, dep, ds, strict)[2])
+
+
+def oracle_leaf_warnings(parent_leaves, dep_leaves, ds):
+    """The warning texts of every parent leaf x dep leaf, first occurrence kept."""
+    warnings = []
+    for p in parent_leaves:
+        for d in dep_leaves:
+            for ref in (p, d):
+                if ref.exception:
+                    warnings.append(
+                        f"exception {ref.exception} on {ref.id} is not modeled; "
+                        "checked against the base license"
+                    )
+            for ref in (p, d):
+                if ref.id not in ds.profiles:
+                    warnings.append(f"unknown license {ref.id}: treated as conflict-free")
+            if p.id in ds.profiles and d.id in ds.profiles:
+                none = CopyleftClass.NONE
+                if ds.profiles[p.id].copyleft is not none and ds.profiles[d.id].copyleft is not none:
+                    warnings.append(
+                        f"both {p.id} and {d.id} are copyleft; same-license "
+                        "propagation between copyleft licenses is not assessed"
+                    )
+    return [w for i, w in enumerate(warnings) if w not in warnings[:i]]
+
+
+def oracle_scan(graph, records, ds, strict, aliases, known):
+    """Every edge normalized and checked on its own, as a ``ScanReport``.
+
+    No pair is deduplicated and no rule mask is read: each edge's
+    conflict types are those of ``oracle_best_choice``. Yearly usage
+    takes each (package, year)'s latest record by a brute-force max.
+    """
+    edges_with = {ctype: 0 for ctype in ConflictType}
+    top_pairs = {ctype: Counter() for ctype in ConflictType}
+    conflicted = unknown = 0
+    for edge in graph.edges:
+        parent = normalize(records[edge.parent].license_raw, aliases, known)
+        dep = normalize(records[edge.dep].license_raw, aliases, known)
+        if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
+            unknown += 1
+            continue
+        types = {f[0] for f in oracle_best_choice(parent, dep, ds, strict)[2]}
+        conflicted += bool(types)
+        for ctype in ConflictType:
+            if ctype.value in types:
+                edges_with[ctype] += 1
+                top_pairs[ctype][(render(parent), render(dep))] += 1
+    usage = Counter()
+    for package, year in {(r.package, r.published.year) for r in records}:
+        group = [r for r in records if (r.package, r.published.year) == (package, year)]
+        latest = max(group, key=lambda r: (r.published, _precedence_key(r.version)))
+        outcome = normalize(latest.license_raw, aliases, known)
+        no_license = (
+            isinstance(outcome, Unresolvable)
+            and outcome.reason is UnresolvableReason.NO_LICENSE
+        )
+        usage[(year, NO_LICENSE_BUCKET if no_license else str(outcome))] += 1
+    return ScanReport(
+        total_edges=len(graph.edges),
+        edges_with_findings=edges_with,
+        conflicted_edges=conflicted,
+        unknown_license_edges=unknown,
+        top_pairs=top_pairs,
+        usage=dict(usage),
     )
 
 

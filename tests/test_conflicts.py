@@ -18,10 +18,10 @@ from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term, TermKin
 
 from conftest import OBLIGATION_CHOICES, RIGHT_CHOICES, random_profile
 from oracles import (
+    oracle_best_choice,
     oracle_check_expressions,
     oracle_check_profiles,
-    oracle_leaf_findings,
-    oracle_leaf_sequences,
+    oracle_leaf_warnings,
     oracle_matrix,
 )
 
@@ -232,11 +232,11 @@ _BUNDLED = bundled_dataset()
 _LEAF_IDS = sorted(_BUNDLED.profiles) + ["Xyz-1.0"]
 
 
-def _random_expression(rng, depth):
+def _random_expression(rng, depth, ids=_LEAF_IDS):
     if depth == 0 or rng.random() < 0.25:
-        return LicenseRef(rng.choice(_LEAF_IDS))
+        return LicenseRef(rng.choice(ids))
     op = And if rng.random() < 0.5 else Or
-    return op(_random_expression(rng, depth - 1), _random_expression(rng, depth - 1))
+    return op(_random_expression(rng, depth - 1, ids), _random_expression(rng, depth - 1, ids))
 
 
 def _leaves(expr):
@@ -245,28 +245,46 @@ def _leaves(expr):
     return _leaves(expr.left) + _leaves(expr.right)
 
 
-def _assert_matches_oracle(parent, dep, strict):
-    verdict = check_expressions(parent, dep, _BUNDLED, strict)
+def _assert_matches_oracle(parent, dep, strict, ds=_BUNDLED):
+    verdict = check_expressions(parent, dep, ds, strict)
     context = (render(parent), render(dep), strict)
-    p_leaves = _leaves(parse_expression(verdict.parent_resolved))
-    d_leaves = _leaves(parse_expression(verdict.dep_resolved))
-    # The resolved pair is one consistent OR assignment of each side ...
-    assert p_leaves in oracle_leaf_sequences(parent), context
-    assert d_leaves in oracle_leaf_sequences(dep), context
-    # ... whose findings are exactly the reported ones, and it is a minimum.
-    assert _shape(verdict.findings) == oracle_leaf_findings(
-        p_leaves, d_leaves, _BUNDLED, strict
-    ), context
-    assert len(verdict.findings) == oracle_check_expressions(parent, dep, _BUNDLED, strict), context
-    unknown = sorted({ref.id for ref in p_leaves + d_leaves} - set(_BUNDLED.profiles))
+    # The chosen pair is the oracle's: the first with the fewest findings,
+    # parent choices outer, so ties go to the first choice of each side ...
+    p_leaves, d_leaves, findings = oracle_best_choice(parent, dep, ds, strict)
+    assert _leaves(verdict.parent_choice) == p_leaves, context
+    assert _leaves(verdict.dep_choice) == d_leaves, context
+    assert render(verdict.parent_choice) == verdict.parent_resolved, context
+    assert render(verdict.dep_choice) == verdict.dep_resolved, context
+    assert _leaves(parse_expression(verdict.parent_resolved)) == p_leaves, context
+    assert _leaves(parse_expression(verdict.dep_resolved)) == d_leaves, context
+    # ... whose findings and warnings are exactly the reported ones.
+    assert _shape(verdict.findings) == findings, context
+    assert list(verdict.warnings) == oracle_leaf_warnings(p_leaves, d_leaves, ds), context
+    assert len(verdict.findings) == oracle_check_expressions(parent, dep, ds, strict), context
+    unknown = sorted({ref.id for ref in p_leaves + d_leaves} - set(ds.profiles))
     assert list(verdict.unknown_ids) == unknown, context
+    # The counted types agree with the findings built from them.
+    fired = {f.ctype for f in verdict.findings}
+    assert verdict.conflict_types == tuple(t for t in ConflictType if t in fired), context
+    assert verdict.conflict_free == (not verdict.findings), context
 
 
-_expressions = st.recursive(
-    st.sampled_from(_LEAF_IDS).map(LicenseRef),
-    lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids),
-    max_leaves=6,
-)
+def _trees(leaves):
+    return st.recursive(
+        leaves, lambda kids: st.builds(And, kids, kids) | st.builds(Or, kids, kids), max_leaves=6
+    )
+
+
+def _with_exceptions(ids):
+    """Leaves over ``ids``; one in four carries an exception, which adds a warning."""
+    return st.builds(
+        LicenseRef,
+        st.sampled_from(ids),
+        exception=st.sampled_from([None, None, None, "Classpath-exception-2.0"]),
+    )
+
+
+_expressions = _trees(st.sampled_from(_LEAF_IDS).map(LicenseRef))
 
 
 class TestExpressionOracle:
@@ -428,3 +446,65 @@ class TestMatrix:
         # dataset; guards against accidental relabeling.
         matrix = build_matrix(seed_dataset)
         assert matrix.pairs == dict(zip(ConflictType, (115, 361, 101)))
+
+
+@st.composite
+def _family_pairs(draw):
+    ds = draw(_family_datasets())
+    expressions = _trees(_with_exceptions(sorted(ds.profiles) + ["Xyz-1.0"]))
+    return ds, draw(expressions), draw(expressions)
+
+
+_excepted = _trees(_with_exceptions(_LEAF_IDS))
+
+
+class TestVerdict:
+    """The verdict chosen from rule-mask counts, against the findings built from it."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_seeded_family_catalog_pairs(self, strict):
+        # Family members share masks, so equal scores, and with them the
+        # tie rule, come up often.
+        rng = random.Random(17)
+        ds = _family_dataset(rng, 24)
+        ids = sorted(ds.profiles) + ["Xyz-1.0"]
+        for _ in range(1500):
+            parent, dep = (_random_expression(rng, 3, ids) for _ in range(2))
+            _assert_matches_oracle(parent, dep, strict, ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_family_pairs(), st.booleans())
+    def test_family_pairs_hypothesis(self, pair, strict):
+        ds, parent, dep = pair
+        _assert_matches_oracle(parent, dep, strict, ds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_excepted, _excepted, st.booleans())
+    def test_bundled_pairs_with_exceptions_hypothesis(self, parent, dep, strict):
+        _assert_matches_oracle(parent, dep, strict)
+
+    def test_tie_between_conflicted_choices_goes_to_the_first(self, seed_dataset):
+        # MIT and ISC require the same obligations, so each scores the same
+        # C2 count against Apache-2.0, and neither has C1 or C3: the first is kept.
+        for parent, resolved in (("MIT OR ISC", "MIT"), ("ISC OR MIT", "ISC")):
+            verdict = check_expressions(
+                parse_expression(parent), parse_expression("Apache-2.0"), seed_dataset
+            )
+            assert verdict.conflict_types == (ConflictType.C2,)
+            assert verdict.parent_resolved == resolved
+
+    def test_findings_are_built_on_first_read_only(self, seed_dataset, monkeypatch):
+        import licterm.conflicts as conflicts
+
+        calls = []
+        real = conflicts.check_profiles
+        monkeypatch.setattr(
+            conflicts, "check_profiles", lambda *args: calls.append(args) or real(*args)
+        )
+        verdict = check_expressions(
+            parse_expression("MIT AND ISC"), parse_expression("GPL-3.0-only"), seed_dataset
+        )
+        assert verdict.conflict_types == tuple(ConflictType) and calls == []
+        findings = verdict.findings
+        assert len(calls) == 2 and verdict.findings is findings
+

@@ -1,12 +1,16 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import licterm.conflicts
 from licterm.conflicts import ConflictType, check_expressions
 from licterm.expression import And, Or, Unresolvable, normalize
 from licterm.registry import build_graph, parse_snapshot_text
 from licterm.scan import NO_LICENSE_BUCKET, rank_pairs, scan
 from licterm.semver import Semver
 
-from oracles import edge_key
+from oracles import edge_key, oracle_scan
 
 
 def line(pkg, ver, date, license_raw, deps=""):
@@ -228,3 +232,94 @@ def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, monkey
     with pytest.raises(AssertionError):
         hash(records[0].version)
     assert scan(graph, records, seed_dataset, False, aliases) == expected
+
+
+# Raw licenses for generated graphs: single ids, AND, OR and WITH, an id
+# that is known but has no profile (EPL-2.0), spellings that only an
+# alias resolves, and unresolvable ones.
+_RAW_LICENSES = (
+    "MIT",
+    "ISC",
+    "Apache-2.0",
+    "GPL-3.0-only",
+    "CC-BY-4.0",
+    "MPL-2.0",
+    "mit",
+    "Apache License 2.0",
+    "MIT AND Apache-2.0",
+    "(MIT OR GPL-3.0-only)",
+    "GPL-2.0-or-later OR (ISC AND CC-BY-4.0)",
+    "(LGPL-3.0-only OR MIT) AND (BSD-2-Clause OR Artistic-2.0)",
+    "GPL-2.0-only WITH Classpath-exception-2.0",
+    "Apache-2.0 WITH LLVM-exception OR MIT",
+    "EPL-2.0",
+    "EPL-2.0 AND GPL-3.0-only",
+    "SEE LICENSE IN LICENSE.txt",
+    "UNLICENSED",
+    "",
+    "https://example.com/license",
+    "Frobnicate License",
+)
+
+
+def _random_snapshot(rng, packages=12):
+    rows = []
+    for i in range(packages):
+        for minor in range(rng.randint(1, 3)):
+            deps = ";".join(
+                f"p{rng.randrange(packages)}@{rng.choice(['*', '^1.0.0', '1.1.x', '^2.0.0'])}"
+                for _ in range(rng.randint(0, 4))
+            )
+            date = f"{rng.choice([2019, 2020, 2021])}-0{rng.randint(1, 9)}-1{rng.randint(0, 9)}"
+            rows.append(line(f"p{i}", f"1.{minor}.0", date, rng.choice(_RAW_LICENSES), deps))
+    return "\n".join(rows)
+
+
+def _assert_scan_matches_oracle(text, strict, seed_dataset, aliases, known):
+    records = parse_snapshot_text(text)
+    graph = build_graph(records)
+    report = scan(graph, records, seed_dataset, strict, aliases, known)
+    assert report == oracle_scan(graph, records, seed_dataset, strict, aliases, known)
+    return report
+
+
+class TestScanOracle:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_seeded_graphs_equal_oracle(self, strict, seed_dataset, aliases, known):
+        reports = [
+            _assert_scan_matches_oracle(
+                _random_snapshot(random.Random(seed)), strict, seed_dataset, aliases, known
+            )
+            for seed in range(40)
+        ]
+        # The graphs have what they are meant to exercise.
+        assert sum(r.unknown_license_edges for r in reports) > 0
+        assert all(sum(r.edges_with_findings[t] for r in reports) > 0 for t in ConflictType)
+        assert sum(r.total_edges - r.conflicted_edges - r.unknown_license_edges for r in reports) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), packages=st.integers(1, 20), strict=st.booleans())
+    def test_graphs_equal_oracle_hypothesis(
+        self, seed_dataset, aliases, known, seed, packages, strict
+    ):
+        text = _random_snapshot(random.Random(seed), packages)
+        _assert_scan_matches_oracle(text, strict, seed_dataset, aliases, known)
+
+
+def test_scan_builds_no_finding(seed_dataset, aliases, monkeypatch):
+    # scan reads only which conflict types fired, so it spells out no finding.
+    calls = []
+    real = licterm.conflicts.check_profiles
+    monkeypatch.setattr(
+        licterm.conflicts, "check_profiles", lambda *args: calls.append(args) or real(*args)
+    )
+    text = "\n".join(
+        [
+            line("app", "1.0.0", "2021-01-01", "MIT", "gpl@*;lib@*"),
+            line("lib", "1.0.0", "2021-01-01", "MIT OR ISC", "gpl@*"),
+            line("gpl", "1.0.0", "2020-01-01", "GPL-3.0-only AND Apache-2.0"),
+        ]
+    )
+    report, _, _ = _scan_text(text, seed_dataset, aliases)
+    assert report.conflicted_edges == 2  # MIT may depend on MIT OR ISC
+    assert calls == []
