@@ -29,7 +29,9 @@ def split_lines(text: str) -> list[str]:
 
     Line ``i`` is element ``i - 1``; after a final line break comes an empty element.
     """
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_text(path: str | Path) -> str:

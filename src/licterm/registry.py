@@ -8,7 +8,8 @@ tab-separated fields::
 
 ``published`` is an ISO calendar date (YYYY-MM-DD). ``dependencies``
 is ``;``-joined ``name@range`` entries (the range follows the last
-``@``, so scoped names like ``@scope/pkg`` work) and may be empty.
+``@``, so scoped names like ``@scope/pkg`` work; the entry, its name
+and its range are stripped of spaces) and may be empty.
 ``license_raw`` may be empty and may not contain tabs. Lines starting
 with ``#`` and blank lines are skipped. Parsing is strict; a repeated
 (package, version) is an error, with versions compared by precedence
@@ -24,9 +25,11 @@ an edge holds the list indexes of its two nodes, an unresolved entry
 the index of its one node. The graph file written by ``ingest``
 repeats the node metadata so a scan can run from the graph file alone.
 
-Snapshot lines and graph node lines go through one record parser
-(``_record``) under one line driver (``_parse_lines``), so both are
-validated alike and every error carries its ``file:line`` locator.
+Snapshot lines and graph node lines are read by one line generator
+(``_lines``) and checked by one record parser (``_RecordParser``), so
+both are validated alike and every error carries its ``file:line``
+locator. Within one file each distinct version text, date and
+dependency entry is parsed once.
 """
 
 from __future__ import annotations
@@ -53,8 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .dataset import AliasTable
 
 
-@dataclass(frozen=True)
-class VersionRecord:
+class VersionRecord(NamedTuple):
     package: str
     version: Semver
     published: _dt.date
@@ -87,26 +89,27 @@ class DependencyGraph:
     unresolved: tuple[Unresolved, ...]
 
 
-class _Versions(dict):
-    """Version text -> its one shared ``Semver``, parsed on first lookup."""
+class _Parsed(dict):
+    """Text -> ``parse(text)``, parsed on first lookup; a text that raises is not stored."""
 
-    def __missing__(self, text: str) -> Semver:
-        version = self[text] = Semver.parse(text)
-        return version
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str):
+        value = self[text] = self.parse(text)
+        return value
 
 
-def _parse_lines(text: str, source: str, parse_line) -> None:
-    """Call ``parse_line`` with the tab-split fields of each line not blank or ``#``.
-
-    A ``FormatError`` is re-raised, as the same subclass, at ``source:line``.
-    """
+def _lines(text: str):
+    """(line number, tab-split fields) of each line that is not blank or ``#``."""
     for lineno, line in enumerate(split_lines(text), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        try:
-            parse_line(line.split("\t"))
-        except FormatError as exc:
-            raise type(exc)(exc.message, source=source, line=lineno) from None
+        first = line[:1]
+        if not first or first == "#" or first.isspace():
+            rest = line.lstrip()
+            if not rest or rest[0] == "#":
+                continue
+        yield lineno, line.split("\t")
 
 
 # Python 3.11+ ``fromisoformat`` also takes "20200101" and week dates such
@@ -114,39 +117,51 @@ def _parse_lines(text: str, source: str, parse_line) -> None:
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _record(
-    fields: list[str], seen: set[tuple[str, Semver]], versions: _Versions, dependencies=()
-) -> VersionRecord:
-    """The record of a (package, version, published, license) field list, added to ``seen``."""
-    package, version_text, published_text, license_raw = fields
-    package = package.strip()
-    if not package:
-        raise FormatError("empty package name")
-    version = versions[version_text]
-    date_text = published_text.strip()
+def _parse_date(text: str) -> _dt.date:
+    date_text = text.strip()
     if _DATE_RE.fullmatch(date_text) is None:
-        raise FormatError(f"invalid date {published_text!r}")
+        raise FormatError(f"invalid date {text!r}")
     try:
-        published = _dt.date.fromisoformat(date_text)
+        return _dt.date.fromisoformat(date_text)
     except ValueError:
-        raise FormatError(f"invalid date {published_text!r}") from None
-    if (package, version) in seen:  # by precedence: build metadata is ignored
-        raise DuplicateVersionError(f"duplicate record for {package}@{version}")
-    seen.add((package, version))
-    return VersionRecord(package, version, published, license_raw.strip(), dependencies)
+        raise FormatError(f"invalid date {text!r}") from None
 
 
-def _parse_dependencies(text: str) -> tuple[tuple[str, str], ...]:
-    deps = []
-    for entry in text.split(";"):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, sep, range_str = entry.rpartition("@")
-        if not sep or not name:
-            raise FormatError(f"dependency entry {entry!r} is not name@range")
-        deps.append((name, range_str.strip()))
-    return tuple(deps)
+def _parse_dependency(entry: str) -> tuple[str, str] | None:
+    """The (name, range) of one ``;``-separated entry, or None if it is blank."""
+    entry = entry.strip()
+    if not entry:
+        return None
+    name, sep, range_str = entry.rpartition("@")
+    name = name.strip()
+    if not sep or not name:
+        raise FormatError(f"dependency entry {entry!r} is not name@range")
+    return name, range_str.strip()
+
+
+class _RecordParser:
+    """Checks node fields and builds records, parsing each distinct text once per file."""
+
+    def __init__(self):
+        self.seen: set[tuple[str, tuple]] = set()  # (package, version key)
+        self.versions = _Parsed(Semver.parse)
+        self.dates = _Parsed(_parse_date)
+
+    def record(
+        self, package: str, version_text: str, published_text: str, license_raw: str,
+        dependencies: tuple[tuple[str, str], ...] = (),
+    ) -> VersionRecord:
+        """The record of one line's package, version, date and license fields."""
+        package = package.strip()
+        if not package:
+            raise FormatError("empty package name")
+        version = self.versions[version_text]
+        published = self.dates[published_text]
+        node = (package, version.key)
+        if node in self.seen:  # by precedence: build metadata is ignored
+            raise DuplicateVersionError(f"duplicate record for {package}@{version}")
+        self.seen.add(node)
+        return VersionRecord(package, version, published, license_raw.strip(), dependencies)
 
 
 def parse_snapshot(path: str | Path) -> list[VersionRecord]:
@@ -155,22 +170,31 @@ def parse_snapshot(path: str | Path) -> list[VersionRecord]:
 
 def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionRecord]:
     records: list[VersionRecord] = []
-    seen: set[tuple[str, Semver]] = set()
-    versions = _Versions()
-
-    def parse_line(fields: list[str]) -> None:
-        if len(fields) != 5:
-            raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}")
-        dependencies = _parse_dependencies(fields[4])
-        records.append(_record(fields[:4], seen, versions, dependencies))
-
-    _parse_lines(text, source, parse_line)
+    record = _RecordParser().record
+    entries = _Parsed(_parse_dependency)
+    lineno = 0
+    try:
+        for lineno, fields in _lines(text):
+            if len(fields) != 5:
+                raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}")
+            package, version_text, published_text, license_raw, deps_text = fields
+            dependencies = (
+                tuple([dep for dep in map(entries.__getitem__, deps_text.split(";")) if dep])
+                if deps_text
+                else ()
+            )
+            records.append(
+                record(package, version_text, published_text, license_raw, dependencies)
+            )
+    except FormatError as exc:
+        raise type(exc)(exc.message, source=source, line=lineno) from None
     return records
 
 
 def _node_order(records: list[VersionRecord]) -> list[int]:
     """Indexes of ``records`` in (package, version) order, the graph file's node order."""
-    return sorted(range(len(records)), key=lambda i: (records[i].package, records[i].version.key))
+    keys = [(r.package, r.version.key) for r in records]
+    return sorted(range(len(records)), key=keys.__getitem__)
 
 
 def build_graph(records: list[VersionRecord]) -> DependencyGraph:
@@ -194,34 +218,35 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
         node_of[record.package, record.version.key] = i
 
     ranges: dict[str, VersionRange | None] = {}  # range text -> range, None if unparsable
-
-    def resolve(name: str, range_str: str) -> int | str:
-        """The target's records index, or the reason there is none."""
-        if name not in versions_by_package:
-            return _UNKNOWN_PACKAGE
-        if range_str not in ranges:
-            try:
-                ranges[range_str] = parse_range(range_str)
-            except RangeSyntaxError:
-                ranges[range_str] = None
-        rng = ranges[range_str]
-        if rng is None:
-            return _UNPARSABLE_RANGE
-        target = resolve_range(rng, versions_by_package[name])
-        return _NO_MATCH if target is None else node_of[name, target.key]
-
+    # (package, range text) -> the target's records index, or the reason there is none
     outcomes: dict[tuple[str, str], int | str] = {}
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
     for i in order:
-        for name, range_str in records[i].dependencies:
-            outcome = outcomes.get((name, range_str))
+        for entry in records[i].dependencies:
+            outcome = outcomes.get(entry)
             if outcome is None:
-                outcome = outcomes[(name, range_str)] = resolve(name, range_str)
+                name, range_str = entry
+                available = versions_by_package.get(name)
+                if available is None:
+                    outcome = _UNKNOWN_PACKAGE
+                else:
+                    if range_str not in ranges:
+                        try:
+                            ranges[range_str] = parse_range(range_str)
+                        except RangeSyntaxError:
+                            ranges[range_str] = None
+                    rng = ranges[range_str]
+                    if rng is None:
+                        outcome = _UNPARSABLE_RANGE
+                    else:
+                        target = resolve_range(rng, available)
+                        outcome = _NO_MATCH if target is None else node_of[name, target.key]
+                outcomes[entry] = outcome
             if isinstance(outcome, str):
-                unresolved.append(Unresolved(i, name, range_str, outcome))
+                unresolved.append(Unresolved(i, entry[0], entry[1], outcome))
             else:
-                edges.append(Edge(i, outcome, range_str))
+                edges.append(Edge(i, outcome, entry[1]))
     # Ranks are unique per node, so this is the (package, version) order of both ends.
     edges.sort(key=lambda e: (rank[e.parent], rank[e.dep], e.range))
     unresolved.sort(key=lambda u: (rank[u.node], u.dep_name, u.range))
@@ -270,23 +295,25 @@ def license_changes(
     by_package: dict[str, list[VersionRecord]] = defaultdict(list)
     for record in records:
         by_package[record.package].append(record)
-    cache: dict[str, NormalizationOutcome] = {}
+    # Raw license -> its outcome and the outcome's text. The text is the
+    # canonical expression or the unresolvable reason: statement forms
+    # carry no license content, so two file references are the same license here.
+    cache: dict[str, tuple[NormalizationOutcome, str]] = {}
 
-    def normalized(raw: str) -> NormalizationOutcome:
-        if raw not in cache:
-            cache[raw] = normalize(raw, aliases, known)
-        return cache[raw]
+    def normalized(raw: str) -> tuple[NormalizationOutcome, str]:
+        entry = cache.get(raw)
+        if entry is None:
+            outcome = normalize(raw, aliases, known)
+            entry = cache[raw] = (outcome, str(outcome))
+        return entry
 
     changes: list[LicenseChange] = []
     for package in sorted(by_package):
         chain = sorted(by_package[package], key=lambda r: (r.version.key, r.published))
         for prev, curr in zip(chain, chain[1:]):
-            before = normalized(prev.license_raw)
-            after = normalized(curr.license_raw)
-            # The text is the canonical expression or the unresolvable reason:
-            # statement forms carry no license content, so two file
-            # references are the same license here.
-            if str(before) == str(after):
+            before, before_text = normalized(prev.license_raw)
+            after, after_text = normalized(curr.license_raw)
+            if before_text == after_text:
                 continue
             changes.append(
                 LicenseChange(
@@ -309,11 +336,20 @@ GRAPH_HEADER = "#% licterm-graph 1"
 
 def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
     """Persist the graph, which indexes into ``records``, with node metadata to scan it later."""
-    texts = [f"{r.package}\t{r.version}" for r in records]  # each node's text, rendered once
+    # Each distinct version object and date is rendered once. Versions are
+    # keyed by identity: precedence-equal versions may differ in build metadata.
+    version_text: dict[int, str] = {}
+    date_text = _Parsed(_dt.date.isoformat)
+    texts = []  # each node's package and version text
+    for r in records:
+        rendered = version_text.get(id(r.version))
+        if rendered is None:
+            rendered = version_text[id(r.version)] = str(r.version)
+        texts.append(f"{r.package}\t{rendered}")
     lines = [GRAPH_HEADER]
     for i in _node_order(records):
         r = records[i]
-        lines.append(f"node\t{texts[i]}\t{r.published.isoformat()}\t{r.license_raw}")
+        lines.append(f"node\t{texts[i]}\t{date_text[r.published]}\t{r.license_raw}")
     lines.extend(f"edge\t{texts[e.parent]}\t{texts[e.dep]}\t{e.range}" for e in graph.edges)
     lines.extend(
         f"unresolved\t{texts[u.node]}\t{u.dep_name}\t{u.range}\t{u.reason}"
@@ -322,15 +358,19 @@ def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str 
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _no_node(package: str, version_text: str) -> FormatError:
+    return FormatError(f"{package}@{version_text} has no node line above it")
+
+
 def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     """Load a graph file; the returned records carry no dependency lists.
 
     Line 1 must be ``GRAPH_HEADER``. Node lines are checked as snapshot
     records are, and an unresolved line's reason must be one of
     ``UNRESOLVED_REASONS``. Each package version an edge or unresolved
-    line names needs a node line above it with the same version text, as
-    ``write_graph`` writes it; the edge or entry holds that node's index
-    in the returned records, which are in node-line order.
+    line names needs a node line above it with the same package and
+    version text, as ``write_graph`` writes them; the edge or entry holds
+    that node's index in the returned records, which are in node-line order.
     """
     source = str(path)
     text = read_text(path)
@@ -340,32 +380,35 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
             f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1
         )
     records: list[VersionRecord] = []
-    seen: set[tuple[str, Semver]] = set()
-    versions = _Versions()
+    record = _RecordParser().record
     index: dict[tuple[str, str], int] = {}  # (package, version text) of each node line -> index
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-
-    def node(package: str, version_text: str) -> int:
-        i = index.get((package, version_text))
-        if i is None:
-            raise FormatError(f"{package}@{version_text} has no node line above it")
-        return i
-
-    def parse_line(fields: list[str]) -> None:
-        kind = fields[0]
-        if kind == "node" and len(fields) == 5:
-            record = _record(fields[1:], seen, versions)
-            index[record.package, fields[2]] = len(records)
-            records.append(record)
-        elif kind == "edge" and len(fields) == 6:
-            edges.append(Edge(node(fields[1], fields[2]), node(fields[3], fields[4]), fields[5]))
-        elif kind == "unresolved" and len(fields) == 6:
-            if fields[5] not in UNRESOLVED_REASONS:
-                raise FormatError(f"unknown unresolved reason {fields[5]!r}")
-            unresolved.append(Unresolved(node(fields[1], fields[2]), *fields[3:]))
-        else:
-            raise FormatError(f"unrecognized line kind {kind!r}")
-
-    _parse_lines(text, source, parse_line)
+    lineno = 0
+    try:
+        for lineno, fields in _lines(text):
+            kind = fields[0]
+            if kind == "edge" and len(fields) == 6:
+                parent = index.get((fields[1], fields[2]))
+                if parent is None:
+                    raise _no_node(fields[1], fields[2])
+                dep = index.get((fields[3], fields[4]))
+                if dep is None:
+                    raise _no_node(fields[3], fields[4])
+                edges.append(Edge(parent, dep, fields[5]))
+            elif kind == "node" and len(fields) == 5:
+                _, package, version_text, published_text, license_raw = fields
+                records.append(record(package, version_text, published_text, license_raw))
+                index[package, version_text] = len(records) - 1
+            elif kind == "unresolved" and len(fields) == 6:
+                if fields[5] not in UNRESOLVED_REASONS:
+                    raise FormatError(f"unknown unresolved reason {fields[5]!r}")
+                node = index.get((fields[1], fields[2]))
+                if node is None:
+                    raise _no_node(fields[1], fields[2])
+                unresolved.append(Unresolved(node, *fields[3:]))
+            else:
+                raise FormatError(f"unrecognized line kind {kind!r}")
+    except FormatError as exc:
+        raise type(exc)(exc.message, source=source, line=lineno) from None
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records

@@ -66,7 +66,9 @@ def _yearly_usage(
     for record in records:
         key = (record.package, record.published.year)
         cur = latest.get(key)
-        if cur is None or (record.published, record.version) > (cur.published, cur.version):
+        if cur is None or (
+            (record.published, record.version.key) > (cur.published, cur.version.key)
+        ):
             latest[key] = record
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for (package, year), record in latest.items():

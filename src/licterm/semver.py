@@ -27,10 +27,11 @@ which node-semver's ``<2.0.0-0`` excludes.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from operator import attrgetter
 
 from .errors import FormatError
@@ -120,11 +121,17 @@ class VersionRange:
 
     raw: str
     alternatives: tuple[tuple[Comparator, ...], ...]
+    # Per conjunction, its tightest lower and upper bound, derived once
+    # from ``alternatives``: see ``_bounds``.
+    bounds: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "bounds", tuple(map(_bounds, self.alternatives)))
 
     def satisfies(self, version: Semver) -> bool:
         if version.prerelease and not self._prerelease_allowed(version):
             return False
-        return any(_window(conjunction, [version]) == (0, 1) for conjunction in self.alternatives)
+        return any(_window(bound, [version]) == (0, 1) for bound in self.bounds)
 
     def _prerelease_allowed(self, version: Semver) -> bool:
         return any(
@@ -172,6 +179,9 @@ def _bump(low: Semver, i: int) -> Semver:
     return Semver(low.major, low.minor, low.patch + 1)
 
 
+# Range tokens repeat across a registry's dependency entries. The result
+# is an immutable tuple; a token that raises is not cached.
+@lru_cache(maxsize=4096)
 def _span(op: str, text: str) -> tuple[Comparator, ...]:
     """The comparators of one range token, operator ``op`` (maybe empty) on ``text``."""
     low, given = _parse_partial(text)
@@ -232,19 +242,40 @@ def parse_range(text: str) -> VersionRange:
 
 
 _KEY = attrgetter("key")
+_BELOW_ALL = ()  # sorts before every precedence key
+_ABOVE_ALL = (math.inf,)  # sorts after every precedence key
 
 
-def _window(conjunction: tuple[Comparator, ...], ordered: list[Semver]) -> tuple[int, int]:
-    """Index span of ``ordered`` (sorted by key) within the conjunction's bounds."""
-    lo, hi = 0, len(ordered)
+def _bounds(conjunction: tuple[Comparator, ...]) -> tuple:
+    """The conjunction's tightest bounds as ``(find_lo, low, find_hi, high)``.
+
+    Over a list sorted by key, ``find_lo(list, low)`` is the index of the
+    first version the lower bounds admit and ``find_hi(list, high)`` the
+    index after the last one the upper bounds admit. A bisect index grows
+    with its (key, strict) pair, so the tightest of several bounds on one
+    side is the one with the greatest (lower) or least (upper) pair. A
+    side with no comparator is bounded by a key beyond every version.
+    """
+    low, above = _BELOW_ALL, False  # above: ``>`` excludes ``low`` itself
+    high, upto = _ABOVE_ALL, False  # upto: ``<=`` or ``=`` includes ``high``
     for c in conjunction:
-        if c.op in (">=", "=", ">"):
-            find = bisect_right if c.op == ">" else bisect_left
-            lo = max(lo, find(ordered, c.version.key, key=_KEY))
-        if c.op in ("<=", "=", "<"):
-            find = bisect_left if c.op == "<" else bisect_right
-            hi = min(hi, find(ordered, c.version.key, key=_KEY))
-    return lo, hi
+        key = c.version.key
+        if c.op in (">=", "=", ">") and (key, c.op == ">") > (low, above):
+            low, above = key, c.op == ">"
+        if c.op in ("<=", "=", "<") and (key, c.op != "<") < (high, upto):
+            high, upto = key, c.op != "<"
+    return (
+        bisect_right if above else bisect_left,
+        low,
+        bisect_right if upto else bisect_left,
+        high,
+    )
+
+
+def _window(bound: tuple, ordered: list[Semver]) -> tuple[int, int]:
+    """Index span of ``ordered`` (sorted by key) within one conjunction's ``_bounds``."""
+    find_lo, low, find_hi, high = bound
+    return find_lo(ordered, low, key=_KEY), find_hi(ordered, high, key=_KEY)
 
 
 def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
@@ -256,15 +287,15 @@ def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
     gives it; among precedence-equal versions the first is returned, so
     a stable sort returns the first in the caller's original order.
 
-    Work per call is a bisection of each conjunction's bounds and a walk
+    Work per call is two bisections per conjunction and a walk
     down from the top of each window. Every version in a window meets
     its conjunction's comparators, so the walk stops at the first
     release and asks ``rng.satisfies`` (the prerelease rule) only about
     the prereleases above it, not about every available version.
     """
     best: Semver | None = None
-    for conjunction in rng.alternatives:
-        lo, hi = _window(conjunction, available)
+    for bound in rng.bounds:
+        lo, hi = _window(bound, available)
         for i in range(hi - 1, lo - 1, -1):
             version = available[i]
             if best is not None and version.key <= best.key:

@@ -5,11 +5,13 @@ checking is a direct transcription over all 22 terms, mining is
 exhaustive subset enumeration, dedup compares each pattern with every
 kept one, expression checking tries every left/right assignment of
 every OR node, scanning checks every edge on its own that way, range
-satisfaction re-implements semver precedence from scratch, and the
+satisfaction re-implements semver precedence from scratch, snapshot
+and graph files are parsed line by line with no memo, and the
 file-reference pattern is written the direct way. They share only the
-data types and, for scanning, ``normalize``.
+data types, ``Semver.parse`` and, for scanning, ``normalize``.
 """
 
+import datetime as dt
 import re
 from collections import Counter
 from itertools import combinations, product
@@ -23,7 +25,16 @@ from licterm.expression import (
     normalize,
     render,
 )
+from licterm.errors import DuplicateVersionError, FormatError
 from licterm.model import Attitude, CopyleftClass, Term, TermKind
+from licterm.registry import (
+    GRAPH_HEADER,
+    UNRESOLVED_REASONS,
+    DependencyGraph,
+    Edge,
+    Unresolved,
+    VersionRecord,
+)
 from licterm.scan import NO_LICENSE_BUCKET, ScanReport
 from licterm.semver import Semver, VersionRange, parse_range, RangeSyntaxError
 
@@ -393,3 +404,88 @@ ORACLE_FILE_REF_RE = re.compile(
     """,
     re.IGNORECASE | re.VERBOSE,
 )
+
+
+def _oracle_parse_lines(text, source, parse_line):
+    """Call ``parse_line`` on the fields of each line not blank or ``#``, errors at ``source:line``."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        try:
+            parse_line(line.split("\t"))
+        except FormatError as exc:
+            raise type(exc)(exc.message, source=source, line=lineno) from None
+
+
+def _oracle_record(fields, seen, dependencies=()):
+    package, version_text, published_text, license_raw = fields
+    package = package.strip()
+    if not package:
+        raise FormatError("empty package name")
+    version = Semver.parse(version_text)
+    date_text = published_text.strip()
+    if re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", date_text) is None:
+        raise FormatError(f"invalid date {published_text!r}")
+    try:
+        published = dt.date.fromisoformat(date_text)
+    except ValueError:
+        raise FormatError(f"invalid date {published_text!r}") from None
+    if (package, version) in seen:
+        raise DuplicateVersionError(f"duplicate record for {package}@{version}")
+    seen.append((package, version))
+    return VersionRecord(package, version, published, license_raw.strip(), dependencies)
+
+
+def oracle_parse_snapshot(text, source="<string>"):
+    """Every snapshot line parsed on its own: no memo, a list for the duplicate check."""
+    records, seen = [], []
+
+    def parse_line(fields):
+        if len(fields) != 5:
+            raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}")
+        deps = []
+        for entry in fields[4].split(";"):
+            entry = entry.strip()
+            if not entry:
+                continue
+            name, sep, range_str = entry.rpartition("@")
+            if not sep or not name.strip():
+                raise FormatError(f"dependency entry {entry!r} is not name@range")
+            deps.append((name.strip(), range_str.strip()))
+        records.append(_oracle_record(fields[:4], seen, tuple(deps)))
+
+    _oracle_parse_lines(text, source, parse_line)
+    return records
+
+
+def oracle_read_graph(text, source="<string>"):
+    """A graph file's text parsed line by line, endpoints found by a linear search."""
+    if text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[0] != GRAPH_HEADER:
+        raise FormatError(
+            f"missing or unsupported header, expected {GRAPH_HEADER!r}", source=source, line=1
+        )
+    records, seen, nodes, edges, unresolved = [], [], [], [], []
+
+    def node(package, version_text):
+        for i, key in enumerate(nodes):
+            if key == (package, version_text):
+                return i
+        raise FormatError(f"{package}@{version_text} has no node line above it")
+
+    def parse_line(fields):
+        kind = fields[0]
+        if kind == "node" and len(fields) == 5:
+            records.append(_oracle_record(fields[1:], seen))
+            nodes.append((fields[1], fields[2]))
+        elif kind == "edge" and len(fields) == 6:
+            edges.append(Edge(node(fields[1], fields[2]), node(fields[3], fields[4]), fields[5]))
+        elif kind == "unresolved" and len(fields) == 6:
+            if fields[5] not in UNRESOLVED_REASONS:
+                raise FormatError(f"unknown unresolved reason {fields[5]!r}")
+            unresolved.append(Unresolved(node(fields[1], fields[2]), *fields[3:]))
+        else:
+            raise FormatError(f"unrecognized line kind {kind!r}")
+
+    _oracle_parse_lines(text, source, parse_line)
+    return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records

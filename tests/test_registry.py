@@ -1,9 +1,9 @@
 import datetime as dt
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from licterm.errors import DuplicateVersionError, FormatError
 from licterm.expression import Unresolvable, UnresolvableReason, render
@@ -20,7 +20,7 @@ from licterm.registry import (
 )
 from licterm.semver import Semver, VersionRange, parse_range, resolve_range
 
-from oracles import edge_key, oracle_build_graph_edges
+from oracles import edge_key, oracle_build_graph_edges, oracle_parse_snapshot, oracle_read_graph
 
 
 def line(pkg, ver, date, license_raw, deps=""):
@@ -109,6 +109,17 @@ class TestSnapshotParsing:
         text = line("app", "1.0.0", "2020-01-01", "MIT", "@scope/pkg@^1.0.0")
         records = parse_snapshot_text(text)
         assert records[0].dependencies == (("@scope/pkg", "^1.0.0"),)
+
+    def test_padded_dependency_name_is_stripped(self):
+        text = line("p", "1.0.0", "2020-01-01", "MIT", " q @^1.0.0; @s/r @ ~1.2 ")
+        records = parse_snapshot_text(text)
+        assert records[0].dependencies == (("q", "^1.0.0"), ("@s/r", "~1.2"))
+
+    def test_blank_dependency_name_is_format_error(self):
+        text = line("p", "1.0.0", "2020-01-01", "MIT", "q@^1; @^1.0.0")
+        with pytest.raises(FormatError) as exc:
+            parse_snapshot_text(text, source="s.dat")
+        assert str(exc.value) == "s.dat:1: dependency entry '@^1.0.0' is not name@range"
 
     def test_empty_license_allowed(self):
         records = parse_snapshot_text(line("x", "1.0.0", "2020-01-01", ""))
@@ -527,6 +538,16 @@ class TestGraphFile:
                 ],
                 3,
             ),
+            (
+                [
+                    GRAPH_HEADER,
+                    "node\t a \t1.0.0\t2020-01-01\tMIT",
+                    "node\tb\t1.0.0\t2020-01-01\tMIT",
+                    "edge\t a \t1.0.0\tb\t1.0.0\t^1",
+                    "edge\ta\t1.0.0\tb\t1.0.0\t^1",
+                ],
+                5,
+            ),
         ],
         ids=[
             "unknown-kind",
@@ -542,6 +563,7 @@ class TestGraphFile:
             "bad-node-date",
             "bad-node-version",
             "bogus-unresolved-reason",
+            "edge-package-text-differs",
         ],
     )
     def test_read_rejects_garbage(self, tmp_path, lines, bad_line):
@@ -552,6 +574,23 @@ class TestGraphFile:
         message = str(excinfo.value)
         assert message.startswith(f"{path}:{bad_line}: ")
         assert "<input>" not in message
+
+    def test_endpoints_match_the_node_lines_package_text(self, tmp_path):
+        # The package is stripped in the record, but an edge or unresolved
+        # line names a node by the same package text its node line has.
+        path = tmp_path / "padded.dat"
+        lines = [
+            GRAPH_HEADER,
+            "node\t a \t1.0.0\t2020-01-01\tMIT",
+            "node\tb\t1.0.0+x\t2020-01-01\tMIT",
+            "edge\t a \t1.0.0\tb\t1.0.0+x\t^1",
+            "unresolved\t a \t1.0.0\tc\t^1\tunknown-package",
+        ]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        graph, records = read_graph(path)
+        assert [r.package for r in records] == ["a", "b"]
+        assert graph.edges == (Edge(0, 1, "^1"),)
+        assert [u.node for u in graph.unresolved] == [0]
 
     def test_duplicate_node_is_duplicate_version_error(self, tmp_path):
         path = tmp_path / "dup.dat"
@@ -582,10 +621,168 @@ class TestGraphFile:
             return (r.package, str(r.version), r.published, r.license_raw, r.dependencies)
 
         assert sorted(map(fields, loaded_records)) == sorted(
-            fields(replace(r, dependencies=())) for r in records
+            fields(r._replace(dependencies=())) for r in records
         )
 
     def test_parse_snapshot_from_file(self, tmp_path):
         path = tmp_path / "snap.dat"
         path.write_text(SMALL_SNAPSHOT + "\n", encoding="utf-8")
         assert len(parse_snapshot(path)) == 10
+
+
+# Field pools for the parser-oracle inputs: good values repeat, padded
+# values and malformed ones mix in. "\x0c" and "　" are whitespace
+# that is no line break.
+_PACKAGES = ["a", "b", "@s/c", " a", "b ", "　a", "", " "]
+_VERSIONS = ["1.0.0", "1.0.0+x", "1.2.0", "2.0.0-rc.1", " 1.2.0 ", "1.0", "01.0.0"]
+_DATES = ["2020-01-01", "2020-01-01", " 2020-01-01", "2021-02-28 ", "2021-02-29", "20200101"]
+_LICENSES = ["MIT", "MIT", " MIT ", "", "GPL-3.0-only OR MIT"]
+_ENTRIES = [
+    "b@^1.0.0", "b@^1.0.0", " b @^1.0.0", "@s/c@~1.2", "a@1.x || 2.x", "q@ >=1.0.0 ",
+    "", " ", "b@", "@^1", " @1.0.0", "b",
+]
+_BREAKS = ["\n", "\n", "\r\n", "\r"]
+_SKIPPED = ["", "   ", "# comment", "  # indented", "\t", "\x0c# feed", "　"]
+
+
+def _pick(rng: random.Random, pool: list[str], bad: float) -> str:
+    """A value from ``pool``: its first two entries, or with probability ``bad`` any."""
+    return rng.choice(pool) if rng.random() < bad else rng.choice(pool[:2])
+
+
+def _snapshot_lines(rng: random.Random, bad: float) -> list[str]:
+    rows = []
+    for _ in range(rng.randrange(1, 30)):
+        if rng.random() < 0.15:
+            rows.append(rng.choice(_SKIPPED))
+            continue
+        fields = [
+            _pick(rng, _PACKAGES, bad) + rng.choice(["", "", str(rng.randrange(3))]),
+            _pick(rng, _VERSIONS, bad).replace("1.0.0", f"1.{rng.randrange(20)}.0"),
+            _pick(rng, _DATES, bad),
+            _pick(rng, _LICENSES, bad),
+            ";".join(_pick(rng, _ENTRIES, bad) for _ in range(rng.randrange(4))),
+        ]
+        if rng.random() < bad / 4:
+            fields = fields[: rng.randrange(1, 5)] if rng.random() < 0.5 else fields + ["x"]
+        rows.append("\t".join(fields))
+    return rows
+
+
+def _graph_lines(rng: random.Random, bad: float) -> list[str]:
+    # Distinct nodes; edge and unresolved lines name them by their node
+    # line's text, or with probability ``bad`` by a spelling that may differ.
+    spellings = [
+        (_pick(rng, _PACKAGES[:5], bad), _pick(rng, _VERSIONS, bad).replace("1.0.0", f"1.{i}.0"))
+        for i in range(rng.randrange(1, 8))
+    ]
+    rows = [
+        f"node\t{package}\t{version}\t{_pick(rng, _DATES, bad)}\t{_pick(rng, _LICENSES, bad)}"
+        for package, version in spellings
+    ]
+    for _ in range(rng.randrange(20)):
+        (package, version), dep = rng.choice(spellings), rng.choice(spellings)
+        if rng.random() < bad:
+            package = rng.choice([package.strip(), f" {package}", "c"])
+        if rng.random() < 0.8:
+            rows.append(f"edge\t{package}\t{version}\t{dep[0]}\t{dep[1]}\t^1.0.0")
+        else:
+            reason = "no-match"
+            if rng.random() < bad:
+                reason = rng.choice(["no-match", "unparsable-range", "bogus"])
+            rows.append(f"unresolved\t{package}\t{version}\tq\t^1\t{reason}")
+    for _ in range(rng.randrange(4)):
+        junk = _SKIPPED if rng.random() > bad else [rows[0], "what\tis\tthis", "edge\ta\t1.0.0"]
+        rows.insert(rng.randrange(len(rows) + 1), rng.choice(junk))
+    if rng.random() < bad:
+        rng.shuffle(rows)
+    header = GRAPH_HEADER if rng.random() > bad / 4 else rng.choice(["#% licterm-graph 2", ""])
+    return [header] + rows
+
+
+def _join(rng: random.Random, rows: list[str]) -> str:
+    text = "".join(row + rng.choice(_BREAKS) for row in rows)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+def _result(parse, *args):
+    """What a parser gives: its result, or its error's class, line and message."""
+    try:
+        return parse(*args)
+    except FormatError as exc:
+        return type(exc), exc.source, exc.line, exc.message
+
+
+def _texts(records):  # str(version) keeps the build metadata that == ignores
+    return [
+        (r.package, str(r.version), r.published, r.license_raw, r.dependencies) for r in records
+    ]
+
+
+class TestParserOracles:
+    """The memoized parsers against plain per-line ones, on inputs that repeat texts."""
+
+    def _check_snapshot(self, text):
+        got = _result(parse_snapshot_text, text, "s.dat")
+        expected = _result(oracle_parse_snapshot, text, "s.dat")
+        if isinstance(expected, list):
+            assert isinstance(got, list) and _texts(got) == _texts(expected), text
+        else:
+            assert got == expected, text
+        return expected
+
+    def _check_graph(self, path, text):
+        path.write_bytes(text.encode("utf-8"))
+        got = _result(read_graph, path)
+        expected = _result(oracle_read_graph, text, str(path))
+        if isinstance(expected, tuple) and isinstance(expected[1], list):
+            assert isinstance(got[1], list), text
+            assert got[0] == expected[0] and _texts(got[1]) == _texts(expected[1]), text
+        else:
+            assert got == expected, text
+        return expected
+
+    @pytest.mark.parametrize("bad", [0.0, 0.02, 0.2])
+    def test_snapshots_match_oracle_seeded(self, bad):
+        rng = random.Random(f"snapshot:{bad}")
+        outcomes = Counter()
+        for _ in range(300):
+            expected = self._check_snapshot(_join(rng, _snapshot_lines(rng, bad)))
+            outcomes[expected[0].__name__ if isinstance(expected, tuple) else "ok"] += 1
+        # Inputs both parse and fail with each error class: the comparison is not vacuous.
+        assert outcomes["ok"] >= 20
+        assert not bad or (outcomes["FormatError"] and outcomes["DuplicateVersionError"])
+
+    @pytest.mark.parametrize("bad", [0.0, 0.05, 0.2])
+    def test_graphs_match_oracle_seeded(self, tmp_path, bad):
+        rng = random.Random(f"graph:{bad}")
+        path = tmp_path / "g.dat"
+        outcomes = Counter()
+        for _ in range(300):
+            expected = self._check_graph(path, _join(rng, _graph_lines(rng, bad)))
+            outcomes["ok" if isinstance(expected[1], list) else expected[0].__name__] += 1
+        # Inputs both parse and fail with each error class: the comparison is not vacuous.
+        assert outcomes["ok"] >= 20
+        assert not bad or (outcomes["FormatError"] and outcomes["DuplicateVersionError"])
+
+    def test_written_graphs_match_oracle(self, tmp_path):
+        rng = random.Random(5)
+        for seed in range(10):
+            records = parse_snapshot_text(_seeded_snapshot(random.Random(seed)))
+            write_graph(build_graph(records), records, tmp_path / "w.dat")
+            text = (tmp_path / "w.dat").read_text(encoding="utf-8")
+            rows = text.split("\n")[:-1]
+            assert isinstance(self._check_graph(tmp_path / "g.dat", _join(rng, rows))[1], list)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_snapshots_match_oracle_hypothesis(self, seed, bad):
+        rng = random.Random(seed)
+        self._check_snapshot(_join(rng, _snapshot_lines(rng, bad)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.3]))
+    def test_graphs_match_oracle_hypothesis(self, tmp_path_factory, seed, bad):
+        rng = random.Random(seed)
+        path = tmp_path_factory.getbasetemp() / "oracle-graph.dat"  # rewritten by each example
+        self._check_graph(path, _join(rng, _graph_lines(rng, bad)))

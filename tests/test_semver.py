@@ -8,6 +8,7 @@ from licterm.errors import FormatError
 from licterm.semver import (
     RangeSyntaxError,
     Semver,
+    _span,
     parse_range,
     resolve_range,
 )
@@ -347,6 +348,12 @@ class TestWindowBoundaries:
             # A prerelease comparator in one alternative admits that triple's
             # prereleases through the other alternative too.
             (">=1.0.0 <2.0.0 || =1.2.3-rc.5", ["1.2.3-rc.9", "1.2.2"], "1.2.3-rc.9"),
+            # Several bounds on one side: the tightest holds, ">" over ">=" and "<" over "<=".
+            (">=1.2.3 >1.2.3 <=1.3.0 <1.3.0", ["1.2.3", "1.2.4", "1.3.0"], "1.2.4"),
+            (">1.2.3 >=1.2.3 <1.3.0 <=1.3.0", ["1.2.3", "1.2.9", "1.3.0"], "1.2.9"),
+            ("=1.2.3 >=1.0.0 <2.0.0", ["1.2.3", "1.5.0"], "1.2.3"),
+            (">=1.2.3 <2.0.0 >=1.5.0 <1.9.0", ["1.4.0", "1.8.0", "1.9.0"], "1.8.0"),
+            ("^1.2.3 <1.0.0", ["0.9.0", "1.2.3"], None),
         ],
     )
     def test_against_oracle(self, range_str, versions, expected):
@@ -443,3 +450,35 @@ class TestOracleEquivalence:
         for _ in range(10):
             version = _random_version(rng)
             assert parsed.satisfies(version) == oracle_satisfies(parsed, version)
+
+
+class TestSpanCache:
+    def test_cold_and_warm_cache_give_equal_ranges(self):
+        rng = random.Random(0xCAC4E)
+        texts = [range_str for range_str, _ in DESUGARED] + [_random_range(rng) for _ in range(500)]
+
+        def parse_all():
+            out = []
+            for text in texts:
+                try:
+                    parsed = parse_range(text)
+                except RangeSyntaxError as exc:
+                    out.append(str(exc))
+                else:
+                    out.append((parsed, parsed.bounds))
+            return out
+
+        _span.cache_clear()
+        cold = parse_all()
+        assert _span.cache_info().currsize > 0
+        warm = parse_all()
+        assert _span.cache_info().hits > 0
+        assert warm == cold
+
+    @pytest.mark.parametrize("bad", [">*", "^1.2.x-rc.1", "1.2.3 - >2"])
+    def test_bad_token_raises_every_time(self, bad):
+        _span.cache_clear()
+        for _ in range(3):
+            with pytest.raises(RangeSyntaxError):
+                parse_range(bad)
+        assert parse_range("^1.2.3") == parse_range("^1.2.3")
