@@ -148,8 +148,8 @@ def _cmd_check(args) -> int:
             {
                 "kind": "verdict",
                 "conflict_free": verdict.conflict_free,
-                "parent": verdict.parent_resolved,
-                "dep": verdict.dep_resolved,
+                "parent": str(verdict.parent_choice),
+                "dep": str(verdict.dep_choice),
                 "unknown": list(verdict.unknown_ids),
             }
         )
@@ -157,9 +157,7 @@ def _cmd_check(args) -> int:
         for warning in verdict.warnings:
             print(f"warning: {warning}", file=sys.stderr)
         if verdict.conflict_free:
-            print(
-                f"no conflicts: {verdict.parent_resolved} may depend on {verdict.dep_resolved}"
-            )
+            print(f"no conflicts: {verdict.parent_choice} may depend on {verdict.dep_choice}")
         else:
             for finding in verdict.findings:
                 print(explain_finding(finding))

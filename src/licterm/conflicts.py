@@ -98,7 +98,13 @@ def _rule_masks(
 
 
 def _bits(mask: int) -> Iterator[int]:
-    """The indexes of the set bits of ``mask``, lowest first."""
+    """The indexes of the set bits of ``mask``, lowest first.
+
+    Clears the lowest bit each step. On term masks of 11 bits or fewer this
+    is about twice as fast as ``mining._bits``'s ``bin()`` digit scan, which
+    wins on masks thousands of bits wide, where clearing copies the mask
+    once per bit.
+    """
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -174,13 +180,12 @@ class ExpressionVerdict:
     """Outcome of checking a parent expression against a dependency expression.
 
     ``parent_choice`` and ``dep_choice`` are the winning OR choices, one
-    branch per OR node for the whole expression, and ``parent_resolved``
-    and ``dep_resolved`` render them. Each leaf keeps the profile it had
+    branch per OR node for the whole expression; like every tree, each
+    prints as its :func:`render` form. Each leaf keeps the profile it had
     when the check ran. ``conflict_types`` lists, in :class:`ConflictType`
-    order, the types of the findings. The findings themselves, the
-    warnings and the renders are built from the chosen leaves on first
-    access. Ids missing from the dataset appear in ``unknown_ids`` and add
-    no findings.
+    order, the types of the findings. The findings themselves and the
+    warnings are built from the chosen leaves on first access. Ids missing
+    from the dataset appear in ``unknown_ids`` and add no findings.
     """
 
     conflict_types: tuple[ConflictType, ...]
@@ -221,14 +226,6 @@ class ExpressionVerdict:
     def unknown_ids(self) -> tuple[str, ...]:
         leaves = self.parent_leaves + self.dep_leaves
         return tuple(sorted({ref.id for ref, profile in leaves if profile is None}))
-
-    @cached_property
-    def parent_resolved(self) -> str:
-        return render(self.parent_choice)
-
-    @cached_property
-    def dep_resolved(self) -> str:
-        return render(self.dep_choice)
 
 
 def _leaf_warnings(parent: _Leaf, dep: _Leaf) -> Iterator[str]:

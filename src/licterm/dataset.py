@@ -231,16 +231,18 @@ def loads_known_ids(text: str, source: str = "<string>") -> list[tuple[str, str]
     return [(i, name) for _, i, name in _two_column_lines(text, source)]
 
 
-def known_licenses(
-    ds: Dataset | None = None, extra: list[tuple[str, str]] | None = None
-) -> KnownLicenses:
-    """Build the id registry from a dataset plus an optional extra id list."""
-    known = KnownLicenses(extra or [])
-    if ds is not None:
-        for profile in ds.profiles.values():
-            known.add(profile.spdx_id, profile.full_name)
-            if profile.copyleft is not CopyleftClass.NONE:
-                known.copyleft.add(profile.spdx_id)
+def known_licenses(ds: Dataset, extra: list[tuple[str, str]]) -> KnownLicenses:
+    """The id registry: the ``extra`` (id, full name) list, then every profile of ``ds``.
+
+    Profiles are added last, so where a spelling matches both, the
+    profile's id wins. A profile's id is in ``copyleft`` when its
+    copyleft class is weak or strong.
+    """
+    known = KnownLicenses(extra)
+    for profile in ds.profiles.values():
+        known.add(profile.spdx_id, profile.full_name)
+        if profile.copyleft is not CopyleftClass.NONE:
+            known.copyleft.add(profile.spdx_id)
     return known
 
 

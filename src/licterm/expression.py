@@ -351,14 +351,11 @@ def _classify_special(trimmed: str) -> UnresolvableReason | None:
 
 
 def _resolve_id(
-    raw_id: str,
-    or_later: bool,
-    aliases: "AliasTable | None",
-    known: KnownLicenses,
+    raw_id: str, or_later: bool, aliases: "AliasTable", known: KnownLicenses
 ) -> tuple[str, bool] | None:
     """Map one identifier to canonical form, folding '+' into paired ids."""
     canonical = known.match_id(raw_id)
-    if canonical is None and aliases is not None:
+    if canonical is None:
         canonical = aliases.resolve(raw_id)
     if canonical is None:
         return None
@@ -373,7 +370,7 @@ def _resolve_id(
 
 
 def _normalize_tree(
-    expr: LicenseExpression, aliases: "AliasTable | None", known: KnownLicenses
+    expr: LicenseExpression, aliases: "AliasTable", known: KnownLicenses
 ) -> LicenseExpression | None:
     if isinstance(expr, LicenseRef):
         resolved = _resolve_id(expr.id, expr.or_later, aliases, known)
@@ -388,9 +385,7 @@ def _normalize_tree(
     return And(left, right) if isinstance(expr, And) else Or(left, right)
 
 
-def normalize(
-    raw: str, aliases: "AliasTable | None", known: KnownLicenses
-) -> NormalizationOutcome:
+def normalize(raw: str, aliases: "AliasTable", known: KnownLicenses) -> NormalizationOutcome:
     """Resolve a raw license string to a canonical expression, or classify why not.
 
     Pipeline: trim; recognize no-license markers, file references, URLs
@@ -404,13 +399,9 @@ def normalize(
     if special is not None:
         return Unresolvable(special, raw)
 
-    for match in (known.match_id(trimmed), known.match_name(trimmed)):
+    for match in (known.match_id(trimmed), known.match_name(trimmed), aliases.resolve(trimmed)):
         if match is not None:
             return LicenseRef(match)
-    if aliases is not None:
-        target = aliases.resolve(trimmed)
-        if target is not None:
-            return LicenseRef(target)
 
     cleaned = _LOWER_OP_RE.sub(lambda m: m.group(1).upper(), " ".join(trimmed.split()))
     try:

@@ -281,9 +281,7 @@ def _classify(
 
 
 def license_changes(
-    records: list[VersionRecord],
-    aliases: "AliasTable | None",
-    known: KnownLicenses,
+    records: list[VersionRecord], aliases: "AliasTable", known: KnownLicenses
 ) -> list[LicenseChange]:
     """Changes of normalized license between consecutive versions.
 
@@ -295,24 +293,21 @@ def license_changes(
     by_package: dict[str, list[VersionRecord]] = defaultdict(list)
     for record in records:
         by_package[record.package].append(record)
-    # Raw license -> its outcome and the outcome's text. The text is the
-    # canonical expression or the unresolvable reason: statement forms
-    # carry no license content, so two file references are the same license here.
-    cache: dict[str, tuple[NormalizationOutcome, str]] = {}
 
-    def normalized(raw: str) -> tuple[NormalizationOutcome, str]:
-        entry = cache.get(raw)
-        if entry is None:
-            outcome = normalize(raw, aliases, known)
-            entry = cache[raw] = (outcome, str(outcome))
-        return entry
+    def outcome_and_text(raw: str) -> tuple[NormalizationOutcome, str]:
+        # The text is the canonical expression or the unresolvable reason:
+        # statement forms carry no license content, so two file references
+        # are the same license here.
+        outcome = normalize(raw, aliases, known)
+        return outcome, str(outcome)
 
+    normalized = _Parsed(outcome_and_text)  # by raw license
     changes: list[LicenseChange] = []
     for package in sorted(by_package):
         chain = sorted(by_package[package], key=lambda r: (r.version.key, r.published))
         for prev, curr in zip(chain, chain[1:]):
-            before, before_text = normalized(prev.license_raw)
-            after, after_text = normalized(curr.license_raw)
+            before, before_text = normalized[prev.license_raw]
+            after, after_text = normalized[curr.license_raw]
             if before_text == after_text:
                 continue
             changes.append(
@@ -336,20 +331,11 @@ GRAPH_HEADER = "#% licterm-graph 1"
 
 def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
     """Persist the graph, which indexes into ``records``, with node metadata to scan it later."""
-    # Each distinct version object and date is rendered once. Versions are
-    # keyed by identity: precedence-equal versions may differ in build metadata.
-    version_text: dict[int, str] = {}
-    date_text = _Parsed(_dt.date.isoformat)
-    texts = []  # each node's package and version text
-    for r in records:
-        rendered = version_text.get(id(r.version))
-        if rendered is None:
-            rendered = version_text[id(r.version)] = str(r.version)
-        texts.append(f"{r.package}\t{rendered}")
+    texts = [f"{r.package}\t{r.version}" for r in records]  # each node's package and version
     lines = [GRAPH_HEADER]
     for i in _node_order(records):
         r = records[i]
-        lines.append(f"node\t{texts[i]}\t{date_text[r.published]}\t{r.license_raw}")
+        lines.append(f"node\t{texts[i]}\t{r.published.isoformat()}\t{r.license_raw}")
     lines.extend(f"edge\t{texts[e.parent]}\t{texts[e.dep]}\t{e.range}" for e in graph.edges)
     lines.extend(
         f"unresolved\t{texts[u.node]}\t{u.dep_name}\t{u.range}\t{u.reason}"

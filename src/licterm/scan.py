@@ -22,10 +22,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .conflicts import ConflictType, check_expressions
-from .dataset import Dataset, bundled_known_ids, known_licenses
+from .dataset import AliasTable, Dataset
 from .expression import (
     KnownLicenses,
     NormalizationOutcome,
@@ -34,9 +33,6 @@ from .expression import (
     normalize,
 )
 from .registry import DependencyGraph, VersionRecord
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .dataset import AliasTable
 
 #: Usage bucket for packages that declare no license at all.
 NO_LICENSE_BUCKET = "no-license"
@@ -80,13 +76,16 @@ def scan(
     graph: DependencyGraph,
     records: list[VersionRecord],
     ds: Dataset,
-    strict_not_mentioned: bool = False,
-    aliases: "AliasTable | None" = None,
-    known: KnownLicenses | None = None,
+    strict_not_mentioned: bool,
+    aliases: AliasTable,
+    known: KnownLicenses,
 ) -> ScanReport:
-    """Check every edge of the graph and aggregate ecosystem statistics."""
-    if known is None:
-        known = known_licenses(ds, bundled_known_ids())
+    """Check every edge of the graph and aggregate ecosystem statistics.
+
+    Raw licenses are normalized with ``aliases`` and ``known`` and checked
+    against the profiles of ``ds``; the caller builds all three, as the
+    CLI does once per command.
+    """
     outcome_of: dict[str, NormalizationOutcome] = {}  # by raw license
     id_of: dict[str, int] = {}  # outcome id by raw license
     ids: dict[tuple[bool, str], int] = {}  # (unresolvable, rendered text) -> outcome id

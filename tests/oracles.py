@@ -7,8 +7,12 @@ kept one, expression checking tries every left/right assignment of
 every OR node, scanning checks every edge on its own that way, range
 satisfaction re-implements semver precedence from scratch, snapshot
 and graph files are parsed line by line with no memo, and the
-file-reference pattern is written the direct way. They share only the
-data types, ``Semver.parse`` and, for scanning, ``normalize``.
+file-reference pattern is written the direct way, normalization is a
+flat list of rules tried in order, and license changes diff each
+package's sorted records on their own. They share only the data types,
+``Semver.parse``, for normalization the expression parser and the
+registry's and alias table's lookups, and, for scanning and license
+changes, ``normalize``.
 """
 
 import datetime as dt
@@ -18,11 +22,13 @@ from itertools import combinations, product
 
 from licterm.conflicts import ConflictType
 from licterm.expression import (
+    ExpressionSyntaxError,
     LicenseRef,
     Or,
     Unresolvable,
     UnresolvableReason,
     normalize,
+    parse_expression,
     render,
 )
 from licterm.errors import DuplicateVersionError, FormatError
@@ -32,6 +38,7 @@ from licterm.registry import (
     UNRESOLVED_REASONS,
     DependencyGraph,
     Edge,
+    LicenseChange,
     Unresolved,
     VersionRecord,
 )
@@ -489,3 +496,119 @@ def oracle_read_graph(text, source="<string>"):
 
     _oracle_parse_lines(text, source, parse_line)
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records
+
+
+_ORACLE_NO_LICENSE = ("", "unlicensed", "none", "no license", "no-license", "nolicense")
+_ORACLE_FILE_NAMES = ("license", "licence", "copying", "license file", "in license file")
+
+
+def oracle_normalize(raw, aliases, known):
+    """``normalize`` as a flat list of rules, tried in order; the first that applies wins.
+
+    No-license marker, URL, file reference, hash-like, known id, full
+    name, alias; then the whitespace-collapsed string, with lowercase
+    operator words upcased, parsed as an expression whose every leaf is
+    a known id or alias, ``+`` folding into the ``-or-later`` id where
+    one exists; else an unknown name.
+    """
+    trimmed = raw.strip()
+    folded = " ".join(trimmed.casefold().split())
+    compact = trimmed.replace(" ", "")
+    special = (
+        (UnresolvableReason.NO_LICENSE, folded in _ORACLE_NO_LICENSE),
+        (UnresolvableReason.URL, "://" in trimmed or trimmed.lower().startswith("www.")),
+        (
+            UnresolvableReason.FILE_REFERENCE,
+            bool(ORACLE_FILE_REF_RE.search(trimmed))
+            or folded in _ORACLE_FILE_NAMES
+            or folded.startswith("see "),
+        ),
+        (
+            UnresolvableReason.HASH_LIKE,
+            len(compact) >= 32 and all(c in "0123456789abcdefABCDEF" for c in compact),
+        ),
+    )
+    for reason, applies in special:
+        if applies:
+            return Unresolvable(reason, raw)
+    for match in (known.match_id(trimmed), known.match_name(trimmed), aliases.resolve(trimmed)):
+        if match is not None:
+            return LicenseRef(match)
+
+    def upcase_operator(word):
+        return word.group().upper() if word.group() in ("and", "or", "with") else word.group()
+
+    cleaned = re.sub(r"\w+", upcase_operator, " ".join(trimmed.split()))
+    try:
+        tree = parse_expression(cleaned)
+    except ExpressionSyntaxError:
+        return Unresolvable(UnresolvableReason.UNKNOWN_NAME, raw)
+
+    def leaf(ref):
+        canonical = known.match_id(ref.id)
+        if canonical is None:
+            canonical = aliases.resolve(ref.id)
+        if canonical is None:
+            return None
+        if ref.or_later and not canonical.endswith("-or-later"):
+            base = canonical[: -len("-only")] if canonical.endswith("-only") else canonical
+            if base + "-or-later" in known.ids:
+                return LicenseRef(base + "-or-later", False, ref.exception)
+            return LicenseRef(canonical, True, ref.exception)
+        return LicenseRef(canonical, False, ref.exception)
+
+    def walk(node):
+        if isinstance(node, LicenseRef):
+            return leaf(node)
+        left, right = walk(node.left), walk(node.right)
+        if left is None or right is None:
+            return None
+        return type(node)(left, right)
+
+    normalized = walk(tree)
+    if normalized is None:
+        return Unresolvable(UnresolvableReason.UNKNOWN_NAME, raw)
+    return normalized
+
+
+def _oracle_side(expr, known):
+    """Copyleft when any id in the tree is one of ``known.copyleft``, by brute force."""
+    ids = []
+
+    def collect(node):
+        if isinstance(node, LicenseRef):
+            ids.append(node.id)
+        else:
+            collect(node.left)
+            collect(node.right)
+
+    collect(expr)
+    copyleft = any(spdx_id == c for spdx_id in ids for c in known.copyleft)
+    return "copyleft" if copyleft else "permissive"
+
+
+def oracle_license_changes(records, aliases, known):
+    """Each package's records, picked out by a scan of all records, sorted and diffed pairwise.
+
+    Records sort by a precedence key computed here, then by publish date.
+    Neighbours whose normalized texts differ make a change; it involves an
+    unresolvable license when either side is one, and otherwise each side
+    is copyleft or permissive by ``_oracle_side``.
+    """
+    changes = []
+    for package in sorted({r.package for r in records}):
+        chain = sorted(
+            (r for r in records if r.package == package),
+            key=lambda r: (_precedence_key(r.version), r.published),
+        )
+        for prev, curr in zip(chain, chain[1:]):
+            before = normalize(prev.license_raw, aliases, known)
+            after = normalize(curr.license_raw, aliases, known)
+            if str(before) == str(after):
+                continue
+            if isinstance(before, Unresolvable) or isinstance(after, Unresolvable):
+                classification = "involving-unresolvable"
+            else:
+                classification = f"{_oracle_side(before, known)}-to-{_oracle_side(after, known)}"
+            changes.append(LicenseChange(package, before, after, curr.version, classification))
+    return changes

@@ -164,7 +164,7 @@ class TestExpressions:
             seed_dataset,
         )
         assert verdict.conflict_free
-        assert verdict.dep_resolved == "MIT"
+        assert str(verdict.dep_choice) == "MIT"
 
     def test_and_accumulates(self, seed_dataset):
         verdict = check_expressions(
@@ -178,7 +178,7 @@ class TestExpressions:
             Term.INCLUDE_NOTICE,
             Term.STATE_CHANGES,
         }
-        assert verdict.dep_resolved == "MIT AND Apache-2.0"
+        assert str(verdict.dep_choice) == "MIT AND Apache-2.0"
 
     def test_unknown_id_warns_without_findings(self, seed_dataset):
         verdict = check_expressions(
@@ -198,7 +198,7 @@ class TestExpressions:
             seed_dataset,
         )
         assert verdict.conflict_free
-        assert verdict.parent_resolved == "MIT"
+        assert str(verdict.parent_choice) == "MIT"
 
     def test_or_tie_keeps_left_branch(self, seed_dataset):
         verdict = check_expressions(
@@ -207,7 +207,7 @@ class TestExpressions:
             seed_dataset,
         )
         assert verdict.conflict_free
-        assert verdict.parent_resolved == "CC-BY-4.0"
+        assert str(verdict.parent_choice) == "CC-BY-4.0"
 
     def test_exception_carried_as_warning(self, seed_dataset):
         verdict = check_expressions(
@@ -253,10 +253,10 @@ def _assert_matches_oracle(parent, dep, strict, ds=_BUNDLED):
     p_leaves, d_leaves, findings = oracle_best_choice(parent, dep, ds, strict)
     assert _leaves(verdict.parent_choice) == p_leaves, context
     assert _leaves(verdict.dep_choice) == d_leaves, context
-    assert render(verdict.parent_choice) == verdict.parent_resolved, context
-    assert render(verdict.dep_choice) == verdict.dep_resolved, context
-    assert _leaves(parse_expression(verdict.parent_resolved)) == p_leaves, context
-    assert _leaves(parse_expression(verdict.dep_resolved)) == d_leaves, context
+    assert render(verdict.parent_choice) == str(verdict.parent_choice), context
+    assert render(verdict.dep_choice) == str(verdict.dep_choice), context
+    assert _leaves(parse_expression(str(verdict.parent_choice))) == p_leaves, context
+    assert _leaves(parse_expression(str(verdict.dep_choice))) == d_leaves, context
     # ... whose findings and warnings are exactly the reported ones.
     assert _shape(verdict.findings) == findings, context
     assert list(verdict.warnings) == oracle_leaf_warnings(p_leaves, d_leaves, ds), context
@@ -312,7 +312,7 @@ class TestExpressionOracle:
             seed_dataset,
         )
         assert len(verdict.findings) == 3
-        assert verdict.dep_resolved.startswith("WTFPL AND ")
+        assert str(verdict.dep_choice).startswith("WTFPL AND ")
 
     def test_tie_goes_to_first_parent_then_first_dep_choice(self, seed_dataset):
         # MIT -> MIT and Apache-2.0 -> Apache-2.0 both have no findings.
@@ -322,7 +322,7 @@ class TestExpressionOracle:
             seed_dataset,
         )
         assert verdict.conflict_free
-        assert (verdict.parent_resolved, verdict.dep_resolved) == ("MIT", "MIT")
+        assert (str(verdict.parent_choice), str(verdict.dep_choice)) == ("MIT", "MIT")
 
     def test_too_many_choices_raise_before_enumerating(self, seed_dataset):
         # 2**40 choices: building them would not finish. The first subtree
@@ -491,7 +491,7 @@ class TestVerdict:
                 parse_expression(parent), parse_expression("Apache-2.0"), seed_dataset
             )
             assert verdict.conflict_types == (ConflictType.C2,)
-            assert verdict.parent_resolved == resolved
+            assert str(verdict.parent_choice) == resolved
 
     def test_findings_are_built_on_first_read_only(self, seed_dataset, monkeypatch):
         import licterm.conflicts as conflicts

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from licterm.conflicts import check_expressions
+from licterm.dataset import AliasTable
 from licterm.expression import (
     _FILE_REF_RE,
     MAX_TOKENS,
@@ -23,7 +24,7 @@ from licterm.expression import (
 )
 
 from conftest import random_expression
-from oracles import ORACLE_FILE_REF_RE, oracle_check_expressions
+from oracles import ORACLE_FILE_REF_RE, oracle_check_expressions, oracle_normalize
 
 
 class TestParse:
@@ -255,8 +256,76 @@ class TestNormalize:
         assert first == second
 
     def test_without_alias_table(self, tiny_known):
-        assert normalize("MIT", None, tiny_known) == LicenseRef("MIT")
-        assert isinstance(normalize("apache2", None, tiny_known), Unresolvable)
+        assert normalize("MIT", AliasTable(), tiny_known) == LicenseRef("MIT")
+        assert isinstance(normalize("apache2", AliasTable(), tiny_known), Unresolvable)
+
+
+# Pieces of raw license strings: ids in several cases, alias spellings and
+# full names, ids with and without -only/-or-later twins, an exception, an
+# unknown id, operators in every case, "+", parentheses, and the markers of
+# each unresolvable form.
+_RAW_IDS = [
+    "MIT", "mit", "Apache-2.0", "apache2", "Apache License 2.0", "GPL-2.0-only",
+    "gpl-2.0", "GPL-2.0-or-later", "gplv3", "LGPL-2.1-only", "BSD", "MIT License",
+    "Classpath-exception-2.0", "Foo-1.0",
+]
+_RAW_PIECES = _RAW_IDS + [
+    "and", "AND", "or", "OR", "Or", "with", "WITH", "+", "(", ")", " ", "\t",
+    "UNLICENSED", "none", "SEE LICENSE IN", "LICENSE.txt", "./COPYING", "https://", "www.",
+    "0123456789abcdef" * 2, "gpl-2.0+", "GPL-2.0-or-later+", "Apache-2.0+",
+]
+_NORMALIZE_TABLES = ["bundled", "empty"]
+
+
+def _raw_license(rng: random.Random) -> str:
+    """A well-formed expression over the pieces half the time, else a piece soup."""
+    if rng.random() < 0.5:
+        return rng.choice(["", " "]).join(
+            rng.choice(_RAW_PIECES) for _ in range(rng.randint(0, 6))
+        )
+
+    def expr(depth):
+        if depth > 2 or rng.random() < 0.4:
+            text = rng.choice(_RAW_IDS) + rng.choice(["", "", "+"])
+            if rng.random() < 0.1:
+                text += " " + rng.choice(["with", "WITH"]) + " Classpath-exception-2.0"
+            return text
+        op = rng.choice(["and", "AND", "or", "OR"])
+        text = f"{expr(depth + 1)} {op} {expr(depth + 1)}"
+        return f"({text})" if rng.random() < 0.3 else text
+
+    return expr(0)
+
+
+class TestNormalizeOracle:
+    @pytest.fixture(params=_NORMALIZE_TABLES)
+    def table(self, request, aliases):
+        return aliases if request.param == "bundled" else AliasTable()
+
+    def test_seeded_strings_equal_oracle(self, table, known):
+        rng = random.Random(20261019)
+        reached = set()  # outcome kinds, and leaves with -or-later, + and WITH
+        for _ in range(5_000):
+            raw = _raw_license(rng)
+            outcome = normalize(raw, table, known)
+            assert outcome == oracle_normalize(raw, table, known), repr(raw)
+            if isinstance(outcome, Unresolvable):
+                reached.add(outcome.reason)
+            else:
+                reached.add(type(outcome))
+                marks = ("-or-later", "+", " WITH ")
+                reached.update(mark for mark in marks if mark in str(outcome))
+        assert reached >= {*UnresolvableReason, LicenseRef, And, Or, "-or-later", "+", " WITH "}
+
+    @given(
+        st.lists(st.sampled_from(_RAW_PIECES), max_size=8),
+        st.sampled_from(["", " "]),
+        st.sampled_from(_NORMALIZE_TABLES),
+    )
+    def test_piece_strings_equal_oracle_hypothesis(self, aliases, known, pieces, sep, which):
+        raw = sep.join(pieces)
+        table = aliases if which == "bundled" else AliasTable()
+        assert normalize(raw, table, known) == oracle_normalize(raw, table, known)
 
 
 # Separators, dots, line breaks, odd spaces and a letter that case-folds to

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from licterm import mining
 from licterm.dataset import Dataset
@@ -360,6 +360,34 @@ class TestDedupWork:
         monkeypatch.undo()
         assert got == patterns
         assert calls <= len(patterns) * len(got) // 10
+
+
+_WIDE = 4_000  # bits: wider than any catalog's license count
+
+
+class TestBits:
+    """``mining._bits`` serves ``sorted_ids``, ``supporting_ids`` and ``dedup_similar``."""
+
+    @given(
+        st.one_of(
+            st.integers(0, (1 << _WIDE) - 1),
+            st.sets(st.integers(0, _WIDE), max_size=64).map(lambda s: sum(1 << i for i in s)),
+        )
+    )
+    @example(0)
+    @example(1 << _WIDE | 2)
+    def test_equals_brute_force_scan(self, mask):
+        assert list(mining._bits(mask)) == [
+            i for i in range(mask.bit_length()) if mask >> i & 1
+        ]
+
+    @pytest.mark.parametrize("min_support", [5, 10])
+    def test_sorted_ids_are_the_sorted_supporting_ids(self, seed_dataset, min_support):
+        patterns = mine(seed_dataset, min_support)
+        patterns += mine(_family_dataset(random.Random(62), 200), 50)
+        for p in patterns:
+            assert list(p.sorted_ids()) == sorted(p.supporting_ids)
+            assert len(p.supporting_ids) == p.support_count
 
 
 class TestCommonTermReport:

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from licterm.dataset import AliasTable
 from licterm.errors import DuplicateVersionError, FormatError
 from licterm.expression import Unresolvable, UnresolvableReason, render
 from licterm.registry import (
@@ -20,7 +21,13 @@ from licterm.registry import (
 )
 from licterm.semver import Semver, VersionRange, parse_range, resolve_range
 
-from oracles import edge_key, oracle_build_graph_edges, oracle_parse_snapshot, oracle_read_graph
+from oracles import (
+    edge_key,
+    oracle_build_graph_edges,
+    oracle_license_changes,
+    oracle_parse_snapshot,
+    oracle_read_graph,
+)
 
 
 def line(pkg, ver, date, license_raw, deps=""):
@@ -427,6 +434,72 @@ class TestLicenseChanges:
         (change,) = license_changes(records, aliases, known)
         assert render(change.from_outcome) == "MIT OR Apache-2.0"
         assert render(change.to_outcome) == "MIT"
+
+
+# Raw licenses for change histories: permissive and copyleft ids, alias
+# spellings of both, mixed expressions, an id the alias table alone knows
+# with "+", and every unresolvable form.
+_CHANGE_LICENSES = [
+    "MIT", "mit", "MIT License", "Apache-2.0", "apache2", "ISC", "BSD", "GPL-3.0-only",
+    "gplv3", "gpl-2.0+", "LGPL-2.1-only", "MPL-2.0", "AGPL-3.0-only", "MIT OR GPL-3.0-only",
+    "(mit or apache2)", "Apache-2.0 WITH LLVM-exception", "", "UNLICENSED",
+    "SEE LICENSE IN LICENSE", "https://opensource.org/licenses/MIT",
+    "0123456789abcdef0123456789abcdef", "Proprietary",
+]
+# Precedence differs from text order: 10 > 2, beta.11 > beta.2, alpha < alpha.1.
+_CHANGE_VERSIONS = [
+    "0.9.0", "1.0.0-alpha", "1.0.0-alpha.1", "1.0.0-beta.2", "1.0.0-beta.11", "1.0.0",
+    "1.0.1", "1.1.0", "2.0.0-rc.1", "2.0.0", "10.0.0",
+]
+
+
+def _change_history(rng: random.Random) -> list[VersionRecord]:
+    """Shuffled versions of a few packages, some with build metadata, on random dates."""
+    rows = []
+    for package in ("a", "b", "c", "@s/d"):
+        for version in rng.sample(_CHANGE_VERSIONS, rng.randint(1, len(_CHANGE_VERSIONS))):
+            version += rng.choice(["", "", "+build.1"])
+            date = dt.date(2015, 1, 1) + dt.timedelta(days=rng.randrange(3000))
+            rows.append((package, version, date.isoformat(), rng.choice(_CHANGE_LICENSES)))
+    rng.shuffle(rows)
+    return _records(*rows)
+
+
+class TestLicenseChangesOracle:
+    @pytest.mark.parametrize("table", ["bundled", "empty"])
+    def test_seeded_histories_equal_oracle(self, table, aliases, known):
+        table = aliases if table == "bundled" else AliasTable()
+        classifications = Counter()
+        for seed in range(200):
+            records = _change_history(random.Random(seed))
+            changes = license_changes(records, table, known)
+            assert changes == oracle_license_changes(records, table, known), seed
+            classifications.update(c.classification for c in changes)
+        moves = {"permissive-to-copyleft", "copyleft-to-permissive", "involving-unresolvable"}
+        assert moves <= classifications.keys()
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.sampled_from(_CHANGE_VERSIONS),
+                st.integers(0, 3000),
+                st.sampled_from(_CHANGE_LICENSES),
+            ),
+            unique_by=lambda row: row[:2],
+            max_size=20,
+        )
+    )
+    def test_histories_equal_oracle_hypothesis(self, aliases, known, rows):
+        records = _records(
+            *(
+                (package, version, (dt.date(2015, 1, 1) + dt.timedelta(days)).isoformat(), raw)
+                for package, version, days, raw in rows
+            )
+        )
+        assert license_changes(records, aliases, known) == oracle_license_changes(
+            records, aliases, known
+        )
 
 
 def _seeded_snapshot(rng: random.Random) -> str:

@@ -17,54 +17,54 @@ def line(pkg, ver, date, license_raw, deps=""):
     return "\t".join((pkg, ver, date, license_raw, deps))
 
 
-def _scan_text(text, seed_dataset, aliases, strict=False):
+def _scan_text(text, seed_dataset, aliases, known, strict=False):
     records = parse_snapshot_text(text)
     graph = build_graph(records)
-    return scan(graph, records, seed_dataset, strict, aliases), graph, records
+    return scan(graph, records, seed_dataset, strict, aliases, known), graph, records
 
 
 class TestScanFixtures:
-    def test_single_c1_edge(self, seed_dataset, aliases):
+    def test_single_c1_edge(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("web-framework", "1.0.0", "2021-01-01", "MIT", "styles@^1.0.0"),
                 line("styles", "1.2.0", "2020-06-01", "CC-BY-4.0"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.total_edges == 1
         assert report.edges_with_findings[ConflictType.C1] == 1
         assert report.edges_with_findings[ConflictType.C3] == 0
         rows = rank_pairs(report, 10)
         assert rows[ConflictType.C1] == (("MIT", "CC-BY-4.0", 1),)
 
-    def test_single_c2_edge_no_c1_c3(self, seed_dataset, aliases):
+    def test_single_c2_edge_no_c1_c3(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("tool", "2.0.0", "2021-01-01", "MIT", "engine@*"),
                 line("engine", "5.0.0", "2020-01-01", "Apache-2.0"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.edges_with_findings[ConflictType.C1] == 0
         assert report.edges_with_findings[ConflictType.C2] == 1
         assert report.edges_with_findings[ConflictType.C3] == 0
         assert report.conflicted_edges == 1
 
-    def test_edge_with_two_types_counted_in_each(self, seed_dataset, aliases):
+    def test_edge_with_two_types_counted_in_each(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("tool", "1.0.0", "2021-01-01", "MIT", "lib@1.0.0"),
                 line("lib", "1.0.0", "2020-01-01", "GPL-3.0-only"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.edges_with_findings[ConflictType.C1] == 1
         assert report.edges_with_findings[ConflictType.C2] == 1
         assert report.edges_with_findings[ConflictType.C3] == 1
         assert report.conflicted_edges == 1  # the union counts edges once
 
-    def test_unresolvable_endpoint_is_unknown_edge(self, seed_dataset, aliases):
+    def test_unresolvable_endpoint_is_unknown_edge(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("a", "1.0.0", "2021-01-01", "SEE LICENSE IN LICENSE.txt", "b@*"),
@@ -72,20 +72,20 @@ class TestScanFixtures:
                 line("c", "1.0.0", "2021-01-01", "UNLICENSED"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.total_edges == 2
         assert report.unknown_license_edges == 2
         assert report.conflicted_edges == 0
         assert all(n == 0 for n in report.edges_with_findings.values())
 
-    def test_unknown_id_edge_is_conflict_free_with_warning(self, seed_dataset, aliases):
+    def test_unknown_id_edge_is_conflict_free_with_warning(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("a", "1.0.0", "2021-01-01", "MIT", "b@*"),
                 line("b", "1.0.0", "2021-01-01", "EPL-2.0"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.unknown_license_edges == 0
         assert report.conflicted_edges == 0
 
@@ -98,7 +98,7 @@ class TestScanFixtures:
                 line("z", "3.0.0", "2020-01-01", "MPL-2.0", "x@^1.0.0"),
             ]
         )
-        report, graph, records = _scan_text(text, seed_dataset, aliases)
+        report, graph, records = _scan_text(text, seed_dataset, aliases, known)
         license_of = {(r.package, str(r.version)): r.license_raw for r in records}
         recheck = {ctype: 0 for ctype in ConflictType}
         for edge in graph.edges:
@@ -114,7 +114,7 @@ class TestScanFixtures:
 
 
 class TestUsage:
-    def test_latest_version_per_year(self, seed_dataset, aliases):
+    def test_latest_version_per_year(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("pkg", "1.0.0", "2020-02-01", "MIT"),
@@ -123,14 +123,14 @@ class TestUsage:
                 line("other", "0.1.0", "2020-05-05", "UNLICENSED"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.usage == {
             (2020, "ISC"): 1,
             (2020, NO_LICENSE_BUCKET): 1,
             (2021, "ISC"): 1,
         }
 
-    def test_publish_date_wins_over_semver_within_year(self, seed_dataset, aliases):
+    def test_publish_date_wins_over_semver_within_year(self, seed_dataset, aliases, known):
         # A backported patch published later in the year is still the
         # year's latest release.
         text = "\n".join(
@@ -139,37 +139,37 @@ class TestUsage:
                 line("pkg", "1.9.9", "2020-11-01", "ISC"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.usage == {(2020, "ISC"): 1}
 
-    def test_expression_bucket_uses_canonical_rendering(self, seed_dataset, aliases):
+    def test_expression_bucket_uses_canonical_rendering(self, seed_dataset, aliases, known):
         text = line("pkg", "1.0.0", "2020-01-01", "(mit or apache-2.0)")
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         assert report.usage == {(2020, "MIT OR Apache-2.0"): 1}
 
 
 class TestRankPairs:
-    def test_k_larger_than_pairs(self, seed_dataset, aliases):
+    def test_k_larger_than_pairs(self, seed_dataset, aliases, known):
         text = "\n".join(
             [
                 line("a", "1.0.0", "2021-01-01", "MIT", "b@*"),
                 line("b", "1.0.0", "2021-01-01", "Apache-2.0"),
             ]
         )
-        report, _, _ = _scan_text(text, seed_dataset, aliases)
+        report, _, _ = _scan_text(text, seed_dataset, aliases, known)
         rows = rank_pairs(report, 50)
         assert rows[ConflictType.C2] == (("MIT", "Apache-2.0", 1),)
 
-    def test_empty_report(self, seed_dataset, aliases):
+    def test_empty_report(self, seed_dataset, aliases, known):
         report, _, _ = _scan_text(
-            line("solo", "1.0.0", "2021-01-01", "MIT"), seed_dataset, aliases
+            line("solo", "1.0.0", "2021-01-01", "MIT"), seed_dataset, aliases, known
         )
         rows = rank_pairs(report, 10)
         for ctype in ConflictType:
             assert rows[ctype] == ()
             assert report.edges_with_findings[ctype] == 0
 
-    def test_rank_by_count_then_name(self, seed_dataset, aliases):
+    def test_rank_by_count_then_name(self, seed_dataset, aliases, known):
         rows = [
             line("a1", "1.0.0", "2021-01-01", "MIT", "apache1@*;apache2@*"),
             line("a2", "1.0.0", "2021-01-01", "MIT", "apache1@*"),
@@ -177,22 +177,22 @@ class TestRankPairs:
             line("apache1", "1.0.0", "2020-01-01", "Apache-2.0"),
             line("apache2", "1.0.0", "2020-01-01", "Apache-2.0"),
         ]
-        report, _, _ = _scan_text("\n".join(rows), seed_dataset, aliases)
+        report, _, _ = _scan_text("\n".join(rows), seed_dataset, aliases, known)
         rows = rank_pairs(report, 10)
         assert rows[ConflictType.C2] == (
             ("MIT", "Apache-2.0", 3),
             ("ISC", "Apache-2.0", 1),
         )
 
-    def test_invalid_k(self, seed_dataset, aliases):
+    def test_invalid_k(self, seed_dataset, aliases, known):
         report, _, _ = _scan_text(
-            line("solo", "1.0.0", "2021-01-01", "MIT"), seed_dataset, aliases
+            line("solo", "1.0.0", "2021-01-01", "MIT"), seed_dataset, aliases, known
         )
         with pytest.raises(ValueError):
             rank_pairs(report, 0)
 
 
-def test_scan_deterministic(seed_dataset, aliases):
+def test_scan_deterministic(seed_dataset, aliases, known):
     text = "\n".join(
         [
             line("a", "1.0.0", "2021-01-01", "MIT", "b@*;c@*"),
@@ -200,12 +200,12 @@ def test_scan_deterministic(seed_dataset, aliases):
             line("c", "1.0.0", "2021-01-01", "GPL-3.0-only"),
         ]
     )
-    first, _, _ = _scan_text(text, seed_dataset, aliases)
-    second, _, _ = _scan_text(text, seed_dataset, aliases)
+    first, _, _ = _scan_text(text, seed_dataset, aliases, known)
+    second, _, _ = _scan_text(text, seed_dataset, aliases, known)
     assert first == second
 
 
-def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, monkeypatch):
+def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, known, monkeypatch):
     # Edges are counted by integer outcome ids, so a per-edge hash of a
     # Semver or an And/Or tree must not come back.
     text = "\n".join(
@@ -220,7 +220,7 @@ def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, monkey
     )
     records = parse_snapshot_text(text)
     graph = build_graph(records)
-    expected = scan(graph, records, seed_dataset, False, aliases)
+    expected = scan(graph, records, seed_dataset, False, aliases, known)
     assert expected.conflicted_edges and expected.unknown_license_edges == 1
     assert max(n for pairs in expected.top_pairs.values() for n in pairs.values()) >= 2
 
@@ -231,7 +231,7 @@ def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, monkey
         monkeypatch.setattr(cls, "__hash__", unhashable)
     with pytest.raises(AssertionError):
         hash(records[0].version)
-    assert scan(graph, records, seed_dataset, False, aliases) == expected
+    assert scan(graph, records, seed_dataset, False, aliases, known) == expected
 
 
 # Raw licenses for generated graphs: single ids, AND, OR and WITH, an id
@@ -306,7 +306,7 @@ class TestScanOracle:
         _assert_scan_matches_oracle(text, strict, seed_dataset, aliases, known)
 
 
-def test_scan_builds_no_finding(seed_dataset, aliases, monkeypatch):
+def test_scan_builds_no_finding(seed_dataset, aliases, known, monkeypatch):
     # scan reads only which conflict types fired, so it spells out no finding.
     calls = []
     real = licterm.conflicts.check_profiles
@@ -320,6 +320,6 @@ def test_scan_builds_no_finding(seed_dataset, aliases, monkeypatch):
             line("gpl", "1.0.0", "2020-01-01", "GPL-3.0-only AND Apache-2.0"),
         ]
     )
-    report, _, _ = _scan_text(text, seed_dataset, aliases)
+    report, _, _ = _scan_text(text, seed_dataset, aliases, known)
     assert report.conflicted_edges == 2  # MIT may depend on MIT OR ISC
     assert calls == []
