@@ -4,9 +4,12 @@ Exit codes: 0 success or no conflict, 2 usage error, 3 unresolvable
 input or too many OR choices to check, 4 conflicts found, 5 data
 error. The bundled dataset and alias table are used unless overridden
 with ``--dataset`` / ``--aliases`` or the ``LICTERM_DATASET``
-environment variable. ``--format records`` emits one JSON object per
-line for piping; table output is for humans. Identical invocations
-produce byte-identical output.
+environment variable; an empty path given to either flag is a usage
+error. Each command walks its items once and gives ``_out`` each item's
+JSON record and table line, so ``--format records`` (one JSON object per
+line, for piping) emits the items of the human table in its order;
+headers are table-only, and ``check`` writes its table-format warnings to
+stderr. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import json
 import os
 import sys
 from functools import cached_property
-from itertools import islice
 
 from . import __version__
 from .conflicts import ConflictType, ExpressionTooComplex, build_matrix, check_expressions
@@ -80,31 +82,13 @@ class _Context:
         return bundled_aliases(self.known)
 
 
-def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
-def _finding_record(finding) -> dict:
-    return {
-        "kind": "finding",
-        "type": finding.ctype.value,
-        "term": finding.term.value,
-        "parent": finding.parent_id,
-        "dep": finding.dep_id,
-        "parent_attitude": finding.parent_attitude.value,
-        "dep_attitude": finding.dep_attitude.value,
-    }
-
-
-def _normalize_or_exit(ctx: _Context, raw: str, role: str):
-    outcome = normalize(raw, ctx.aliases, ctx.known)
-    if isinstance(outcome, Unresolvable):
-        print(
-            f"{role} license is unresolvable ({outcome.reason.value}): {raw}",
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_UNRESOLVABLE)
-    return outcome
+def _out(args, record: dict | None, line: str | None) -> None:
+    """Print an item as ``args.format`` asks; ``None`` means no form in that format."""
+    if args.format == "records":
+        if record is not None:
+            print(json.dumps(record, sort_keys=True))
+    elif line is not None:
+        print(line)
 
 
 # --- subcommand handlers -----------------------------------------------------
@@ -136,59 +120,60 @@ def _parenthesized(expr) -> str:
 
 def _cmd_check(args) -> int:
     ctx = _Context(args)
-    parent = _normalize_or_exit(ctx, args.parent, "parent")
-    dep = _normalize_or_exit(ctx, args.dep, "dependency")
-    verdict = check_expressions(parent, dep, ctx.dataset, args.strict_not_mentioned)
-    if args.format == "records":
-        for finding in verdict.findings:
-            _emit(_finding_record(finding))
-        for warning in verdict.warnings:
-            _emit({"kind": "warning", "message": warning})
-        _emit(
-            {
-                "kind": "verdict",
-                "conflict_free": verdict.conflict_free,
-                "parent": str(verdict.parent_choice),
-                "dep": str(verdict.dep_choice),
-                "unknown": list(verdict.unknown_ids),
-            }
-        )
-    else:
+    sides = []
+    for raw, role in ((args.parent, "parent"), (args.dep, "dependency")):
+        outcome = normalize(raw, ctx.aliases, ctx.known)
+        if isinstance(outcome, Unresolvable):
+            reason = outcome.reason.value
+            print(f"{role} license is unresolvable ({reason}): {raw}", file=sys.stderr)
+            return EXIT_UNRESOLVABLE
+        sides.append(outcome)
+    verdict = check_expressions(*sides, ctx.dataset, args.strict_not_mentioned)
+    if args.format == "table":
         for warning in verdict.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if verdict.conflict_free:
-            print(f"no conflicts: {verdict.parent_choice} may depend on {verdict.dep_choice}")
-        else:
-            for finding in verdict.findings:
-                print(explain_finding(finding))
+    for finding in verdict.findings:
+        record = {
+            "kind": "finding",
+            "type": finding.ctype.value,
+            "term": finding.term.value,
+            "parent": finding.parent_id,
+            "dep": finding.dep_id,
+            "parent_attitude": finding.parent_attitude.value,
+            "dep_attitude": finding.dep_attitude.value,
+        }
+        _out(args, record, explain_finding(finding))
+    for warning in verdict.warnings:
+        _out(args, {"kind": "warning", "message": warning}, None)
+    record = {
+        "kind": "verdict",
+        "conflict_free": verdict.conflict_free,
+        "parent": str(verdict.parent_choice),
+        "dep": str(verdict.dep_choice),
+        "unknown": list(verdict.unknown_ids),
+    }
+    line = f"no conflicts: {verdict.parent_choice} may depend on {verdict.dep_choice}"
+    _out(args, record, line if verdict.conflict_free else None)
     return EXIT_OK if verdict.conflict_free else EXIT_CONFLICTS
 
 
 def _cmd_matrix(args) -> int:
     ctx = _Context(args)
     matrix = build_matrix(ctx.dataset, args.strict_not_mentioned)
-    if args.format == "records":
-        _emit(
-            {
-                "kind": "totals",
-                **{
-                    f"{ctype.value.lower()}_pairs": matrix.pairs[ctype]
-                    for ctype in ConflictType
-                },
-            }
+    pairs = {ctype.value: matrix.pairs[ctype] for ctype in ConflictType}
+    _out(
+        args,
+        {"kind": "totals", **{f"{t.lower()}_pairs": n for t, n in pairs.items()}},
+        "conflicting ordered pairs: " + " ".join(f"{t}={n}" for t, n in pairs.items()),
+    )
+    _out(args, None, f"{'license':<24} {'C1':>5} {'C2':>5} {'C3':>5}")
+    for spdx_id in sorted(matrix.degrees):
+        c1, c2, c3 = matrix.degrees[spdx_id]
+        _out(
+            args,
+            {"kind": "degree", "id": spdx_id, "c1": c1, "c2": c2, "c3": c3},
+            f"{spdx_id:<24} {c1:>5} {c2:>5} {c3:>5}",
         )
-        for spdx_id in sorted(matrix.degrees):
-            c1, c2, c3 = matrix.degrees[spdx_id]
-            _emit({"kind": "degree", "id": spdx_id, "c1": c1, "c2": c2, "c3": c3})
-    else:
-        print(
-            "conflicting ordered pairs: "
-            + " ".join(f"{ctype.value}={matrix.pairs[ctype]}" for ctype in ConflictType)
-        )
-        print(f"{'license':<24} {'C1':>5} {'C2':>5} {'C3':>5}")
-        for spdx_id in sorted(matrix.degrees):
-            c1, c2, c3 = matrix.degrees[spdx_id]
-            print(f"{spdx_id:<24} {c1:>5} {c2:>5} {c3:>5}")
     return EXIT_OK
 
 
@@ -202,22 +187,14 @@ def _cmd_mine(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     patterns = [p for p in patterns if len(p.items) >= args.min_size]
-    if args.format == "records":
-        for p in patterns:
-            _emit(
-                {
-                    "kind": "pattern",
-                    "items": list(p.sorted_items()),
-                    "support": p.support_count,
-                    "licenses": list(p.sorted_ids()),
-                }
-            )
-    else:
-        print(f"{len(patterns)} patterns (min support {args.min_support})")
-        for p in patterns:
-            items = " ".join(p.sorted_items())
-            sample = ", ".join(islice(p.sorted_ids(), 4))
-            print(f"{p.support_count:>4}  {items}  [{sample}]")
+    _out(args, None, f"{len(patterns)} patterns (min support {args.min_support})")
+    for p in patterns:
+        items, ids = p.sorted_items(), list(p.sorted_ids())
+        _out(
+            args,
+            {"kind": "pattern", "items": list(items), "support": p.support_count, "licenses": ids},
+            f"{p.support_count:>4}  {' '.join(items)}  [{', '.join(ids[:4])}]",
+        )
     return EXIT_OK
 
 
@@ -225,10 +202,7 @@ def _cmd_ingest(args) -> int:
     records = parse_snapshot(args.snapshot)
     graph = build_graph(records)
     write_graph(graph, records, args.output)
-    print(
-        f"nodes={len(records)} edges={len(graph.edges)} "
-        f"unresolved={len(graph.unresolved)}"
-    )
+    print(f"nodes={len(records)} edges={len(graph.edges)} unresolved={len(graph.unresolved)}")
     return EXIT_OK
 
 
@@ -236,77 +210,58 @@ def _cmd_changes(args) -> int:
     ctx = _Context(args)
     records = parse_snapshot(args.snapshot)
     changes = license_changes(records, ctx.aliases, ctx.known)
-    if args.format == "records":
-        for c in changes:
-            _emit(
-                {
-                    "kind": "change",
-                    "package": c.package,
-                    "from": str(c.from_outcome),
-                    "to": str(c.to_outcome),
-                    "at_version": str(c.at_version),
-                    "classification": c.classification,
-                }
-            )
-    else:
-        print(f"{len(changes)} license changes")
-        for c in changes:
-            print(
-                f"{c.package} {c.from_outcome} -> {c.to_outcome} "
-                f"at {c.at_version} [{c.classification}]"
-            )
+    _out(args, None, f"{len(changes)} license changes")
+    for c in changes:
+        old, new, version = str(c.from_outcome), str(c.to_outcome), str(c.at_version)
+        _out(
+            args,
+            {
+                "kind": "change",
+                "package": c.package,
+                "from": old,
+                "to": new,
+                "at_version": version,
+                "classification": c.classification,
+            },
+            f"{c.package} {old} -> {new} at {version} [{c.classification}]",
+        )
     return EXIT_OK
 
 
 def _cmd_scan(args) -> int:
     ctx = _Context(args)
     graph, records = read_graph(args.graph)
-    report = scan(
-        graph, records, ctx.dataset, args.strict_not_mentioned, ctx.aliases, ctx.known
-    )
+    report = scan(graph, records, ctx.dataset, args.strict_not_mentioned, ctx.aliases, ctx.known)
     rows = rank_pairs(report, args.top)
-    if args.format == "records":
-        _emit(
-            {
-                "kind": "summary",
-                "total_edges": report.total_edges,
-                "conflicted_edges": report.conflicted_edges,
-                "unknown_license_edges": report.unknown_license_edges,
-                **{
-                    f"{ctype.value.lower()}_edges": report.edges_with_findings[ctype]
-                    for ctype in ConflictType
-                },
-            }
-        )
-        for ctype in ConflictType:
-            for parent, dep, count in rows[ctype]:
-                _emit(
-                    {
-                        "kind": "pair",
-                        "type": ctype.value,
-                        "parent": parent,
-                        "dep": dep,
-                        "edges": count,
-                    }
-                )
-        for (year, bucket), count in sorted(report.usage.items()):
-            _emit({"kind": "usage", "year": year, "license": bucket, "count": count})
-    else:
-        print(
-            f"edges={report.total_edges} conflicted={report.conflicted_edges} "
-            + " ".join(
-                f"{ctype.value}={report.edges_with_findings[ctype]}"
-                for ctype in ConflictType
+    per_type = {ctype.value: report.edges_with_findings[ctype] for ctype in ConflictType}
+    _out(
+        args,
+        {
+            "kind": "summary",
+            "total_edges": report.total_edges,
+            "conflicted_edges": report.conflicted_edges,
+            "unknown_license_edges": report.unknown_license_edges,
+            **{f"{t.lower()}_edges": n for t, n in per_type.items()},
+        },
+        f"edges={report.total_edges} conflicted={report.conflicted_edges} "
+        + " ".join(f"{t}={n}" for t, n in per_type.items())
+        + f" unknown-license={report.unknown_license_edges}",
+    )
+    for ctype in ConflictType:
+        _out(args, None, f"top {ctype.value} pairs (total {per_type[ctype.value]}):")
+        for parent, dep, count in rows[ctype]:
+            _out(
+                args,
+                {"kind": "pair", "type": ctype.value, "parent": parent, "dep": dep, "edges": count},
+                f"  {parent} -> {dep}: {count}",
             )
-            + f" unknown-license={report.unknown_license_edges}"
+    _out(args, None, "usage by year:")
+    for (year, bucket), count in sorted(report.usage.items()):
+        _out(
+            args,
+            {"kind": "usage", "year": year, "license": bucket, "count": count},
+            f"  {year} {bucket}: {count}",
         )
-        for ctype in ConflictType:
-            print(f"top {ctype.value} pairs (total {report.edges_with_findings[ctype]}):")
-            for parent, dep, count in rows[ctype]:
-                print(f"  {parent} -> {dep}: {count}")
-        print("usage by year:")
-        for (year, bucket), count in sorted(report.usage.items()):
-            print(f"  {year} {bucket}: {count}")
     return EXIT_CONFLICTS if report.conflicted_edges else EXIT_OK
 
 
@@ -318,10 +273,7 @@ def _cmd_explain(args) -> int:
         return EXIT_UNRESOLVABLE
     profile = ctx.dataset.profiles.get(outcome.id)
     if profile is None:
-        print(
-            f"{outcome.id} is a known id but has no profile in the dataset",
-            file=sys.stderr,
-        )
+        print(f"{outcome.id} is a known id but has no profile in the dataset", file=sys.stderr)
         return EXIT_UNRESOLVABLE
     if outcome.or_later or outcome.exception:
         print(f"warning: {outcome} is not modeled; showing the base license", file=sys.stderr)
@@ -338,9 +290,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _path(text: str) -> str:
+    if not text:  # would read as "not given" and fall back to other data
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dataset", help=f"dataset file (default: bundled; ${DATASET_ENV})")
-    sub.add_argument("--aliases", help="alias table file (default: bundled)")
+    dataset_help = f"dataset file (default: bundled; ${DATASET_ENV})"
+    sub.add_argument("--dataset", type=_path, help=dataset_help)
+    sub.add_argument("--aliases", type=_path, help="alias table file (default: bundled)")
 
 
 def _add_format_flag(sub: argparse.ArgumentParser) -> None:
@@ -428,8 +387,6 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         code = args.func(args)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (ExpressionTooComplex, LictermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNRESOLVABLE if isinstance(exc, ExpressionTooComplex) else EXIT_DATA

@@ -32,9 +32,12 @@ class InvalidThreshold(ValueError):
 @dataclass(frozen=True)
 class FrequentPattern:
     items: frozenset[str]
-    support_count: int
     support: int  # bit i set: licenses[i] supports the itemset
     licenses: tuple[str, ...] = field(repr=False)  # sorted ids, one tuple per mine() call
+
+    @property
+    def support_count(self) -> int:
+        return self.support.bit_count()
 
     @cached_property
     def supporting_ids(self) -> frozenset[str]:
@@ -81,7 +84,7 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
         # Each candidate pairs a later item with the bitset of prefix + item.
         for k, (item, support) in enumerate(candidates):
             itemset = prefix | {item}
-            patterns.append(FrequentPattern(itemset, support.bit_count(), support, licenses))
+            patterns.append(FrequentPattern(itemset, support, licenses))
             extend(
                 itemset,
                 [

@@ -6,13 +6,14 @@ exhaustive subset enumeration, dedup compares each pattern with every
 kept one, expression checking tries every left/right assignment of
 every OR node, scanning checks every edge on its own that way, range
 satisfaction re-implements semver precedence from scratch, snapshot
-and graph files are parsed line by line with no memo, and the
+and graph files are parsed line by line with no memo, the
 file-reference pattern is written the direct way, normalization is a
-flat list of rules tried in order, and license changes diff each
-package's sorted records on their own. They share only the data types,
-``Semver.parse``, for normalization the expression parser and the
-registry's and alias table's lookups, and, for scanning and license
-changes, ``normalize``.
+flat list of rules tried in order, license changes diff each
+package's sorted records on their own, and expressions are parsed by a
+shunting-yard loop instead of recursive descent. They share only the
+data types, ``Semver.parse``, for parsing the tokenizer, for
+normalization the expression parser and the registry's and alias
+table's lookups, and, for scanning and license changes, ``normalize``.
 """
 
 import datetime as dt
@@ -22,11 +23,13 @@ from itertools import combinations, product
 
 from licterm.conflicts import ConflictType
 from licterm.expression import (
+    And,
     ExpressionSyntaxError,
     LicenseRef,
     Or,
     Unresolvable,
     UnresolvableReason,
+    _tokenize,
     normalize,
     parse_expression,
     render,
@@ -496,6 +499,77 @@ def oracle_read_graph(text, source="<string>"):
 
     _oracle_parse_lines(text, source, parse_line)
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records
+
+
+_ORACLE_PRECEDENCE = {"OR": 1, "AND": 2}
+
+
+def oracle_parse(raw):
+    """``parse_expression`` as a shunting-yard pass over ``_tokenize``'s tokens.
+
+    One loop over the tokens with an operand stack and an operator stack,
+    no recursion: ``AND`` binds tighter than ``OR``, both fold to the
+    left, and ``WITH`` binds tightest of all, taking the one license just
+    completed (an id, or a parenthesized expression that is a single
+    license) and an exception id without ``+``. A ``WITH`` on a license
+    that already has an exception replaces it. The loop alternates
+    between wanting an operand and wanting an operator, so the first token
+    that fits neither raises :class:`ExpressionSyntaxError` at its offset.
+    """
+    tokens = _tokenize(raw)
+    operands, operators = [], []  # operators holds "AND", "OR" and "("
+
+    def fail(offset):
+        raise ExpressionSyntaxError(raw, offset, ("oracle",))
+
+    def reduce():
+        op, right, left = operators.pop(), operands.pop(), operands.pop()
+        operands.append(And(left, right) if op == "AND" else Or(left, right))
+
+    want_operand, took_exception = True, False
+    i = 0
+    while True:
+        kind, text, offset = tokens[i]
+        i += 1
+        if want_operand:
+            if kind == "(":
+                operators.append("(")
+            elif kind == "ID":
+                or_later = text.endswith("+")
+                operands.append(LicenseRef(text[:-1] if or_later else text, or_later))
+                want_operand, took_exception = False, False
+            else:
+                fail(offset)
+        elif kind == "WITH" and not took_exception:
+            exc_kind, exc_text, exc_offset = tokens[i]
+            license = operands[-1]
+            if exc_kind != "ID" or exc_text.endswith("+") or not isinstance(license, LicenseRef):
+                fail(exc_offset)
+            operands[-1] = LicenseRef(license.id, license.or_later, exc_text)
+            i += 1
+            took_exception = True
+        elif kind in _ORACLE_PRECEDENCE:
+            while operators and operators[-1] != "(" and (
+                _ORACLE_PRECEDENCE[operators[-1]] >= _ORACLE_PRECEDENCE[kind]
+            ):
+                reduce()
+            operators.append(kind)
+            want_operand = True
+        elif kind == ")":
+            while operators and operators[-1] != "(":
+                reduce()
+            if not operators:
+                fail(offset)
+            operators.pop()
+            took_exception = False
+        elif kind == "EOF":
+            while operators and operators[-1] != "(":
+                reduce()
+            if operators:
+                fail(offset)
+            return operands.pop()
+        else:
+            fail(offset)
 
 
 _ORACLE_NO_LICENSE = ("", "unlicensed", "none", "no license", "no-license", "nolicense")

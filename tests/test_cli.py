@@ -3,6 +3,8 @@ import gc
 import hashlib
 import io
 import json
+import random
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -11,9 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from licterm.cli import main
+from licterm.conflicts import ConflictFinding, ConflictType, explain
 from licterm.dataset import Dataset, dumps_dataset
-from licterm.model import TERM_ORDER
+from licterm.model import TERM_ORDER, Attitude, Term
 from licterm.registry import GRAPH_HEADER, read_graph
+
+from conftest import random_profile
 
 
 # 2**13 OR choices against one: past the cap on choice pairs.
@@ -642,6 +647,35 @@ class TestDeterminismAndConfig:
             main(["matrix", "--does-not-exist"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matrix", "--dataset", ""],
+            ["check", "MIT", "ISC", "--dataset="],
+            ["normalize", "mit", "--aliases", ""],
+            ["changes", "{tmp}/snap.dat", "--aliases", ""],
+            ["scan", "{tmp}/graph.dat", "--dataset", ""],
+            ["explain", "MIT", "--dataset", ""],
+        ],
+    )
+    def test_empty_data_path_exits_2(self, capsys, tmp_path, seed_dataset, monkeypatch, argv):
+        # Neither the environment's dataset nor the bundled data stands in.
+        small = Dataset(profiles={"MIT": seed_dataset.profiles["MIT"]}, version="x", provenance="t")
+        (tmp_path / "small.dat").write_text(dumps_dataset(small), encoding="utf-8")
+        monkeypatch.setenv("LICTERM_DATASET", str(tmp_path / "small.dat"))
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        flag = "--dataset" if any(a.startswith("--dataset") for a in argv) else "--aliases"
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"argument {flag}: expected a file path, got ''" in captured.err
+
+    def test_empty_dataset_env_counts_as_unset(self, capsys, monkeypatch):
+        monkeypatch.setenv("LICTERM_DATASET", "")
+        code, out, err = run(capsys, "matrix")
+        assert (code, err) == (0, "")
+        assert out.startswith("conflicting ordered pairs: C1=115 C2=361 C3=101\n")
+
 
 MUTATION_SNAPSHOT = [
     snapshot_line("web", "1.0.0", "2021-04-01", "MIT", "styles@^1.0.0;@scope/ui@~2.1.0;ghost@*"),
@@ -709,3 +743,173 @@ class TestMutatedInputs:
             snapshot.write_text(mutated, encoding="utf-8")
             assert _quiet_main("ingest", snapshot, "-o", graph) in (0, 5)
             assert _quiet_main("changes", snapshot) in (0, 5)
+
+
+# --- table and records formats agree ----------------------------------------
+
+
+def _table_line(record):
+    """The table line of one record, rebuilt independently of the CLI.
+
+    ``None`` for records with no table form (``check``'s warnings, and its
+    verdict when there is a conflict).
+    """
+    kind = record["kind"]
+    types = ("C1", "C2", "C3")
+    if kind == "summary":
+        per_type = " ".join(f"{t}={record[f'{t.lower()}_edges']}" for t in types)
+        return (
+            f"edges={record['total_edges']} conflicted={record['conflicted_edges']} "
+            f"{per_type} unknown-license={record['unknown_license_edges']}"
+        )
+    if kind == "pair":
+        return f"  {record['parent']} -> {record['dep']}: {record['edges']}"
+    if kind == "usage":
+        return f"  {record['year']} {record['license']}: {record['count']}"
+    if kind == "totals":
+        return "conflicting ordered pairs: " + " ".join(
+            f"{t}={record[f'{t.lower()}_pairs']}" for t in types
+        )
+    if kind == "degree":
+        c1, c2, c3 = record["c1"], record["c2"], record["c3"]
+        return f"{record['id']:<24} {c1:>5} {c2:>5} {c3:>5}"
+    if kind == "pattern":
+        sample = ", ".join(record["licenses"][:4])
+        return f"{record['support']:>4}  {' '.join(record['items'])}  [{sample}]"
+    if kind == "change":
+        return (
+            f"{record['package']} {record['from']} -> {record['to']} "
+            f"at {record['at_version']} [{record['classification']}]"
+        )
+    if kind == "finding":
+        finding = ConflictFinding(
+            ConflictType(record["type"]),
+            Term(record["term"]),
+            record["parent"],
+            record["dep"],
+            Attitude(record["parent_attitude"]),
+            Attitude(record["dep_attitude"]),
+        )
+        return explain(finding)
+    if kind == "verdict" and record["conflict_free"]:
+        return f"no conflicts: {record['parent']} may depend on {record['dep']}"
+    assert kind in ("warning", "verdict"), kind
+    return None
+
+
+# Table lines that head a group of items and have no record.
+_TABLE_HEADERS = re.compile(
+    r"top C[123] pairs \(total \d+\):|usage by year:|license +C1 +C2 +C3"
+    r"|\d+ patterns \(min support \d+\)|\d+ license changes"
+)
+
+_FORMAT_LICENSES = (
+    "MIT", "mit", "Apache-2.0", "GPL-3.0-only", "GPL-2.0+", "CC-BY-4.0", "ISC",
+    "MIT OR GPL-3.0-only", "LGPL-2.1-only AND MIT", "GPL-2.0-only WITH Classpath-exception-2.0",
+    "SEE LICENSE IN LICENSE", "UNLICENSED", "Foo-1.0", "BSD-3-Clause", "MPL-2.0",
+)
+
+
+def _format_snapshot(rng):
+    """A small seeded snapshot: 12 packages, a few versions each, license moves,
+    and one fixed conflicting edge."""
+    lines = [
+        snapshot_line("app", "1.0.0", "2020-01-01", "MIT", "cc@*"),
+        snapshot_line("cc", "1.0.0", "2019-01-01", "CC-BY-4.0"),
+    ]
+    names = [f"pkg{i}" for i in range(12)]
+    for name in names:
+        license_raw = rng.choice(_FORMAT_LICENSES)
+        for minor in range(rng.randint(1, 4)):
+            if rng.random() < 0.3:
+                license_raw = rng.choice(_FORMAT_LICENSES)
+            deps = ";".join(f"{d}@*" for d in rng.sample(names, rng.randint(0, 3)) if d != name)
+            date = f"{2018 + minor}-0{rng.randint(1, 9)}-1{rng.randint(0, 9)}"
+            lines.append(snapshot_line(name, f"1.{minor}.0", date, license_raw, deps))
+    return "\n".join(lines) + "\n"
+
+
+def _small_catalog(rng, tmp_path):
+    ds = Dataset(
+        profiles={f"T-{i}.0": random_profile(rng, f"T-{i}.0") for i in range(30)},
+        version="x",
+        provenance="test",
+    )
+    path = tmp_path / "catalog.dat"
+    path.write_text(dumps_dataset(ds), encoding="utf-8")
+    return str(path)
+
+
+class TestFormatsAgree:
+    """Each table line that carries an item equals the line rebuilt from
+    its record, in the same order; headers are the only table-only lines."""
+
+    def _assert_agree(self, capsys, argv):
+        code, table, table_err = run(capsys, *argv, "--format", "table")
+        records_code, records_out, records_err = run(capsys, *argv, "--format", "records")
+        assert code == records_code
+        records = [json.loads(line) for line in records_out.splitlines()]
+        rebuilt = [line for line in map(_table_line, records) if line is not None]
+        items = [line for line in table.splitlines() if not _TABLE_HEADERS.fullmatch(line)]
+        assert items == rebuilt
+        # check's warnings: records on stdout in one format, stderr in the other.
+        warnings = [r["message"] for r in records if r["kind"] == "warning"]
+        assert table_err == "".join(f"warning: {w}\n" for w in warnings)
+        assert records_err == ""
+        return table, records
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_scan_and_changes(self, capsys, tmp_path, seed, strict):
+        snapshot, graph = tmp_path / "snap.tsv", tmp_path / "graph.dat"
+        snapshot.write_text(_format_snapshot(random.Random(seed)), encoding="utf-8")
+        assert run(capsys, "ingest", str(snapshot), "-o", str(graph))[0] == 0
+        flags = ["--strict-not-mentioned"] if strict else []
+        for top in ("10", "2"):
+            table, records = self._assert_agree(capsys, ["scan", str(graph), "--top", top, *flags])
+            kinds = [r["kind"] for r in records]
+            assert {"summary", "pair", "usage"} <= set(kinds)
+        table, records = self._assert_agree(capsys, ["changes", str(snapshot)])
+        assert table.splitlines()[0] == f"{len(records)} license changes"
+        assert records
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matrix(self, capsys, tmp_path, strict):
+        flags = ["--strict-not-mentioned"] if strict else []
+        catalog = _small_catalog(random.Random(3), tmp_path)
+        for data in ([], ["--dataset", catalog]):
+            _, records = self._assert_agree(capsys, ["matrix", *flags, *data])
+            assert sum(r["kind"] == "degree" for r in records) == (25 if not data else 30)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--min-support", "5"],
+            ["--min-support", "2", "--no-dedup", "--min-size", "3"],
+            ["--min-support", "8", "--jaccard", "1.0"],
+        ],
+    )
+    def test_mine(self, capsys, tmp_path, argv):
+        catalog = _small_catalog(random.Random(4), tmp_path)
+        for data in ([], ["--dataset", catalog]):
+            table, records = self._assert_agree(capsys, ["mine", *argv, *data])
+            assert records and all(r["kind"] == "pattern" for r in records)
+            assert table.splitlines()[0].startswith(f"{len(records)} patterns")
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize(
+        "parent, dep",
+        [
+            ("MIT", "CC-BY-4.0"),
+            ("MIT", "MIT"),
+            ("MIT OR GPL-3.0-only", "GPL-2.0-only"),
+            ("Apache-2.0", "GPL-2.0-only AND MIT"),
+            ("MIT", "GPL-2.0-only WITH Classpath-exception-2.0"),
+            ("GPL-3.0-only", "GPL-2.0-only"),
+            ("GPL-2.0+", "Apache-2.0"),
+            ("mit", "apache2"),
+        ],
+    )
+    def test_check(self, capsys, parent, dep, strict):
+        flags = ["--strict-not-mentioned"] if strict else []
+        self._assert_agree(capsys, ["check", parent, dep, *flags])

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -24,7 +25,12 @@ from licterm.expression import (
 )
 
 from conftest import random_expression
-from oracles import ORACLE_FILE_REF_RE, oracle_check_expressions, oracle_normalize
+from oracles import (
+    ORACLE_FILE_REF_RE,
+    oracle_check_expressions,
+    oracle_normalize,
+    oracle_parse,
+)
 
 
 class TestParse:
@@ -361,3 +367,108 @@ class TestFileReferencePattern:
         start = time.perf_counter()
         assert _FILE_REF_RE.search(text) is None
         assert time.perf_counter() - start < 1.0
+
+
+# Token texts for generated strings: ids with and without '+', an exception
+# id, every operator and both parentheses.
+_PARSE_PIECES = (
+    "MIT", "Apache-2.0", "GPL-2.0+", "Classpath-exception-2.0", "AND", "OR", "WITH", "(", ")",
+)
+
+
+def _parse_outcome(parse, raw):
+    """The tree ``parse`` builds, or ``("error", offset)`` of its syntax error."""
+    try:
+        return parse(raw)
+    except ExpressionSyntaxError as exc:
+        return ("error", exc.offset)
+
+
+class TestParserOracle:
+    """``parse_expression`` against the shunting-yard ``oracle_parse``."""
+
+    def test_seeded_token_strings_equal_oracle(self):
+        # Half are random pieces; half are the tokens of a tree with up to
+        # two pieces inserted, deleted or replaced, so most are near misses.
+        rng = random.Random(20)
+        trees = errors = 0
+        for _ in range(5000):
+            if rng.random() < 0.5:
+                pieces = [rng.choice(_PARSE_PIECES) for _ in range(rng.randint(0, 12))]
+            else:
+                text = _parenthesize_randomly(rng, random_expression(rng))
+                pieces = re.findall(r"[()]|[^\s()]+", text)
+                for _ in range(rng.randint(0, 2)):
+                    at = rng.randint(0, len(pieces))
+                    edit = rng.choice(("insert", "delete", "replace"))
+                    if edit != "insert":
+                        del pieces[at:at + 1]
+                    if edit != "delete":
+                        pieces.insert(at, rng.choice(_PARSE_PIECES))
+            # An empty gap glues neighbours into one id token, such as "MITAND".
+            raw = "".join(p + rng.choice(("", " ", " ", "  ")) for p in pieces)
+            got = _parse_outcome(parse_expression, raw)
+            assert got == _parse_outcome(oracle_parse, raw), raw
+            if isinstance(got, tuple):
+                errors += 1
+            else:
+                trees += 1
+        assert trees > 200 and errors > 200
+
+    def test_seeded_trees_equal_oracle(self):
+        # Rendered trees, with optional extra parentheses around every operand.
+        rng = random.Random(21)
+        for _ in range(500):
+            tree = random_expression(rng)
+            assert oracle_parse(render(tree)) == parse_expression(render(tree)) == tree
+            noisy = _parenthesize_randomly(rng, tree)
+            assert oracle_parse(noisy) == parse_expression(noisy) == tree, noisy
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "MIT OR Apache-2.0 AND ISC",
+            "MIT AND Apache-2.0 OR ISC AND Zlib",
+            "A WITH B AND C OR D",
+            "(MIT) WITH Classpath-exception-2.0",
+            "(MIT WITH A) WITH B",
+            "(MIT OR ISC) WITH A",
+            "MIT WITH A WITH B",
+            "MIT WITH GPL-2.0+",
+            "((MIT)",
+            "MIT)",
+            "MIT ( ISC",
+            "AND",
+            "",
+        ],
+    )
+    def test_edge_cases_equal_oracle(self, raw):
+        assert _parse_outcome(parse_expression, raw) == _parse_outcome(oracle_parse, raw)
+
+    @given(
+        st.one_of(
+            st.builds(
+                lambda pieces, gaps: "".join(map("".join, zip(pieces, gaps))),
+                st.lists(st.sampled_from(_PARSE_PIECES), max_size=16),
+                st.lists(st.sampled_from(("", " ", "\t")), min_size=16, max_size=16),
+            ),
+            # Operator chains such as "ID0 WITH X AND ID1 OR Z": all valid.
+            st.lists(st.sampled_from(("AND", "OR", "WITH X AND")), max_size=7).map(
+                lambda ops: "".join(f"ID{i} {op} " for i, op in enumerate(ops)) + "Z"
+            ),
+        )
+    )
+    def test_token_strings_equal_oracle_hypothesis(self, raw):
+        assert _parse_outcome(parse_expression, raw) == _parse_outcome(oracle_parse, raw)
+
+
+def _parenthesize_randomly(rng, tree) -> str:
+    if isinstance(tree, LicenseRef):
+        text = render(tree)
+        return f"({text})" if rng.random() < 0.3 else text
+    op = "AND" if isinstance(tree, And) else "OR"
+    text = (
+        f"({_parenthesize_randomly(rng, tree.left)}) {op} "
+        f"({_parenthesize_randomly(rng, tree.right)})"
+    )
+    return f"({text})" if rng.random() < 0.3 else text

@@ -1,0 +1,82 @@
+"""Every module of the package uses each name it imports.
+
+``__init__.py`` is exempt: its imports are the package's exports. A name
+counts as used when it appears as a ``Name`` (which covers the base of an
+``Attribute``) or inside a quoted annotation such as ``"AliasTable"``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "licterm"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name an import binds, with the line of its import."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return sorted((line, name) for name, line in _imported_names(tree).items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestUnusedImports:
+    def test_names_an_unused_import_with_its_line(self):
+        source = "import os\nfrom itertools import islice, chain\n\nchain()\n"
+        assert unused_imports(source) == [(1, "os"), (2, "islice")]
+
+    def test_attribute_base_and_quoted_annotation_count_as_uses(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import os.path\n"
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n"
+            "    from .dataset import AliasTable\n"
+            "def f(table: 'AliasTable | None' = None) -> str:\n"
+            "    return os.path.sep\n"
+        )
+        assert unused_imports(source) == []
+
+    def test_the_package_has_modules_to_check(self):
+        assert {"cli.py", "expression.py", "mining.py"} <= {p.name for p in MODULES}

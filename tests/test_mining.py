@@ -158,9 +158,7 @@ class TestMine:
         patterns = mine(seed_dataset, 10)
         longest = max(patterns, key=lambda p: len(p.items))
         first = longest.support & -longest.support  # the lowest supporting id
-        wrong_ids = replace(
-            longest, support=longest.support ^ first, support_count=longest.support_count - 1
-        )
+        wrong_ids = replace(longest, support=longest.support ^ first)
         for broken in (
             [p for p in patterns if p is not longest],
             [p for p in patterns if p is not patterns[-1]],
@@ -203,11 +201,10 @@ TEST_LICENSES = tuple(
 _TEST_BITS = {spdx_id: i for i, spdx_id in enumerate(TEST_LICENSES)}
 
 
-def _pattern(items, ids, support_count=None):
-    """A hand-built pattern over TEST_LICENSES; support_count defaults to len(ids)."""
+def _pattern(items, ids):
+    """A hand-built pattern over TEST_LICENSES, supported by ``ids``."""
     support = sum(1 << _TEST_BITS[i] for i in set(ids))
-    count = support.bit_count() if support_count is None else support_count
-    return FrequentPattern(frozenset(items), count, support, TEST_LICENSES)
+    return FrequentPattern(frozenset(items), support, TEST_LICENSES)
 
 
 class TestDedup:
@@ -254,13 +251,6 @@ class TestDedup:
         large = _pattern([D_CAN, SUB_CAN], base)
         assert dedup_similar([small, large], 0.07) == [large]
         assert dedup_similar([large, small], 0.07) == [large]
-
-    def test_buckets_by_supporting_set_not_support_count(self):
-        # The two disagree on hand-built patterns; only the set decides.
-        small = _pattern([D_CAN], "ABCD", support_count=1)
-        large = _pattern([D_CAN, SUB_CAN], "ABCD", support_count=50)
-        assert dedup_similar([small, large], 0.9) == [large]
-        assert dedup_similar([large, small], 0.9) == [large]
 
     @pytest.mark.parametrize("jaccard_min", [0.3, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize(
@@ -322,7 +312,6 @@ _hand_built_patterns = st.builds(
     st.frozensets(st.sampled_from([D_CAN, SUB_CAN, "modify=can"])),
     st.frozensets(st.sampled_from("ABCDEFGH"), max_size=8)
     | st.frozensets(st.sampled_from("ABCD"), max_size=3),
-    st.integers(0, 9),  # need not be len(supporting_ids)
 )
 
 
