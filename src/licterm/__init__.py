@@ -6,14 +6,7 @@ copyleft conflicts between licenses and across dependency graphs, and
 mines frequent term patterns from license datasets.
 """
 
-from .model import (
-    Attitude,
-    CopyleftClass,
-    LicenseProfile,
-    Term,
-    TermKind,
-    validate_profile,
-)
+from .model import Attitude, CopyleftClass, LicenseProfile, Term, TermKind
 from .dataset import (
     AliasTable,
     Dataset,

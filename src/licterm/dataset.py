@@ -1,4 +1,4 @@
-"""Loading, validating, and persisting the curated license dataset.
+"""Loading, checking, and persisting the curated license dataset.
 
 The dataset file is plain UTF-8 text, one record per license, hand
 editable and diff friendly. A record is a block of ``key: value``
@@ -7,10 +7,11 @@ may be a metadata record carrying ``dataset-version`` and
 ``provenance``. A profile record has ``spdx-id``, ``full-name``,
 ``copyleft``, one line for each of the 22 terms, and an optional
 ``notes`` line. Parsing is strict: unknown keys, duplicate keys, or
-unknown attitude spellings are format errors, and
-:func:`licterm.model.validate_profile` must return no violations for
-any profile. ``Dataset.profiles`` maps each exact, case-sensitive id
-to its profile.
+unknown attitude spellings are format errors, and a profile whose id
+is empty or not made of letters, digits, ``.``, ``-`` and ``+``, that
+lacks a term, or whose term takes an attitude its kind does not allow
+(:data:`licterm.model.ALLOWED_ATTITUDES`) is a validation error.
+``Dataset.profiles`` maps each exact, case-sensitive id to its profile.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
@@ -22,24 +23,30 @@ id. The known-id list uses the same two-column layout
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import FormatError, ValidationError, read_text, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
+    ALLOWED_ATTITUDES,
     Attitude,
     CopyleftClass,
     LicenseProfile,
     TERM_ORDER,
-    validate_profile,
+    Term,
 )
 
 _META_KEYS = ("dataset-version", "provenance")
-_HEADER_KEYS = ("spdx-id", "full-name", "copyleft")
-_TERM_BY_KEY = {t.value: t for t in TERM_ORDER}
+_HEADER_KEYS = ("spdx-id", "full-name", "copyleft", "notes")
 _ATTITUDE_BY_KEY = {a.value: a for a in Attitude}
 _COPYLEFT_BY_KEY = {c.value: c for c in CopyleftClass}
+#: Each term's key -> (term, {spelling: attitude}) over the attitudes its kind allows.
+_TERM_LINES = {
+    t.value: (t, {a.value: a for a in ALLOWED_ATTITUDES[t.kind]}) for t in TERM_ORDER
+}
+_SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
 
 
 @dataclass(frozen=True)
@@ -69,91 +76,124 @@ class AliasTable:
 # ---------------------------------------------------------------------------
 
 
-def _record_blocks(text: str, source: str):
-    """Split file text into blocks of (line_number, key, value) triples."""
-    block: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(split_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped:
-            if block:
-                yield block
-                block = []
-            continue
-        if stripped.startswith("#"):
-            continue
-        if ":" not in stripped:
-            raise FormatError(
-                f"expected 'key: value', got {stripped!r}", source=source, line=lineno
-            )
-        key, _, value = stripped.partition(":")
-        block.append((lineno, key.strip(), value.strip()))
-    if block:
-        yield block
-
-
-def _parse_profile(block: list[tuple[int, str, str]], source: str) -> LicenseProfile:
-    fields: dict[str, str] = {}
-    first_line = block[0][0]
-    for lineno, key, value in block:
-        if key not in _TERM_BY_KEY and key not in _HEADER_KEYS and key != "notes":
-            raise FormatError(f"unknown key {key!r}", source=source, line=lineno)
-        if key in fields:
-            raise FormatError(f"duplicate key {key!r}", source=source, line=lineno)
-        fields[key] = value
-        if key in _TERM_BY_KEY and value not in _ATTITUDE_BY_KEY:
-            raise FormatError(
-                f"unknown attitude {value!r} for {key}", source=source, line=lineno
-            )
+def _profile(
+    fields: dict[str, str],
+    terms: dict[Term, Attitude],
+    wrong_kind: list[str],
+    source: str,
+    line: int,
+) -> LicenseProfile:
+    """The profile of a record whose lines all parsed, or its first record-level fault."""
     for required in ("spdx-id", "copyleft"):
         if required not in fields:
-            raise FormatError(
-                f"record missing {required!r}", source=source, line=first_line
-            )
-    copyleft_raw = fields.get("copyleft", "")
-    if copyleft_raw not in _COPYLEFT_BY_KEY:
-        raise FormatError(
-            f"unknown copyleft class {copyleft_raw!r}", source=source, line=first_line
+            raise FormatError(f"record missing {required!r}", source=source, line=line)
+    copyleft = _COPYLEFT_BY_KEY.get(fields["copyleft"])
+    if copyleft is None:
+        message = f"unknown copyleft class {fields['copyleft']!r}"
+        raise FormatError(message, source=source, line=line)
+    spdx_id = fields["spdx-id"]
+    violations = []
+    if not spdx_id:
+        violations.append("spdx_id: must be non-empty")
+    elif not _SPDX_ID_RE.fullmatch(spdx_id):
+        violations.append(
+            f"spdx_id: {spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
         )
-    terms = {
-        _TERM_BY_KEY[key]: _ATTITUDE_BY_KEY[value]
-        for key, value in fields.items()
-        if key in _TERM_BY_KEY
-    }
+    if len(terms) < len(TERM_ORDER):
+        violations.extend(
+            f"{t.value}: terms mapping not total (key missing)"
+            for t in TERM_ORDER
+            if t not in terms
+        )
+    violations.extend(wrong_kind)
+    if violations:
+        message = f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations)
+        raise ValidationError(message, source=source, line=line)
     return LicenseProfile(
-        spdx_id=fields.get("spdx-id", ""),
-        full_name=fields.get("full-name", ""),
-        terms=terms,
-        copyleft=_COPYLEFT_BY_KEY[copyleft_raw],
-        notes=fields.get("notes", ""),
+        spdx_id, fields.get("full-name", ""), terms, copyleft, fields.get("notes", "")
     )
 
 
 def loads_dataset(text: str, source: str = "<string>") -> Dataset:
-    """Parse dataset text; strict format, every profile validated."""
+    """Parse dataset text in one pass; strict format, every profile checked.
+
+    A line without a colon is a format error at once. Any other fault
+    is kept and raised when its record ends: the first faulty line of
+    the record, then a missing field or unknown copyleft class, then
+    the id, totality and kind violations together, then a duplicate id;
+    the last three at the record's first line.
+    """
     version = "0"
     provenance = "unknown"
     profiles: dict[str, LicenseProfile] = {}
-    for index, block in enumerate(_record_blocks(text, source)):
-        keys = {key for _, key, _ in block}
-        if index == 0 and keys <= set(_META_KEYS):
-            meta = {key: value for _, key, value in block}
-            version = meta.get("dataset-version", version)
-            provenance = meta.get("provenance", provenance)
+    meta: dict[str, str] | None = {}  # the first record, while its keys are all metadata
+    first = 0  # the open record's first line; 0 between records
+    fields: dict[str, str] = {}
+    terms: dict[Term, Attitude] = {}
+    wrong_kind: list[str] = []
+    fault: FormatError | None = None
+    lines = split_lines(text)
+    lines.append("")  # a blank line ends the last record
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            if not first:
+                continue
+            if fault is not None:
+                raise fault
+            if meta is not None:
+                version = meta.get("dataset-version", version)
+                provenance = meta.get("provenance", provenance)
+                meta = None
+            else:
+                profile = _profile(fields, terms, wrong_kind, source, first)
+                if profile.spdx_id in profiles:
+                    message = f"duplicate spdx-id {profile.spdx_id!r}"
+                    raise ValidationError(message, source=source, line=first)
+                profiles[profile.spdx_id] = profile
+            first = 0
+            fields, terms, wrong_kind = {}, {}, []
             continue
-        profile = _parse_profile(block, source)
-        first_line = block[0][0]  # the record's first line
-        violations = validate_profile(profile)
-        if violations:
-            raise ValidationError(
-                f"profile {profile.spdx_id or '<missing id>'}: " + "; ".join(violations),
-                source=source,
-                line=first_line,
+        if stripped[0] == "#":
+            continue
+        key, colon, value = stripped.partition(":")
+        if not colon:
+            raise FormatError(
+                f"expected 'key: value', got {stripped!r}", source=source, line=lineno
             )
-        if profile.spdx_id in profiles:
-            raise ValidationError(
-                f"duplicate spdx-id {profile.spdx_id!r}", source=source, line=first_line
-            )
-        profiles[profile.spdx_id] = profile
+        if not first:
+            first = lineno
+        if fault is not None:
+            continue
+        key = key.strip()
+        value = value.strip()
+        if meta is not None:
+            if key in _META_KEYS:
+                meta[key] = value
+                continue
+            if meta:  # a profile record cannot hold the metadata key it began with
+                message = f"unknown key {next(iter(meta))!r}"
+                fault = FormatError(message, source=source, line=first)
+                continue
+            meta = None
+        if key in fields:
+            fault = FormatError(f"duplicate key {key!r}", source=source, line=lineno)
+            continue
+        fields[key] = value
+        entry = _TERM_LINES.get(key)
+        if entry is not None:
+            term, allowed = entry
+            attitude = allowed.get(value)
+            if attitude is None:
+                attitude = _ATTITUDE_BY_KEY.get(value)
+                if attitude is None:
+                    message = f"unknown attitude {value!r} for {key}"
+                    fault = FormatError(message, source=source, line=lineno)
+                    continue
+                wrong_kind.append(f"{key}: {term.kind.value} cannot be {value!r}")
+            terms[term] = attitude
+        elif key not in _HEADER_KEYS:
+            fault = FormatError(f"unknown key {key!r}", source=source, line=lineno)
     return Dataset(profiles=profiles, version=version, provenance=provenance)
 
 

@@ -4,13 +4,14 @@ Grammar (recursive descent, left-recursion eliminated)::
 
     expression  = and_expr ("OR" and_expr)*
     and_expr    = with_expr ("AND" with_expr)*
-    with_expr   = simple ("WITH" idstring)?
-    simple      = "(" expression ")" / idstring "+"?
+    with_expr   = "(" expression ")" / idstring "+"? ("WITH" idstring)?
 
 OR binds loosest, AND tighter, WITH tighter still, and the ``+``
-(or-later) suffix is part of the identifier token. Operators are
-case-sensitive uppercase, per the SPDX grammar; :func:`normalize`
-upcases stray lowercase operator words before parsing raw metadata.
+(or-later) suffix is part of the identifier token. As in the SPDX
+grammar, ``WITH`` follows a license id, never a parenthesized
+expression. Operators are case-sensitive uppercase, per the SPDX
+grammar; :func:`normalize` upcases stray lowercase operator words
+before parsing raw metadata.
 
 Normalization turns irregular raw license strings from package metadata
 ("mit", "Apache License 2.0", "GPLv2+") into canonical expressions, or
@@ -178,19 +179,6 @@ class _Parser:
         return left
 
     def with_expr(self) -> LicenseExpression:
-        node = self.simple()
-        if self.peek()[0] == "WITH":
-            self.advance()
-            kind, text, offset = self.peek()
-            if kind != "ID" or text.endswith("+"):
-                self.fail(("exception-id",))
-            if not isinstance(node, LicenseRef):
-                raise ExpressionSyntaxError(self.raw, offset, ("simple-expression",))
-            self.advance()
-            node = LicenseRef(node.id, node.or_later, exception=text)
-        return node
-
-    def simple(self) -> LicenseExpression:
         kind, text, _ = self.peek()
         if kind == "(":
             self.advance()
@@ -199,13 +187,19 @@ class _Parser:
                 self.fail((")",))
             self.advance()
             return expr
-        if kind == "ID":
-            self.advance()
-            if text.endswith("+"):
-                return LicenseRef(text[:-1], or_later=True)
-            return LicenseRef(text)
-        self.fail(("license-id", "("))
-        raise AssertionError("unreachable")
+        if kind != "ID":
+            self.fail(("license-id", "("))
+        self.advance()
+        or_later = text.endswith("+")
+        license_id = text[:-1] if or_later else text
+        if self.peek()[0] != "WITH":
+            return LicenseRef(license_id, or_later)
+        self.advance()
+        kind, exception, _ = self.peek()
+        if kind != "ID" or exception.endswith("+"):
+            self.fail(("exception-id",))
+        self.advance()
+        return LicenseRef(license_id, or_later, exception)
 
 
 def parse_expression(raw: str) -> LicenseExpression:

@@ -17,7 +17,6 @@ subsumed by distribution.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -96,8 +95,6 @@ class CopyleftClass(Enum):
     STRONG = "strong"
 
 
-_SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
-
 _TERM_DEFINITIONS: dict[Term, str] = {
     Term.DISTRIBUTE: "Distribute copies of the original or derivative works to others.",
     Term.MODIFY: "Create derivative works by changing the licensed material.",
@@ -130,8 +127,9 @@ class LicenseProfile:
 
     The ``terms`` mapping is expected to be total: a term the license
     text never addresses is stored explicitly as ``NOT_MENTIONED``, not
-    omitted. Construction does not enforce the invariants; use
-    :func:`validate_profile` (loaders reject invalid profiles).
+    omitted. Construction does not enforce this or the kind rules of
+    :data:`ALLOWED_ATTITUDES`; :func:`licterm.dataset.loads_dataset`
+    checks both as it reads each record.
     """
 
     spdx_id: str
@@ -158,32 +156,3 @@ class LicenseProfile:
             if self.terms[term] is Attitude.MUST:
                 must |= 1 << i
         return can, cannot, must
-
-
-def validate_profile(profile: LicenseProfile) -> tuple[str, ...]:
-    """Check every profile invariant; violations are returned, not raised.
-
-    The result is a tuple of violation messages, empty for a valid
-    profile. Each message names the offending term or field and the
-    rule it breaks. The check is pure and idempotent.
-    """
-    violations: list[str] = []
-    if not profile.spdx_id:
-        violations.append("spdx_id: must be non-empty")
-    elif not _SPDX_ID_RE.fullmatch(profile.spdx_id):
-        violations.append(
-            f"spdx_id: {profile.spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
-        )
-    missing = [t for t in TERM_ORDER if t not in profile.terms]
-    for term in missing:
-        violations.append(f"{term.value}: terms mapping not total (key missing)")
-    for term, attitude in profile.terms.items():
-        if not isinstance(term, Term):
-            violations.append(f"{term!r}: not a known term")
-            continue
-        if attitude not in ALLOWED_ATTITUDES[term.kind]:
-            kind = term.kind.value
-            violations.append(
-                f"{term.value}: {kind} cannot be {attitude.value!r}"
-            )
-    return tuple(violations)

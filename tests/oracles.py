@@ -7,10 +7,12 @@ kept one, expression checking tries every left/right assignment of
 every OR node, scanning checks every edge on its own that way, range
 satisfaction re-implements semver precedence from scratch, snapshot
 and graph files are parsed line by line with no memo, the
-file-reference pattern is written the direct way, normalization is a
-flat list of rules tried in order, license changes diff each
-package's sorted records on their own, and expressions are parsed by a
-shunting-yard loop instead of recursive descent. They share only the
+file-reference pattern is written the direct way, the dataset file is
+split into records before each profile is parsed and checked against
+rules written out here, normalization is a flat list of rules tried in
+order, license changes diff each package's sorted records on their
+own, and expressions are parsed by a shunting-yard loop instead of
+recursive descent. They share only the
 data types, ``Semver.parse``, for parsing the tokenizer, for
 normalization the expression parser and the registry's and alias
 table's lookups, and, for scanning and license changes, ``normalize``.
@@ -34,8 +36,9 @@ from licterm.expression import (
     parse_expression,
     render,
 )
-from licterm.errors import DuplicateVersionError, FormatError
-from licterm.model import Attitude, CopyleftClass, Term, TermKind
+from licterm.dataset import Dataset
+from licterm.errors import DuplicateVersionError, FormatError, ValidationError
+from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term, TermKind
 from licterm.registry import (
     GRAPH_HEADER,
     UNRESOLVED_REASONS,
@@ -501,6 +504,124 @@ def oracle_read_graph(text, source="<string>"):
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records
 
 
+_ORACLE_KIND_ATTITUDES = {
+    TermKind.RIGHT: (Attitude.CAN, Attitude.CANNOT, Attitude.NOT_MENTIONED),
+    TermKind.OBLIGATION: (Attitude.MUST, Attitude.NOT_MENTIONED),
+}
+
+
+def _oracle_profile_violations(profile):
+    """The profile rules, written out: an id of letters, digits, ``.-+``, all 22 terms, kinds."""
+    violations = []
+    if not profile.spdx_id:
+        violations.append("spdx_id: must be non-empty")
+    elif re.fullmatch(r"[A-Za-z0-9.+-]+", profile.spdx_id) is None:
+        violations.append(
+            f"spdx_id: {profile.spdx_id!r} contains characters outside letters, digits, "
+            "'.', '-', '+'"
+        )
+    for term in Term:
+        if term not in profile.terms:
+            violations.append(f"{term.value}: terms mapping not total (key missing)")
+    for term, attitude in profile.terms.items():
+        if attitude not in _ORACLE_KIND_ATTITUDES[term.kind]:
+            violations.append(f"{term.value}: {term.kind.value} cannot be {attitude.value!r}")
+    return violations
+
+
+def _oracle_record_blocks(text, source):
+    """Split file text into blocks of (line_number, key, value) triples."""
+    block = []
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            if block:
+                yield block
+                block = []
+            continue
+        if stripped.startswith("#"):
+            continue
+        if ":" not in stripped:
+            raise FormatError(
+                f"expected 'key: value', got {stripped!r}", source=source, line=lineno
+            )
+        key, _, value = stripped.partition(":")
+        block.append((lineno, key.strip(), value.strip()))
+    if block:
+        yield block
+
+
+def _oracle_parse_profile(block, source):
+    terms_by_key = {t.value: t for t in Term}
+    attitudes = {a.value: a for a in Attitude}
+    copylefts = {c.value: c for c in CopyleftClass}
+    fields = {}
+    first_line = block[0][0]
+    for lineno, key, value in block:
+        if key not in terms_by_key and key not in ("spdx-id", "full-name", "copyleft", "notes"):
+            raise FormatError(f"unknown key {key!r}", source=source, line=lineno)
+        if key in fields:
+            raise FormatError(f"duplicate key {key!r}", source=source, line=lineno)
+        fields[key] = value
+        if key in terms_by_key and value not in attitudes:
+            raise FormatError(f"unknown attitude {value!r} for {key}", source=source, line=lineno)
+    for required in ("spdx-id", "copyleft"):
+        if required not in fields:
+            raise FormatError(f"record missing {required!r}", source=source, line=first_line)
+    copyleft_raw = fields.get("copyleft", "")
+    if copyleft_raw not in copylefts:
+        raise FormatError(
+            f"unknown copyleft class {copyleft_raw!r}", source=source, line=first_line
+        )
+    terms = {
+        terms_by_key[key]: attitudes[value]
+        for key, value in fields.items()
+        if key in terms_by_key
+    }
+    return LicenseProfile(
+        spdx_id=fields.get("spdx-id", ""),
+        full_name=fields.get("full-name", ""),
+        terms=terms,
+        copyleft=copylefts[copyleft_raw],
+        notes=fields.get("notes", ""),
+    )
+
+
+def oracle_loads_dataset(text, source="<string>"):
+    """``loads_dataset`` in two passes: split all records, then parse and check each in turn.
+
+    A line without a colon ends the split at once. Each record is then
+    parsed line by line, and the finished profile is checked against the
+    profile rules written out in ``_oracle_profile_violations``.
+    """
+    version = "0"
+    provenance = "unknown"
+    profiles = {}
+    for index, block in enumerate(_oracle_record_blocks(text, source)):
+        keys = {key for _, key, _ in block}
+        if index == 0 and keys <= {"dataset-version", "provenance"}:
+            meta = {key: value for _, key, value in block}
+            version = meta.get("dataset-version", version)
+            provenance = meta.get("provenance", provenance)
+            continue
+        profile = _oracle_parse_profile(block, source)
+        first_line = block[0][0]
+        violations = _oracle_profile_violations(profile)
+        if violations:
+            raise ValidationError(
+                f"profile {profile.spdx_id or '<missing id>'}: " + "; ".join(violations),
+                source=source,
+                line=first_line,
+            )
+        if profile.spdx_id in profiles:
+            raise ValidationError(
+                f"duplicate spdx-id {profile.spdx_id!r}", source=source, line=first_line
+            )
+        profiles[profile.spdx_id] = profile
+    return Dataset(profiles=profiles, version=version, provenance=provenance)
+
+
 _ORACLE_PRECEDENCE = {"OR": 1, "AND": 2}
 
 
@@ -509,10 +630,9 @@ def oracle_parse(raw):
 
     One loop over the tokens with an operand stack and an operator stack,
     no recursion: ``AND`` binds tighter than ``OR``, both fold to the
-    left, and ``WITH`` binds tightest of all, taking the one license just
-    completed (an id, or a parenthesized expression that is a single
-    license) and an exception id without ``+``. A ``WITH`` on a license
-    that already has an exception replaces it. The loop alternates
+    left, and ``WITH`` binds tightest of all, taking the license id just
+    read and an exception id without ``+``. A ``WITH`` after a ``)`` or an
+    exception is a syntax error at the ``WITH``. The loop alternates
     between wanting an operand and wanting an operator, so the first token
     that fits neither raises :class:`ExpressionSyntaxError` at its offset.
     """
@@ -526,7 +646,7 @@ def oracle_parse(raw):
         op, right, left = operators.pop(), operands.pop(), operands.pop()
         operands.append(And(left, right) if op == "AND" else Or(left, right))
 
-    want_operand, took_exception = True, False
+    want_operand, with_ok = True, False
     i = 0
     while True:
         kind, text, offset = tokens[i]
@@ -537,17 +657,17 @@ def oracle_parse(raw):
             elif kind == "ID":
                 or_later = text.endswith("+")
                 operands.append(LicenseRef(text[:-1] if or_later else text, or_later))
-                want_operand, took_exception = False, False
+                want_operand, with_ok = False, True
             else:
                 fail(offset)
-        elif kind == "WITH" and not took_exception:
+        elif kind == "WITH" and with_ok:
             exc_kind, exc_text, exc_offset = tokens[i]
-            license = operands[-1]
-            if exc_kind != "ID" or exc_text.endswith("+") or not isinstance(license, LicenseRef):
+            if exc_kind != "ID" or exc_text.endswith("+"):
                 fail(exc_offset)
+            license = operands[-1]
             operands[-1] = LicenseRef(license.id, license.or_later, exc_text)
             i += 1
-            took_exception = True
+            with_ok = False
         elif kind in _ORACLE_PRECEDENCE:
             while operators and operators[-1] != "(" and (
                 _ORACLE_PRECEDENCE[operators[-1]] >= _ORACLE_PRECEDENCE[kind]
@@ -561,7 +681,7 @@ def oracle_parse(raw):
             if not operators:
                 fail(offset)
             operators.pop()
-            took_exception = False
+            with_ok = False
         elif kind == "EOF":
             while operators and operators[-1] != "(":
                 reduce()

@@ -55,6 +55,22 @@ class TestCheck:
         assert code == 3
         assert "unresolvable" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "records"])
+    @pytest.mark.parametrize(
+        "parent, dep, role",
+        [
+            ("(GPL-2.0-only WITH Classpath-exception-2.0) WITH LLVM-exception", "MIT", "parent"),
+            ("MIT", "(Apache-2.0) WITH LLVM-exception", "dependency"),
+        ],
+        ids=["exception-twice", "parenthesized-id"],
+    )
+    def test_with_after_parenthesis_is_unresolvable(self, capsys, fmt, parent, dep, role):
+        # WITH takes a license id; a ")" before it makes the side a syntax error.
+        code, out, err = run(capsys, "check", "--format", fmt, parent, dep)
+        raw = parent if role == "parent" else dep
+        assert (code, out) == (3, "")
+        assert err == f"{role} license is unresolvable (unknown-name): {raw}\n"
+
     def test_records_format_is_json_lines(self, capsys):
         code, out, err = run(capsys, "check", "--format", "records", "MIT", "Apache-2.0")
         assert code == 4
@@ -180,8 +196,12 @@ class TestParseExpr:
             ("MIT WITH GPL-2.0+", "offset 9: expected exception-id"),
             (
                 "(MIT OR ISC) WITH Classpath-exception-2.0",
-                "offset 18: expected simple-expression",
+                "offset 13: expected AND or OR or end-of-input",
             ),
+            # WITH takes a license id, never a parenthesized expression.
+            ("(MIT) WITH Classpath-exception-2.0", "offset 6: expected AND or OR or end-of-input"),
+            ("(MIT WITH A) WITH B", "offset 13: expected AND or OR or end-of-input"),
+            ("((MIT) WITH A)", "offset 7: expected )"),
         ],
     )
     def test_malformed_expressions_exit_3(self, capsys, expr, message):

@@ -1,7 +1,13 @@
+import dataclasses
+import importlib.resources
+import random
+from collections import Counter
+
 import pytest
 
 from licterm.dataset import (
     AliasTable,
+    Dataset,
     bundled_aliases,
     bundled_known_ids,
     dumps_dataset,
@@ -10,8 +16,11 @@ from licterm.dataset import (
     loads_aliases,
     loads_dataset,
 )
-from licterm.errors import FormatError, ValidationError
-from licterm.model import Attitude, CopyleftClass, Term
+from licterm.errors import FormatError, LictermError, ValidationError
+from licterm.model import OBLIGATION_TERMS, RIGHT_TERMS, Attitude, CopyleftClass, Term
+
+from conftest import random_profile
+from oracles import oracle_loads_dataset
 
 MINIMAL_RECORD = """\
 spdx-id: Test-1.0
@@ -131,6 +140,164 @@ class TestFileFormat:
         ds = loads_dataset(MINIMAL_RECORD)
         canonical = dumps_dataset(ds)
         assert dumps_dataset(loads_dataset(canonical)) == canonical
+
+
+class TestProfileRules:
+    """Each profile rule, broken in a record read from text, fails at the record's first line."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "include-notice: not-mentioned",
+                "include-notice: can",
+                "profile Test-1.0: include-notice: obligation cannot be 'can'",
+            ),
+            (
+                "distribute: can",
+                "distribute: must",
+                "profile Test-1.0: distribute: right cannot be 'must'",
+            ),
+            (
+                "statically-link: not-mentioned\n",
+                "",
+                "profile Test-1.0: statically-link: terms mapping not total (key missing)",
+            ),
+            ("spdx-id: Test-1.0", "spdx-id:", "profile <missing id>: spdx_id: must be non-empty"),
+            (
+                "spdx-id: Test-1.0",
+                "spdx-id: bad id",
+                "profile bad id: spdx_id: 'bad id' contains characters outside letters, "
+                "digits, '.', '-', '+'",
+            ),
+        ],
+        ids=["can-obligation", "must-right", "missing-term", "empty-id", "bad-id"],
+    )
+    def test_violation_at_record_line(self, old, new, message):
+        text = "# comment\n\n" + MINIMAL_RECORD.replace(old, new)
+        with pytest.raises(ValidationError) as exc:
+            loads_dataset(text, source="test.dat")
+        assert str(exc.value) == f"test.dat:3: {message}"
+        assert (exc.value.source, exc.value.line) == ("test.dat", 3)
+
+    def test_violations_of_one_record_are_joined_in_order(self):
+        text = (
+            MINIMAL_RECORD.replace("spdx-id: Test-1.0", "spdx-id: a/b")
+            .replace("rename: not-mentioned\n", "")
+            .replace("include-license: must", "include-license: cannot")
+            .replace("distribute: can", "distribute: must")
+        )
+        with pytest.raises(ValidationError) as exc:
+            loads_dataset(text, source="test.dat")
+        assert str(exc.value) == (
+            "test.dat:1: profile a/b: spdx_id: 'a/b' contains characters outside letters, "
+            "digits, '.', '-', '+'; rename: terms mapping not total (key missing); "
+            "distribute: right cannot be 'must'; include-license: obligation cannot be 'cannot'"
+        )
+
+    def test_id_may_hold_dot_dash_and_plus(self):
+        ds = loads_dataset(MINIMAL_RECORD.replace("spdx-id: Test-1.0", "spdx-id: GPL-3.0+"))
+        assert list(ds.profiles) == ["GPL-3.0+"]
+
+    def test_a_format_error_later_in_the_record_comes_first(self):
+        bad = MINIMAL_RECORD.replace("distribute: can", "distribute: must")
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(bad.replace("rename: not-mentioned", "rename: maybe"), source="t")
+        assert str(exc.value) == "t:23: unknown attitude 'maybe' for rename"
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(bad.replace("distribute: must", "distribute: maybe") + "no colon\n")
+        assert str(exc.value) == "<string>:26: expected 'key: value', got 'no colon'"
+
+
+_RIGHT_KEYS = {t.value for t in RIGHT_TERMS}
+_OBLIGATION_KEYS = {t.value for t in OBLIGATION_TERMS}
+_BAD_KEYS = ("same-license", "Distribute", "", "dataset-version", "note")
+
+
+def _bundled_text() -> str:
+    return importlib.resources.files("licterm").joinpath("data", "licenses.dat").read_text("utf-8")
+
+
+def _catalog_text(seed: int, size: int = 453) -> str:
+    """A canonical catalog of ``size`` random profiles, every seventh with notes."""
+    rng = random.Random(seed)
+    profiles = {}
+    for i in range(size):
+        profile = random_profile(rng, f"Gen-{i}.{seed}")
+        if i % 7 == 0:
+            profile = dataclasses.replace(profile, notes=f"note {i}: {rng.random()}")
+        profiles[profile.spdx_id] = profile
+    return dumps_dataset(Dataset(profiles, version=str(seed), provenance="seeded"))
+
+
+def _outcome(loads, text):
+    """The dataset and its canonical text, or the error's class, text and locator."""
+    try:
+        ds = loads(text, source="cat.dat")
+    except LictermError as exc:
+        return type(exc), str(exc), exc.source, exc.line
+    return ds, dumps_dataset(ds)
+
+
+def _mutate(rng, lines, i, ids):
+    """Replace ``lines[i]`` by a faulty, harmless or missing line, or swap it with the next."""
+    line = lines[i]
+    key, _, value = line.partition(":")
+    key = key.strip()
+    options = [
+        [],
+        [line, line],
+        [line.replace(":", " ", 1)],
+        [f"{rng.choice(_BAD_KEYS)}: {value.strip()}"],
+        [line, ""],
+        ["# " + line],
+        [f"  {key} :{value}\t"],
+    ]
+    if key in _RIGHT_KEYS:
+        options += [[f"{key}: {rng.choice(('must', 'maybe', 'Can'))}"]] * 4
+    elif key in _OBLIGATION_KEYS:
+        options += [[f"{key}: {rng.choice(('can', 'cannot', 'required'))}"]] * 4
+    elif key == "spdx-id":
+        options += [[f"spdx-id: {rng.choice(('', 'bad id', 'a/b', *ids))}"]] * 4
+    elif key == "copyleft":
+        options += [[f"copyleft: {rng.choice(('medium', ''))}"]] * 2
+    if i + 1 < len(lines) and rng.random() < 0.1:
+        lines[i], lines[i + 1] = lines[i + 1], line
+    else:
+        lines[i:i + 1] = rng.choice(options)
+
+
+class TestReaderOracle:
+    """``loads_dataset`` agrees with the two-pass ``oracle_loads_dataset``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_whole_files_equal_oracle_and_round_trip(self, seed):
+        text = _bundled_text() if seed == 0 else _catalog_text(seed)
+        got = _outcome(loads_dataset, text)
+        assert got == _outcome(oracle_loads_dataset, text)
+        ds, canonical = got
+        assert len(ds) == (25 if seed == 0 else 453)
+        assert canonical == text
+
+    @pytest.mark.parametrize("seed, mutants", [(0, 400), (1, 40), (2, 40)])
+    def test_mutated_files_equal_oracle(self, seed, mutants):
+        text = _bundled_text() if seed == 0 else _catalog_text(seed)
+        rng = random.Random(seed)
+        lines = text.split("\n")
+        heads = [n for n, line in enumerate(lines) if line.startswith("spdx-id: ")]
+        ids = [lines[n][len("spdx-id: "):] for n in heads[:3]]
+        seen = Counter()
+        for _ in range(mutants):
+            mutant = list(lines)
+            i = rng.choice(heads) if rng.random() < 0.2 else rng.randrange(len(mutant))
+            if rng.random() < 0.4:  # a second fault, most often in the same record
+                _mutate(rng, mutant, min(i + rng.randint(1, 6), len(mutant) - 1), ids)
+            _mutate(rng, mutant, i, ids)
+            raw = "\n".join(mutant)
+            got = _outcome(loads_dataset, raw)
+            assert got == _outcome(oracle_loads_dataset, raw), mutant[max(i - 2, 0):i + 8]
+            seen[got[0].__name__ if isinstance(got[0], type) else "ok"] += 1
+        assert {"ok", "FormatError", "ValidationError"} <= set(seen), seen
 
 
 class TestLookup:

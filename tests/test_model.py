@@ -1,5 +1,6 @@
 import pytest
 
+from licterm.dataset import dumps_profile, loads_dataset
 from licterm.model import (
     ALLOWED_ATTITUDES,
     Attitude,
@@ -10,7 +11,6 @@ from licterm.model import (
     TERM_ORDER,
     Term,
     TermKind,
-    validate_profile,
 )
 
 from conftest import make_terms
@@ -84,50 +84,33 @@ def test_allowed_attitudes_per_kind():
     assert Attitude.NOT_MENTIONED in ALLOWED_ATTITUDES[TermKind.OBLIGATION]
 
 
-def _profile(terms, copyleft=CopyleftClass.NONE, spdx_id="Test-1.0"):
-    return LicenseProfile(spdx_id, "Test License", terms, copyleft)
-
-
 def test_validate_ok_for_well_formed_profile():
-    violations = validate_profile(_profile(make_terms(distribute="can", include_license="must")))
-    assert violations == ()
+    # The profile rules are checked where a record is read: a well-formed
+    # profile's record loads back unchanged, with no violation raised.
+    terms = make_terms(distribute="can", include_license="must")
+    profile = LicenseProfile("Test-1.0", "Test License", terms, CopyleftClass.NONE)
+    ds = loads_dataset(dumps_profile(profile))
+    assert list(ds.profiles) == ["Test-1.0"]
+    assert ds.profiles["Test-1.0"].terms == terms
+    assert ds.profiles["Test-1.0"].copyleft is CopyleftClass.NONE
 
 
-def test_validate_rejects_can_obligation():
-    terms = make_terms()
-    terms[Term.INCLUDE_NOTICE] = Attitude.CAN
-    violations = validate_profile(_profile(terms))
-    assert violations
-    assert any("include-notice" in v and "can" in v for v in violations)
-
-
-def test_validate_rejects_must_right():
-    terms = make_terms()
-    terms[Term.DISTRIBUTE] = Attitude.MUST
-    violations = validate_profile(_profile(terms))
-    assert any("distribute" in v for v in violations)
-
-
-def test_validate_reports_missing_term_key():
-    terms = make_terms()
-    del terms[Term.STATICALLY_LINK]
-    violations = validate_profile(_profile(terms))
-    assert any("statically-link" in v and "not total" in v for v in violations)
-
-
-def test_validate_rejects_bad_spdx_id():
-    assert validate_profile(_profile(make_terms(), spdx_id=""))
-    assert validate_profile(_profile(make_terms(), spdx_id="bad id"))
-    assert validate_profile(_profile(make_terms(), spdx_id="GPL-3.0+")) == ()
-
-
-def test_validate_is_idempotent_and_pure():
-    terms = make_terms(distribute="can")
-    profile = _profile(terms)
-    first = validate_profile(profile)
-    second = validate_profile(profile)
-    assert first == second
-    assert profile.terms[Term.DISTRIBUTE] is Attitude.CAN
+def test_profile_built_positionally_reads_back_terms_and_masks():
+    # The benchmark's gate builds profiles this way and reads .terms; the
+    # oracles read .terms[term] and the conflict rules read .masks.
+    terms = make_terms(
+        distribute="can", sublicense="cannot", statically_link="can", include_license="must"
+    )
+    profile = LicenseProfile("Test-1.0", "Test License", terms, CopyleftClass.WEAK)
+    assert (profile.spdx_id, profile.full_name, profile.notes) == ("Test-1.0", "Test License", "")
+    assert profile.copyleft is CopyleftClass.WEAK
+    assert profile.terms is terms
+    assert profile.terms[Term.SUBLICENSE] is Attitude.CANNOT
+    can = 1 << RIGHT_TERMS.index(Term.DISTRIBUTE) | 1 << RIGHT_TERMS.index(Term.STATICALLY_LINK)
+    must = 1 << OBLIGATION_TERMS.index(Term.INCLUDE_LICENSE)
+    assert profile.masks == (can, 1 << RIGHT_TERMS.index(Term.SUBLICENSE), must)
+    assert profile.masks is profile.masks
+    assert LicenseProfile("A", "B", terms, CopyleftClass.NONE, "n").notes == "n"
 
 
 def test_make_terms_total_and_rejects_unknown():
