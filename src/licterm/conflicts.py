@@ -33,10 +33,11 @@ license's term bits to get its conflict partners.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .dataset import Dataset
 from .expression import And, LicenseExpression, LicenseRef, Or, render
 from .model import (
@@ -55,8 +56,7 @@ class ConflictType(Enum):
     C3 = "C3"
 
 
-@dataclass(frozen=True)
-class ConflictFinding:
+class ConflictFinding(NamedTuple):
     """One conflicting term between an ordered pair of licenses."""
 
     ctype: ConflictType
@@ -175,8 +175,7 @@ class ExpressionTooComplex(ValueError):
 _Leaf = tuple[LicenseRef, LicenseProfile | None]
 
 
-@dataclass(frozen=True)
-class ExpressionVerdict:
+class ExpressionVerdict(Frozen):
     """Outcome of checking a parent expression against a dependency expression.
 
     ``parent_choice`` and ``dep_choice`` are the winning OR choices, one
@@ -188,12 +187,32 @@ class ExpressionVerdict:
     from the dataset appear in ``unknown_ids`` and add no findings.
     """
 
-    conflict_types: tuple[ConflictType, ...]
-    parent_choice: LicenseExpression
-    dep_choice: LicenseExpression
-    parent_leaves: tuple[_Leaf, ...] = field(repr=False)  # the choices show the refs
-    dep_leaves: tuple[_Leaf, ...] = field(repr=False)
-    strict_not_mentioned: bool
+    _fields = (
+        "conflict_types",
+        "parent_choice",
+        "dep_choice",
+        "parent_leaves",
+        "dep_leaves",
+        "strict_not_mentioned",
+    )
+
+    def __init__(
+        self,
+        conflict_types: tuple[ConflictType, ...],
+        parent_choice: LicenseExpression,
+        dep_choice: LicenseExpression,
+        parent_leaves: tuple[_Leaf, ...],
+        dep_leaves: tuple[_Leaf, ...],
+        strict_not_mentioned: bool,
+    ):
+        vars(self).update(
+            conflict_types=conflict_types,
+            parent_choice=parent_choice,
+            dep_choice=dep_choice,
+            parent_leaves=parent_leaves,
+            dep_leaves=dep_leaves,
+            strict_not_mentioned=strict_not_mentioned,
+        )
 
     @property
     def conflict_free(self) -> bool:
@@ -323,8 +342,7 @@ def check_expressions(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConflictMatrix:
+class ConflictMatrix(NamedTuple):
     """Ordered-pair conflict counts plus per-license conflict degrees.
 
     ``pairs[ConflictType.C1]`` counts ordered (parent, dep) pairs with at

@@ -22,11 +22,10 @@ id. The known-id list uses the same two-column layout
 
 from __future__ import annotations
 
-import importlib.resources
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from ._frozen import Frozen
 from .errors import FormatError, ValidationError, read_text, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
@@ -49,23 +48,29 @@ _TERM_LINES = {
 _SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Frozen):
     """Immutable collection of validated license profiles."""
 
-    profiles: dict[str, LicenseProfile]
-    version: str = "0"
-    provenance: str = "unknown"
+    __slots__ = _fields = ("profiles", "version", "provenance")
+
+    def __init__(
+        self, profiles: dict[str, LicenseProfile], version: str = "0", provenance: str = "unknown"
+    ):
+        object.__setattr__(self, "profiles", profiles)
+        object.__setattr__(self, "version", version)
+        object.__setattr__(self, "provenance", provenance)
 
     def __len__(self) -> int:
         return len(self.profiles)
 
 
-@dataclass(frozen=True)
-class AliasTable:
+class AliasTable(Frozen):
     """Mapping from normalized raw license spellings to canonical ids."""
 
-    entries: dict[str, str] = field(default_factory=dict)
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: dict[str, str] | None = None):
+        object.__setattr__(self, "entries", {} if entries is None else entries)
 
     def resolve(self, raw: str) -> str | None:
         return self.entries.get(fold_key(raw))
@@ -163,19 +168,20 @@ def loads_dataset(text: str, source: str = "<string>") -> Dataset:
             )
         if not first:
             first = lineno
-        if fault is not None:
-            continue
         key = key.strip()
         value = value.strip()
         if meta is not None:
             if key in _META_KEYS:
+                if key in meta and fault is None:
+                    fault = FormatError(f"duplicate key {key!r}", source=source, line=lineno)
                 meta[key] = value
                 continue
             if meta:  # a profile record cannot hold the metadata key it began with
                 message = f"unknown key {next(iter(meta))!r}"
                 fault = FormatError(message, source=source, line=first)
-                continue
             meta = None
+        if fault is not None:
+            continue
         if key in fields:
             fault = FormatError(f"duplicate key {key!r}", source=source, line=lineno)
             continue
@@ -292,9 +298,9 @@ def known_licenses(ds: Dataset, extra: list[tuple[str, str]]) -> KnownLicenses:
 
 
 def _bundled(name: str) -> str:
-    return (
-        importlib.resources.files("licterm").joinpath("data", name).read_text("utf-8")
-    )
+    # Read beside this module, not through importlib.resources, which
+    # imports inspect on Python 3.12 and later.
+    return (Path(__file__).parent / "data" / name).read_text("utf-8")
 
 
 def bundled_dataset() -> Dataset:

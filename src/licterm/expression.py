@@ -22,9 +22,10 @@ or unknown name) while preserving the raw input.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Union
+
+from ._frozen import Frozen
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dataset import AliasTable
@@ -52,32 +53,42 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class _Node:
+class _Node(Frozen):
     """Base of the tree classes: a tree prints as its :func:`render` form."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
 class LicenseRef(_Node):
     """A single license id, optionally or-later and/or with an exception."""
 
-    id: str
-    or_later: bool = False
-    exception: str | None = None
+    __slots__ = _fields = ("id", "or_later", "exception")
+
+    def __init__(self, id: str, or_later: bool = False, exception: str | None = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "or_later", or_later)
+        object.__setattr__(self, "exception", exception)
 
 
-@dataclass(frozen=True)
-class And(_Node):
-    left: "LicenseExpression"
-    right: "LicenseExpression"
+class _Operator(_Node):
+    """A binary node; ``And`` and ``Or`` never compare equal to each other."""
+
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: "LicenseExpression", right: "LicenseExpression"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Or(_Node):
-    left: "LicenseExpression"
-    right: "LicenseExpression"
+class And(_Operator):
+    __slots__ = ()
+
+
+class Or(_Operator):
+    __slots__ = ()
 
 
 LicenseExpression = Union[LicenseRef, And, Or]
@@ -301,10 +312,12 @@ class UnresolvableReason(Enum):
     UNKNOWN_NAME = "unknown-name"
 
 
-@dataclass(frozen=True)
-class Unresolvable:
-    reason: UnresolvableReason
-    raw: str
+class Unresolvable(Frozen):
+    __slots__ = _fields = ("reason", "raw")
+
+    def __init__(self, reason: UnresolvableReason, raw: str):
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "raw", raw)
 
     def __str__(self) -> str:
         return f"unresolvable:{self.reason.value}"

@@ -17,10 +17,10 @@ patterns someone reads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
 
+from ._frozen import Frozen
 from .dataset import Dataset
 from .model import Attitude, LicenseProfile, TERM_ORDER, Term
 
@@ -29,11 +29,18 @@ class InvalidThreshold(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FrequentPattern:
-    items: frozenset[str]
-    support: int  # bit i set: licenses[i] supports the itemset
-    licenses: tuple[str, ...] = field(repr=False)  # sorted ids, one tuple per mine() call
+class FrequentPattern(Frozen):
+    """An itemset with its supporting licenses.
+
+    Bit i of ``support`` is set when ``licenses[i]`` supports the itemset;
+    ``licenses`` is the sorted id tuple that every pattern of one
+    :func:`mine` call shares.
+    """
+
+    _fields = ("items", "support", "licenses")
+
+    def __init__(self, items: frozenset[str], support: int, licenses: tuple[str, ...]):
+        vars(self).update(items=items, support=support, licenses=licenses)
 
     @property
     def support_count(self) -> int:

@@ -17,9 +17,10 @@ subsumed by distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+
+from ._frozen import Frozen
 
 
 class TermKind(Enum):
@@ -121,8 +122,7 @@ _TERM_DEFINITIONS: dict[Term, str] = {
 }
 
 
-@dataclass(frozen=True)
-class LicenseProfile:
+class LicenseProfile(Frozen):
     """One license's attitude over all 22 terms plus its copyleft class.
 
     The ``terms`` mapping is expected to be total: a term the license
@@ -132,11 +132,19 @@ class LicenseProfile:
     checks both as it reads each record.
     """
 
-    spdx_id: str
-    full_name: str
-    terms: dict[Term, Attitude]
-    copyleft: CopyleftClass
-    notes: str = ""
+    _fields = ("spdx_id", "full_name", "terms", "copyleft", "notes")
+
+    def __init__(
+        self,
+        spdx_id: str,
+        full_name: str,
+        terms: dict[Term, Attitude],
+        copyleft: CopyleftClass,
+        notes: str = "",
+    ):
+        vars(self).update(
+            spdx_id=spdx_id, full_name=full_name, terms=terms, copyleft=copyleft, notes=notes
+        )
 
     @cached_property
     def masks(self) -> tuple[int, int, int]:

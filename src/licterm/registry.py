@@ -37,7 +37,6 @@ from __future__ import annotations
 import datetime as _dt
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -83,8 +82,7 @@ class Unresolved(NamedTuple):
     reason: str  # one of UNRESOLVED_REASONS
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(NamedTuple):
     edges: tuple[Edge, ...]
     unresolved: tuple[Unresolved, ...]
 
@@ -257,8 +255,7 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
 # License change detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LicenseChange:
+class LicenseChange(NamedTuple):
     package: str
     from_outcome: NormalizationOutcome
     to_outcome: NormalizationOutcome

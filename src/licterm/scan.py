@@ -20,8 +20,8 @@ finding, and it takes each pair's spelling from the intern table.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .conflicts import ConflictType, check_expressions
 from .dataset import AliasTable, Dataset
@@ -38,8 +38,7 @@ from .registry import DependencyGraph, VersionRecord
 NO_LICENSE_BUCKET = "no-license"
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     total_edges: int
     edges_with_findings: dict[ConflictType, int]
     conflicted_edges: int  # distinct edges with at least one finding of any type

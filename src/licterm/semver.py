@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache, total_ordering
 from operator import attrgetter
+from typing import NamedTuple
 
+from ._frozen import Frozen
 from .errors import FormatError
 
 
@@ -52,25 +53,27 @@ _VERSION_RE = re.compile(
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False, slots=True)
-class Semver:
-    major: int
-    minor: int
-    patch: int
-    prerelease: tuple[str, ...] = ()
-    build: str = ""
-    # Precedence key, computed once. A release sorts after any of its
-    # prereleases; numeric prerelease identifiers sort below alphanumeric
-    # ones. Build metadata is ignored for precedence.
-    key: tuple = field(init=False, repr=False)
+class Semver(Frozen):
+    """A semantic version; equality, hashing and order follow ``key``, its precedence."""
 
-    def __post_init__(self):
+    __slots__ = ("major", "minor", "patch", "prerelease", "build", "key")
+    _fields = __slots__[:-1]  # the constructor's parameters; key is derived from them
+
+    def __init__(
+        self, major: int, minor: int, patch: int, prerelease: tuple[str, ...] = (), build: str = ""
+    ):
+        object.__setattr__(self, "major", major)
+        object.__setattr__(self, "minor", minor)
+        object.__setattr__(self, "patch", patch)
+        object.__setattr__(self, "prerelease", prerelease)
+        object.__setattr__(self, "build", build)
+        # Precedence key, computed once. A release sorts after any of its
+        # prereleases; numeric prerelease identifiers sort below alphanumeric
+        # ones. Build metadata is ignored for precedence.
         pre_key = tuple(
-            [(0, int(part), "") if part.isdigit() else (1, 0, part) for part in self.prerelease]
+            [(0, int(part), "") if part.isdigit() else (1, 0, part) for part in prerelease]
         )
-        object.__setattr__(
-            self, "key", (self.major, self.minor, self.patch, not self.prerelease, pre_key)
-        )
+        object.__setattr__(self, "key", (major, minor, patch, not prerelease, pre_key))
 
     @classmethod
     def parse(cls, text: str) -> "Semver":
@@ -109,24 +112,23 @@ class Semver:
         return text
 
 
-@dataclass(frozen=True, slots=True)
-class Comparator:
+class Comparator(NamedTuple):
     op: str  # one of < <= > >= =
     version: Semver
 
 
-@dataclass(frozen=True, slots=True)
-class VersionRange:
+class VersionRange(Frozen):
     """Disjunction of comparator conjunctions, plus the raw text."""
 
-    raw: str
-    alternatives: tuple[tuple[Comparator, ...], ...]
-    # Per conjunction, its tightest lower and upper bound, derived once
-    # from ``alternatives``: see ``_bounds``.
-    bounds: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("raw", "alternatives", "bounds")
+    _fields = __slots__[:-1]  # the constructor's parameters; bounds is derived from them
 
-    def __post_init__(self):
-        object.__setattr__(self, "bounds", tuple(map(_bounds, self.alternatives)))
+    def __init__(self, raw: str, alternatives: tuple[tuple[Comparator, ...], ...]):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "alternatives", alternatives)
+        # Per conjunction, its tightest lower and upper bound, derived once
+        # from ``alternatives`` (see ``_bounds``); not part of equality.
+        object.__setattr__(self, "bounds", tuple(map(_bounds, alternatives)))
 
     def satisfies(self, version: Semver) -> bool:
         if version.prerelease and not self._prerelease_allowed(version):

@@ -601,7 +601,11 @@ def oracle_loads_dataset(text, source="<string>"):
     for index, block in enumerate(_oracle_record_blocks(text, source)):
         keys = {key for _, key, _ in block}
         if index == 0 and keys <= {"dataset-version", "provenance"}:
-            meta = {key: value for _, key, value in block}
+            meta = {}
+            for lineno, key, value in block:
+                if key in meta:
+                    raise FormatError(f"duplicate key {key!r}", source=source, line=lineno)
+                meta[key] = value
             version = meta.get("dataset-version", version)
             provenance = meta.get("provenance", provenance)
             continue

@@ -499,6 +499,14 @@ class TestMalformedInputs:
         assert (code, out) == (5, "")
         assert err == f"error: {path}:4: {message}\n"  # the record's first line
 
+    def test_repeated_metadata_key_exits_5(self, capsys, tmp_path, seed_dataset):
+        text = dumps_dataset(Dataset(profiles={"MIT": seed_dataset.profiles["MIT"]}, version="7"))
+        path = tmp_path / "bad.dat"
+        path.write_text("dataset-version: 6\n" + text, encoding="utf-8")
+        code, out, err = run(capsys, "check", "--dataset", str(path), "MIT", "ISC")
+        assert (code, out) == (5, "")
+        assert err == f"error: {path}:2: duplicate key 'dataset-version'\n"
+
     @pytest.mark.parametrize("command", ["ingest", "changes"])
     def test_dependency_entry_without_range_exits_5(self, capsys, tmp_path, command):
         path = tmp_path / "snap.tsv"

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.resources
 import random
 from collections import Counter
@@ -17,7 +16,14 @@ from licterm.dataset import (
     loads_dataset,
 )
 from licterm.errors import FormatError, LictermError, ValidationError
-from licterm.model import OBLIGATION_TERMS, RIGHT_TERMS, Attitude, CopyleftClass, Term
+from licterm.model import (
+    OBLIGATION_TERMS,
+    RIGHT_TERMS,
+    Attitude,
+    CopyleftClass,
+    LicenseProfile,
+    Term,
+)
 
 from conftest import random_profile
 from oracles import oracle_loads_dataset
@@ -127,6 +133,28 @@ class TestFileFormat:
         assert ds.provenance == "somewhere"
         assert len(ds) == 1
 
+    @pytest.mark.parametrize(
+        "meta, line",
+        [
+            ("dataset-version: 7\ndataset-version: 8\n", 2),
+            ("provenance: a\ndataset-version: 7\nprovenance: b\nprovenance: c\n", 3),
+        ],
+        ids=["version", "provenance"],
+    )
+    def test_repeated_metadata_key_is_format_error_at_the_repeat(self, meta, line):
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(meta + "\n" + MINIMAL_RECORD, source="test.dat")
+        key = meta.split("\n")[line - 1].partition(":")[0]
+        assert str(exc.value) == f"test.dat:{line}: duplicate key {key!r}"
+        assert type(exc.value) is FormatError
+
+    def test_repeated_metadata_key_in_a_profile_record_is_an_unknown_key(self):
+        # The record is a profile, so its first line is already at fault.
+        text = "dataset-version: 7\ndataset-version: 8\n" + MINIMAL_RECORD
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(text, source="test.dat")
+        assert str(exc.value) == "test.dat:1: unknown key 'dataset-version'"
+
     def test_comments_and_extra_blank_lines_tolerated(self):
         text = "# comment\n\n\n" + MINIMAL_RECORD + "\n\n"
         assert len(loads_dataset(text)) == 1
@@ -225,7 +253,10 @@ def _catalog_text(seed: int, size: int = 453) -> str:
     for i in range(size):
         profile = random_profile(rng, f"Gen-{i}.{seed}")
         if i % 7 == 0:
-            profile = dataclasses.replace(profile, notes=f"note {i}: {rng.random()}")
+            notes = f"note {i}: {rng.random()}"
+            profile = LicenseProfile(
+                profile.spdx_id, profile.full_name, profile.terms, profile.copyleft, notes
+            )
         profiles[profile.spdx_id] = profile
     return dumps_dataset(Dataset(profiles, version=str(seed), provenance="seeded"))
 

@@ -6,6 +6,9 @@ counts as used when it appears as a ``Name`` (which covers the base of an
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,14 @@ class TestUnusedImports:
 
     def test_the_package_has_modules_to_check(self):
         assert {"cli.py", "expression.py", "mining.py"} <= {p.name for p in MODULES}
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Both cost every command start-up time; neither may come back through any module.
+    code = "import sys, licterm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

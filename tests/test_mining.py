@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -158,7 +157,7 @@ class TestMine:
         patterns = mine(seed_dataset, 10)
         longest = max(patterns, key=lambda p: len(p.items))
         first = longest.support & -longest.support  # the lowest supporting id
-        wrong_ids = replace(longest, support=longest.support ^ first)
+        wrong_ids = FrequentPattern(longest.items, longest.support ^ first, longest.licenses)
         for broken in (
             [p for p in patterns if p is not longest],
             [p for p in patterns if p is not patterns[-1]],
