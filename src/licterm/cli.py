@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from functools import cached_property
+from importlib import import_module
 
 from . import __version__
-from .conflicts import ConflictType, ExpressionTooComplex, build_matrix, check_expressions
-from .conflicts import explain as explain_finding
 from .dataset import (
     AliasTable,
     Dataset,
@@ -35,7 +33,7 @@ from .dataset import (
     load_aliases,
     load_dataset,
 )
-from .errors import LictermError
+from .errors import ExpressionTooComplex, LictermError
 from .expression import (
     And,
     ExpressionSyntaxError,
@@ -47,9 +45,42 @@ from .expression import (
     parse_expression,
     render,
 )
-from .mining import InvalidThreshold, dedup_similar, mine
-from .registry import build_graph, license_changes, parse_snapshot, read_graph, write_graph
-from .scan import rank_pairs, scan
+
+# The names handlers use from modules that not every command runs, by
+# module. A handler binds its modules' names on entry (``_load``), so each
+# command imports only what it runs; ``__getattr__`` binds them when read
+# from outside, so a caller can replace ``licterm.cli.build_graph`` before
+# any command has run. A name that is already bound is never rebound.
+_LAZY = {
+    ".conflicts": ("ConflictType", "build_matrix", "check_expressions", "explain"),
+    ".mining": ("InvalidThreshold", "dedup_similar", "mine"),
+    ".registry": ("build_graph", "license_changes", "parse_snapshot", "read_graph", "write_graph"),
+    ".scan": ("rank_pairs", "scan"),
+    "json": ("dumps",),
+}
+
+
+def _bind(module: str) -> None:
+    source = import_module(module, __package__)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(source, name))
+
+
+def _load(args, *modules: str) -> None:
+    """Bind the names of ``modules``, and of ``json`` when ``args`` asks for records."""
+    if getattr(args, "format", None) == "records":
+        modules += ("json",)
+    for module in modules:
+        _bind(module)
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -86,7 +117,7 @@ def _out(args, record: dict | None, line: str | None) -> None:
     """Print an item as ``args.format`` asks; ``None`` means no form in that format."""
     if args.format == "records":
         if record is not None:
-            print(json.dumps(record, sort_keys=True))
+            print(dumps(record, sort_keys=True))
     elif line is not None:
         print(line)
 
@@ -119,6 +150,7 @@ def _parenthesized(expr) -> str:
 
 
 def _cmd_check(args) -> int:
+    _load(args, ".conflicts")
     ctx = _Context(args)
     sides = []
     for raw, role in ((args.parent, "parent"), (args.dep, "dependency")):
@@ -142,7 +174,7 @@ def _cmd_check(args) -> int:
             "parent_attitude": finding.parent_attitude.value,
             "dep_attitude": finding.dep_attitude.value,
         }
-        _out(args, record, explain_finding(finding))
+        _out(args, record, explain(finding))
     for warning in verdict.warnings:
         _out(args, {"kind": "warning", "message": warning}, None)
     record = {
@@ -158,6 +190,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    _load(args, ".conflicts")
     ctx = _Context(args)
     matrix = build_matrix(ctx.dataset, args.strict_not_mentioned)
     pairs = {ctype.value: matrix.pairs[ctype] for ctype in ConflictType}
@@ -178,6 +211,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_mine(args) -> int:
+    _load(args, ".mining")
     ctx = _Context(args)
     try:
         patterns = mine(ctx.dataset, args.min_support)
@@ -199,6 +233,7 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    _load(args, ".registry")
     records = parse_snapshot(args.snapshot)
     graph = build_graph(records)
     write_graph(graph, records, args.output)
@@ -207,6 +242,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_changes(args) -> int:
+    _load(args, ".registry")
     ctx = _Context(args)
     records = parse_snapshot(args.snapshot)
     changes = license_changes(records, ctx.aliases, ctx.known)
@@ -229,6 +265,7 @@ def _cmd_changes(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    _load(args, ".registry", ".scan", ".conflicts")
     ctx = _Context(args)
     graph, records = read_graph(args.graph)
     report = scan(graph, records, ctx.dataset, args.strict_not_mentioned, ctx.aliases, ctx.known)

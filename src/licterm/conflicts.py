@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 from ._frozen import Frozen
 from .dataset import Dataset
+from .errors import ExpressionTooComplex
 from .expression import And, LicenseExpression, LicenseRef, Or, render
 from .model import (
     Attitude,
@@ -165,10 +166,6 @@ def explain(finding: ConflictFinding) -> str:
 
 #: Most (parent choice, dependency choice) pairs :func:`check_expressions` scores.
 MAX_CHOICE_PAIRS = 4096
-
-
-class ExpressionTooComplex(ValueError):
-    """An expression pair has more than :data:`MAX_CHOICE_PAIRS` pairs of OR choices."""
 
 
 #: A leaf of a chosen tree with its dataset profile, ``None`` if it has none.

@@ -51,3 +51,7 @@ class ValidationError(LictermError):
 
 class DuplicateVersionError(FormatError):
     """A snapshot contains the same (package, version) twice."""
+
+
+class ExpressionTooComplex(ValueError):
+    """An expression pair has more than ``conflicts.MAX_CHOICE_PAIRS`` pairs of OR choices."""

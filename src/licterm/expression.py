@@ -4,7 +4,8 @@ Grammar (recursive descent, left-recursion eliminated)::
 
     expression  = and_expr ("OR" and_expr)*
     and_expr    = with_expr ("AND" with_expr)*
-    with_expr   = "(" expression ")" / idstring "+"? ("WITH" idstring)?
+    with_expr   = "(" expression ")" / license "+"? ("WITH" idstring)?
+    license     = "DocumentRef-" idstring ":LicenseRef-" idstring / idstring
 
 OR binds loosest, AND tighter, WITH tighter still, and the ``+``
 (or-later) suffix is part of the identifier token. As in the SPDX
@@ -106,7 +107,8 @@ class ExpressionSyntaxError(ValueError):
         )
 
 
-_ID_RE = re.compile(r"[A-Za-z0-9.-]+")
+# A reference into another SPDX document is one id token (SPDX 2.3 Annex D).
+_ID_RE = re.compile(r"DocumentRef-[A-Za-z0-9.-]+:LicenseRef-[A-Za-z0-9.-]+|[A-Za-z0-9.-]+")
 _OPERATORS = ("AND", "OR", "WITH")
 
 #: Longest accepted expression, in tokens. Parsing, rendering, hashing and

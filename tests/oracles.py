@@ -12,9 +12,9 @@ split into records before each profile is parsed and checked against
 rules written out here, normalization is a flat list of rules tried in
 order, license changes diff each package's sorted records on their
 own, and expressions are parsed by a shunting-yard loop instead of
-recursive descent. They share only the
-data types, ``Semver.parse``, for parsing the tokenizer, for
-normalization the expression parser and the registry's and alias
+recursive descent over tokens read one regex match at a time. They
+share only the data types, ``Semver.parse``, for parsing the token
+limit, for normalization the expression parser and the registry's and alias
 table's lookups, and, for scanning and license changes, ``normalize``.
 """
 
@@ -25,13 +25,13 @@ from itertools import combinations, product
 
 from licterm.conflicts import ConflictType
 from licterm.expression import (
+    MAX_TOKENS,
     And,
     ExpressionSyntaxError,
     LicenseRef,
     Or,
     Unresolvable,
     UnresolvableReason,
-    _tokenize,
     normalize,
     parse_expression,
     render,
@@ -627,10 +627,38 @@ def oracle_loads_dataset(text, source="<string>"):
 
 
 _ORACLE_PRECEDENCE = {"OR": 1, "AND": 2}
+# Annex D: an idstring, or "DocumentRef-" idstring ":LicenseRef-" idstring;
+# then an optional "+", which an operator word never takes.
+_ORACLE_IDSTRING = r"[A-Za-z0-9.-]+"
+_ORACLE_TOKEN_RE = re.compile(
+    rf"([()])|(DocumentRef-{_ORACLE_IDSTRING}:LicenseRef-{_ORACLE_IDSTRING}|{_ORACLE_IDSTRING})"
+)
+
+
+def _oracle_tokens(raw):
+    """(kind, text, offset) tokens ending in EOF; the first character no token fits raises."""
+    tokens, pos = [], 0
+    while True:
+        pos = len(raw) - len(raw[pos:].lstrip())
+        if pos == len(raw):
+            return tokens + [("EOF", "", pos)]
+        m = _ORACLE_TOKEN_RE.match(raw, pos)
+        if m is None or len(tokens) == MAX_TOKENS:
+            raise ExpressionSyntaxError(raw, pos, ("oracle",))
+        paren, text = m.groups()
+        if paren:
+            tokens.append((paren, paren, pos))
+        elif text in ("AND", "OR", "WITH"):
+            tokens.append((text, text, pos))
+        else:
+            if raw.startswith("+", m.end()):
+                text += "+"
+            tokens.append(("ID", text, pos))
+        pos += len(text or paren)
 
 
 def oracle_parse(raw):
-    """``parse_expression`` as a shunting-yard pass over ``_tokenize``'s tokens.
+    """``parse_expression`` as a shunting-yard pass over ``_oracle_tokens``.
 
     One loop over the tokens with an operand stack and an operator stack,
     no recursion: ``AND`` binds tighter than ``OR``, both fold to the
@@ -640,7 +668,7 @@ def oracle_parse(raw):
     between wanting an operand and wanting an operator, so the first token
     that fits neither raises :class:`ExpressionSyntaxError` at its offset.
     """
-    tokens = _tokenize(raw)
+    tokens = _oracle_tokens(raw)
     operands, operators = [], []  # operators holds "AND", "OR" and "("
 
     def fail(offset):

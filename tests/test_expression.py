@@ -84,6 +84,29 @@ class TestParse:
         with pytest.raises(ExpressionSyntaxError):
             parse_expression("   ")
 
+    def test_document_ref_is_one_id(self):
+        # SPDX 2.3 Annex D: license-ref = ["DocumentRef-" idstring ":"] "LicenseRef-" idstring
+        ref = "DocumentRef-spdx-tool-1.2:LicenseRef-MIT-Style-2"
+        assert parse_expression(ref) == LicenseRef(ref)
+        assert parse_expression(f"{ref} OR MIT") == Or(LicenseRef(ref), LicenseRef("MIT"))
+        assert render(parse_expression(f"({ref}) AND MIT")) == f"{ref} AND MIT"
+
+    @pytest.mark.parametrize(
+        "raw, offset",
+        [
+            ("DocumentRef-x:MIT", 13),  # the ":" joins only a LicenseRef-
+            ("DocumentRef-x:", 13),
+            ("DocumentRef-x :LicenseRef-y", 14),
+            ("DocumentRef-x: LicenseRef-y", 13),
+            ("LicenseRef-y:DocumentRef-x", 12),
+            ("DocumentRef-x:LicenseRef-y:LicenseRef-z", 26),
+        ],
+    )
+    def test_malformed_document_ref_fails_at_the_colon(self, raw, offset):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(raw)
+        assert exc.value.offset == offset
+
     def test_expression_ids(self):
         expr = parse_expression("MIT AND (ISC OR Zlib)")
         assert expression_ids(expr) == {"MIT", "ISC", "Zlib"}
@@ -248,6 +271,14 @@ class TestNormalize:
     def test_custom_license_ref_is_unknown(self, aliases, known):
         outcome = normalize("LicenseRef-my-custom", aliases, known)
         assert outcome.reason is UnresolvableReason.UNKNOWN_NAME
+
+    @pytest.mark.parametrize(
+        "raw", ["DocumentRef-x:LicenseRef-y", "MIT OR DocumentRef-x:LicenseRef-y"]
+    )
+    def test_document_ref_is_unknown(self, raw, aliases, known):
+        # It parses now, but no known id names it, as with a bare LicenseRef-.
+        assert normalize(raw, aliases, known) == Unresolvable(UnresolvableReason.UNKNOWN_NAME, raw)
+        assert oracle_normalize(raw, aliases, known) == normalize(raw, aliases, known)
 
     def test_idempotent_on_resolved(self, aliases, known):
         first = normalize("mit OR apache2 AND gpl-3.0+", aliases, known)
@@ -435,6 +466,13 @@ class TestParserOracle:
             "(MIT OR ISC) WITH A",
             "MIT WITH A WITH B",
             "MIT WITH GPL-2.0+",
+            "DocumentRef-x:LicenseRef-y",
+            "DocumentRef-x:LicenseRef-y+ WITH A OR MIT",
+            "MIT WITH DocumentRef-x:LicenseRef-y",
+            "DocumentRef-x:MIT",
+            "DocumentRef-x :LicenseRef-y",
+            "AND+",
+            "MIT++",
             "((MIT)",
             "MIT)",
             "MIT ( ISC",
@@ -460,6 +498,24 @@ class TestParserOracle:
     )
     def test_token_strings_equal_oracle_hypothesis(self, raw):
         assert _parse_outcome(parse_expression, raw) == _parse_outcome(oracle_parse, raw)
+
+    def test_document_ref_fragments_equal_oracle(self):
+        # Glued and spaced fragments of "DocumentRef-d:LicenseRef-r", most of them malformed.
+        pieces = ("DocumentRef-d", ":", "LicenseRef-r", "DocumentRef-d:LicenseRef-r", "+",
+                  "MIT", "OR", "WITH", "(", ")")
+        rng = random.Random(22)
+        trees = errors = 0
+        for _ in range(3000):
+            raw = "".join(
+                rng.choice(pieces) + rng.choice(("", "", " ")) for _ in range(rng.randint(1, 8))
+            )
+            got = _parse_outcome(parse_expression, raw)
+            assert got == _parse_outcome(oracle_parse, raw), raw
+            if isinstance(got, tuple):
+                errors += 1
+            else:
+                trees += 1
+        assert trees > 100 and errors > 100
 
 
 def _parenthesize_randomly(rng, tree) -> str:

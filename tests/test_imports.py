@@ -1,17 +1,24 @@
-"""Every module of the package uses each name it imports.
+"""What the package imports, and when.
 
-``__init__.py`` is exempt: its imports are the package's exports. A name
+Every module uses each name it imports; ``__init__.py`` is exempt. A name
 counts as used when it appears as a ``Name`` (which covers the base of an
 ``Attribute``) or inside a quoted annotation such as ``"AliasTable"``.
+
+``import licterm`` loads no submodule, and each CLI command loads only the
+modules it runs. Both are checked in a fresh interpreter per case.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import licterm
+from licterm.cli import main
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "licterm"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -85,12 +92,220 @@ class TestUnusedImports:
         assert {"cli.py", "expression.py", "mining.py"} <= {p.name for p in MODULES}
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports licterm from this checkout."""
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def _last_line(code: str, *argv: str):
+    """The value ``code`` prints as the last line of its stdout, in a fresh interpreter."""
+    done = _python("-c", code, *argv)
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout.splitlines()[-1])
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # Both cost every command start-up time; neither may come back through any module.
     code = "import sys, licterm.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    done = _python("-c", code)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+SNAPSHOT = "\n".join(
+    "\t".join(fields)
+    for fields in [
+        ("web", "1.0.0", "2021-04-01", "MIT", "styles@^1.0.0;legacy@*"),
+        ("web", "2.0.0", "2022-02-01", "GPL-3.0-only", "styles@^1.0.0"),
+        ("styles", "1.2.0", "2020-06-01", "CC-BY-4.0", ""),
+        ("legacy", "0.9.0", "2019-01-01", "SEE LICENSE IN LICENSE.txt", ""),
+    ]
+) + "\n"
+
+
+@pytest.fixture(scope="module")
+def pipeline_files(tmp_path_factory):
+    """A snapshot and the graph file ``ingest`` builds from it."""
+    root = tmp_path_factory.mktemp("imports")
+    snapshot, graph = root / "snap.dat", root / "graph.dat"
+    snapshot.write_text(SNAPSHOT, encoding="utf-8")
+    assert main(["ingest", str(snapshot), "-o", str(graph)]) == 0
+    return str(snapshot), str(graph)
+
+
+# The licterm modules every command loads: the package, the CLI, and what
+# normalizing an expression against the dataset needs.
+BASE_MODULES = {"licterm", "licterm.cli", "licterm._frozen", "licterm.dataset",
+                "licterm.errors", "licterm.expression", "licterm.model"}
+SCAN_MODULES = {"conflicts", "registry", "scan", "semver"}
+REPORT_MODULES = (
+    "import sys\n"
+    "from licterm.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(repr((code, sorted(m for m in sys.modules if m.startswith('licterm')),"
+    " 'json' in sys.modules)))\n"
+)
+
+
+# (command line, licterm modules it loads beyond BASE_MODULES, whether it loads json)
+COMMAND_CASES = [
+    (["normalize", "MIT"], set(), False),
+    (["normalize", "MIT", "--dataset", "{dataset}"], set(), False),
+    (["parse-expr", "MIT OR ISC"], set(), False),
+    (["explain", "MIT"], set(), False),
+    (["check", "MIT", "CC-BY-4.0"], {"conflicts"}, False),
+    (["check", "MIT", "CC-BY-4.0", "--format", "records"], {"conflicts"}, True),
+    (["matrix"], {"conflicts"}, False),
+    (["matrix", "--format", "records"], {"conflicts"}, True),
+    (["mine", "--min-support", "10"], {"mining"}, False),
+    (["ingest", "{snapshot}", "-o", "{output}"], {"registry", "semver"}, False),
+    (["changes", "{snapshot}"], {"registry", "semver"}, False),
+    (["scan", "{graph}"], SCAN_MODULES, False),
+    (["scan", "{graph}", "--format", "records"], SCAN_MODULES, True),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, extra, loads_json", COMMAND_CASES, ids=[" ".join(c[0]) for c in COMMAND_CASES]
+)
+def test_each_command_loads_only_the_modules_it_runs(
+    argv, extra, loads_json, pipeline_files, tmp_path
+):
+    snapshot, graph = pipeline_files
+    dataset = str(PACKAGE / "data" / "licenses.dat")
+    output = str(tmp_path / "out.dat")
+    argv = [a.format(snapshot=snapshot, graph=graph, output=output, dataset=dataset) for a in argv]
+    code, modules, json_loaded = _last_line(REPORT_MODULES, *argv)
+    assert code in (0, 4)
+    assert set(modules) == BASE_MODULES | {f"licterm.{m}" for m in extra}
+    assert json_loaded is loads_json
+
+
+# Every name ``licterm`` exported when ``__init__`` imported each module,
+# by the module that defines it. ``scan`` (the function) is left out:
+# ``licterm.scan`` is the submodule, and the function is ``licterm.scan.scan``.
+EXPORTS = {
+    "model": ("Attitude", "CopyleftClass", "LicenseProfile", "Term", "TermKind"),
+    "dataset": ("AliasTable", "Dataset", "bundled_aliases", "bundled_dataset",
+                "bundled_known_ids", "dumps_dataset", "known_licenses", "load_aliases",
+                "load_dataset"),
+    "expression": ("And", "ExpressionSyntaxError", "KnownLicenses", "LicenseRef",
+                   "NormalizationOutcome", "Or", "Unresolvable", "UnresolvableReason",
+                   "normalize", "parse_expression", "render"),
+    "conflicts": ("ConflictFinding", "ConflictMatrix", "ConflictType", "ExpressionVerdict",
+                  "build_matrix", "check_expressions", "check_profiles", "explain"),
+    "mining": ("FrequentPattern", "common_term_report", "dedup_similar", "mine"),
+    "semver": ("Semver", "VersionRange", "parse_range", "resolve_range"),
+    "registry": ("DependencyGraph", "LicenseChange", "VersionRecord", "build_graph",
+                 "license_changes", "parse_snapshot"),
+    "scan": ("ScanReport", "rank_pairs"),
+}
+EXPORTED = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+class TestPackageExports:
+    def test_import_loads_no_submodule(self):
+        code = "import sys, licterm; print(sorted(m for m in sys.modules if 'licterm' in m))"
+        assert _last_line(code) == ["licterm"]
+
+    @pytest.mark.parametrize("module, name", EXPORTED, ids=[n for _, n in EXPORTED])
+    def test_each_name_is_its_module_object(self, module, name):
+        assert getattr(licterm, name) is getattr(importlib.import_module(f"licterm.{module}"), name)
+
+    def test_dir_lists_every_name_and_submodule(self):
+        assert {name for _, name in EXPORTED} | set(EXPORTS) <= set(dir(licterm))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            licterm.no_such_name
+        with pytest.raises(ImportError):
+            from licterm import no_such_name  # noqa: F401
+
+    @pytest.mark.parametrize(
+        "prelude",
+        [
+            "import licterm.scan, licterm.cli",
+            "import licterm.cli",
+            "import licterm.cli; licterm.cli.scan",
+            "import licterm; licterm.scan",
+        ],
+    )
+    def test_scan_is_the_submodule_in_any_import_order(self, prelude):
+        code = (
+            f"{prelude}\n"
+            "import sys, licterm, licterm.cli\n"
+            "from licterm import scan\n"
+            "submodule = sys.modules['licterm.scan']\n"
+            "print(repr((licterm.scan is submodule, scan is submodule,"
+            " licterm.cli.scan is submodule.scan)))\n"
+        )
+        assert _last_line(code) == (True, True, True)
+
+
+class TestPatchBeforeLoad:
+    """A name of ``licterm.cli`` can be replaced before its module is loaded."""
+
+    def test_replaced_name_runs_until_restored(self, pipeline_files, tmp_path):
+        # As a tracer does: patch, run, restore, run again.
+        code = (
+            "import sys\n"
+            "import licterm.cli as cli\n"
+            "calls = []\n"
+            "def spy(records):\n"
+            "    calls.append(len(records))\n"
+            "    from licterm.registry import build_graph\n"
+            "    return build_graph(records)\n"
+            "loaded = 'licterm.registry' in sys.modules\n"
+            "setattr(cli, 'build_graph', spy)\n"
+            "first = cli.main(['ingest', sys.argv[1], '-o', sys.argv[2]])\n"
+            "kept = cli.build_graph is spy\n"
+            "import licterm.registry\n"
+            "setattr(cli, 'build_graph', licterm.registry.build_graph)\n"
+            "second = cli.main(['ingest', sys.argv[1], '-o', sys.argv[2]])\n"
+            "print(repr((loaded, first, kept, second, calls)))\n"
+        )
+        result = _last_line(code, pipeline_files[0], str(tmp_path / "graph.dat"))
+        assert result == (False, 0, True, 0, [4])
+
+    def test_reading_a_name_first_gives_the_original(self):
+        code = (
+            "import licterm.cli as cli, licterm.registry as registry\n"
+            "print(repr((cli.build_graph is registry.build_graph, cli.dumps.__module__)))\n"
+        )
+        assert _last_line(code) == (True, "json")
+
+    def test_unknown_name_raises_attribute_error(self):
+        import licterm.cli as cli
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            cli.no_such_name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "{snapshot}", "-o", "{output}"],
+            ["scan", "{graph}"],
+            ["scan", "{graph}", "--format", "records"],
+            ["changes", "{snapshot}", "--format", "records"],
+            ["matrix"],
+            ["matrix", "--format", "records"],
+            ["mine", "--min-support", "10"],
+            ["mine", "--min-support", "10", "--format", "records"],
+        ],
+        ids=" ".join,
+    )
+    def test_module_run_matches_in_process_main(self, argv, pipeline_files, tmp_path, capsys):
+        snapshot, graph = pipeline_files
+        outputs = []
+        for name in ("child.dat", "main.dat"):
+            output = str(tmp_path / name)
+            outputs.append([a.format(snapshot=snapshot, graph=graph, output=output) for a in argv])
+        child = _python("-m", "licterm.cli", *outputs[0])
+        code = main(outputs[1])
+        captured = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+        if argv[0] == "ingest":
+            assert (tmp_path / "child.dat").read_bytes() == (tmp_path / "main.dat").read_bytes()
