@@ -23,11 +23,14 @@ catalog order (:attr:`licterm.model.LicenseProfile.masks`):
 side and one for the dependency side, and a rule fires where the two
 intersect. :func:`check_profiles` decodes the intersecting bits into
 findings. :func:`check_expressions` scores OR choices by the popcounts
-of the intersections alone; its verdict names the conflict types that
-fired and decodes the winning choice's findings only when they are
-read. :func:`build_matrix` inverts the masks into term-holder bitsets,
-one license bitset per rule, side and term, and unions the holders of a
-license's term bits to get its conflict partners.
+of the intersections alone, in one flat loop: it derives each distinct
+leaf id's masks once per call, and stops at the first choice pair with
+no findings, which no later pair can beat. Its verdict names the
+conflict types that fired and decodes the winning choice's findings
+only when they are read. :func:`build_matrix` inverts the masks into
+term-holder bitsets, one license bitset per rule, side and term, and
+unions the holders of a license's term bits to get its conflict
+partners.
 """
 
 from __future__ import annotations
@@ -280,6 +283,40 @@ def _choices(
     return [(And(lt, rt), ll + rl) for lt, ll in left for rt, rl in right]
 
 
+#: The conflict types that fired, indexed by bit k set when rule k fired.
+_FIRED = tuple(
+    tuple(ctype for k, (ctype, _) in enumerate(_RULE_TERMS) if fired >> k & 1)
+    for fired in range(8)
+)
+
+
+def _best_pair(
+    p_rows: list[list[tuple[int, int, int]]], d_rows: list[list[tuple[int, int, int]]]
+) -> tuple[int, int, int]:
+    """(rules fired, parent index, dependency index) of the first pair with the fewest findings.
+
+    Bit k of the first is set when rule k fired. Only a strictly smaller
+    total replaces the best, and a pair with no findings ends the walk.
+    """
+    best = (0, 0, 0)
+    best_total = -1
+    for i, p_row in enumerate(p_rows):
+        for j, d_row in enumerate(d_rows):
+            c1 = c2 = c3 = 0
+            for p1, p2, p3 in p_row:
+                for d1, d2, d3 in d_row:
+                    c1 += (p1 & d1).bit_count()
+                    c2 += (p2 & d2).bit_count()
+                    c3 += (p3 & d3).bit_count()
+            total = c1 + c2 + c3
+            if not total:
+                return 0, i, j
+            if best_total < 0 or total < best_total:
+                best = ((c1 > 0) | (c2 > 0) << 1 | (c3 > 0) << 2, i, j)
+                best_total = total
+    return best
+
+
 def check_expressions(
     parent: LicenseExpression,
     dep: LicenseExpression,
@@ -290,46 +327,45 @@ def check_expressions(
 
     OR means the licensee picks one branch for the whole expression, so
     each side is expanded into its OR choices and each (parent choice,
-    dependency choice) pair is scored once: the number of findings of
-    every parent leaf against every dependency leaf. A leaf pair's count
-    per rule is the popcount of its :func:`_rule_masks` intersection (0
-    when either id has no profile), which is exactly the number of
-    findings :func:`check_profiles` would return, so scoring builds no
-    finding. The pair with the fewest findings wins; ties go to the first
-    parent choice, then the first dependency choice, with left branches
-    first. More than :data:`MAX_CHOICE_PAIRS` pairs raise
-    :class:`ExpressionTooComplex` before they are built.
+    dependency choice) pair is scored: the number of findings of every
+    parent leaf against every dependency leaf. A leaf pair's count per
+    rule is the popcount of its :func:`_rule_masks` intersection (0 when
+    either id has no profile), which is exactly the number of findings
+    :func:`check_profiles` would return, so scoring builds no finding.
+    Each distinct leaf id's masks are derived once per call. The pair
+    with the fewest findings wins; ties go to the first parent choice,
+    then the first dependency choice, with left branches first, so the
+    first pair with no findings ends the scoring. More than
+    :data:`MAX_CHOICE_PAIRS` pairs raise :class:`ExpressionTooComplex`
+    before they are built.
     """
     p_choices = _choices(parent, MAX_CHOICE_PAIRS)
     d_choices = _choices(dep, MAX_CHOICE_PAIRS // len(p_choices))
     profiles = ds.profiles
-    counts: dict[tuple[str, str], tuple[int, ...]] = {}  # per rule, by (parent id, dep id)
-
-    def count(p: LicenseRef, d: LicenseRef) -> tuple[int, ...]:
-        key = (p.id, d.id)
-        if key not in counts:
-            p_profile, d_profile = profiles.get(p.id), profiles.get(d.id)
-            if p_profile is None or d_profile is None:
-                counts[key] = (0, 0, 0)
-            else:
-                parent_side = _rule_masks(p_profile, strict_not_mentioned)[0]
-                dep_side = _rule_masks(d_profile, strict_not_mentioned)[1]
-                counts[key] = tuple((a & b).bit_count() for a, b in zip(parent_side, dep_side))
-        return counts[key]
-
-    scored = (
-        ([sum(n) for n in zip(*[count(p, d) for p in pl for d in dl])], pt, pl, dt, dl)
-        for pt, pl in p_choices
-        for dt, dl in d_choices
-    )
-    # min keeps the first of equal scores, which is the tie rule.
-    per_rule, p_tree, p_leaves, d_tree, d_leaves = min(scored, key=lambda s: sum(s[0]))
+    sides_of: dict[str, tuple[tuple[int, int, int], tuple[int, int, int]] | None] = {}
+    rows: tuple[list, list] = ([], [])  # per side, per choice: its profiled leaves' masks
+    for side, choices in enumerate((p_choices, d_choices)):
+        for _, leaves in choices:
+            row = []
+            for ref in leaves:
+                if ref.id not in sides_of:
+                    profile = profiles.get(ref.id)
+                    sides_of[ref.id] = (
+                        None if profile is None else _rule_masks(profile, strict_not_mentioned)
+                    )
+                sides = sides_of[ref.id]
+                if sides is not None:
+                    row.append(sides[side])
+            rows[side].append(row)
+    fired, i, j = _best_pair(*rows)
+    p_tree, p_leaves = p_choices[i]
+    d_tree, d_leaves = d_choices[j]
     return ExpressionVerdict(
-        conflict_types=tuple(ctype for (ctype, _), n in zip(_RULE_TERMS, per_rule) if n),
+        conflict_types=_FIRED[fired],
         parent_choice=p_tree,
         dep_choice=d_tree,
-        parent_leaves=tuple((ref, profiles.get(ref.id)) for ref in p_leaves),
-        dep_leaves=tuple((ref, profiles.get(ref.id)) for ref in d_leaves),
+        parent_leaves=tuple([(ref, profiles.get(ref.id)) for ref in p_leaves]),
+        dep_leaves=tuple([(ref, profiles.get(ref.id)) for ref in d_leaves]),
         strict_not_mentioned=strict_not_mentioned,
     )
 

@@ -508,3 +508,22 @@ class TestVerdict:
         findings = verdict.findings
         assert len(calls) == 2 and verdict.findings is findings
 
+    def test_rule_masks_derived_once_per_leaf_id(self, seed_dataset, monkeypatch):
+        import licterm.conflicts as conflicts
+
+        calls = []
+        real = conflicts._rule_masks
+        monkeypatch.setattr(
+            conflicts,
+            "_rule_masks",
+            lambda profile, strict: calls.append(profile.spdx_id) or real(profile, strict),
+        )
+        # MIT and ISC sit on both sides and in several choices each;
+        # Xyz-1.0 has no profile, so it has no masks.
+        parent = parse_expression("(MIT OR GPL-3.0-only) AND ISC")
+        dep = parse_expression("(ISC OR Apache-2.0) AND MIT AND Xyz-1.0")
+        check_expressions(parent, dep, seed_dataset)
+        assert sorted(calls) == ["Apache-2.0", "GPL-3.0-only", "ISC", "MIT"]
+        monkeypatch.undo()
+        _assert_matches_oracle(parent, dep, False)
+

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import licterm.conflicts
+import licterm.scan
 from licterm.conflicts import ConflictType, check_expressions
 from licterm.expression import And, Or, Unresolvable, normalize
 from licterm.registry import build_graph, parse_snapshot_text
@@ -323,3 +324,48 @@ def test_scan_builds_no_finding(seed_dataset, aliases, known, monkeypatch):
     report, _, _ = _scan_text(text, seed_dataset, aliases, known)
     assert report.conflicted_edges == 2  # MIT may depend on MIT OR ISC
     assert calls == []
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_scan_checks_each_distinct_outcome_pair_once(
+    strict, seed_dataset, aliases, known, monkeypatch
+):
+    # scan checks edges through the check_expressions name it imports, once
+    # per distinct pair of normalized licenses, and counts the verdict per
+    # edge; the benchmark's traced run counts those calls. A pair with an
+    # unresolvable side is never checked.
+    calls = []
+    real = licterm.scan.check_expressions
+
+    def counting(parent, dep, *args):
+        calls.append((str(parent), str(dep)))
+        return real(parent, dep, *args)
+
+    monkeypatch.setattr(licterm.scan, "check_expressions", counting)
+    checked = []
+    unknown_edges = shared = 0
+    for seed in range(10):
+        records = parse_snapshot_text(_random_snapshot(random.Random(seed)))
+        graph = build_graph(records)
+        outcomes = [normalize(record.license_raw, aliases, known) for record in records]
+        pairs = [(outcomes[edge.parent], outcomes[edge.dep]) for edge in graph.edges]
+        resolved = [
+            (str(parent), str(dep))
+            for parent, dep in pairs
+            if not isinstance(parent, Unresolvable) and not isinstance(dep, Unresolvable)
+        ]
+        expected = list(dict.fromkeys(resolved))  # in first-seen edge order
+        calls.clear()
+        report = scan(graph, records, seed_dataset, strict, aliases, known)
+        assert calls == expected, seed
+        assert report.unknown_license_edges == len(pairs) - len(resolved)
+        checked += calls
+        unknown_edges += report.unknown_license_edges
+        shared += len(resolved) - len(expected)
+    # The snapshots hold what the contract is about: edges that share a
+    # pair, edges with an unresolvable side, and OR, AND, WITH and an id
+    # known to the registry but not profiled.
+    assert shared > 0 and unknown_edges > 0
+    spelled = " ".join(f"{parent} {dep}" for parent, dep in checked)
+    for part in (" OR ", " AND ", " WITH ", "EPL-2.0"):
+        assert part in spelled
