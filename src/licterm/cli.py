@@ -2,14 +2,16 @@
 
 Exit codes: 0 success or no conflict, 2 usage error, 3 unresolvable
 input or too many OR choices to check, 4 conflicts found, 5 data
-error. The bundled dataset and alias table are used unless overridden
-with ``--dataset`` / ``--aliases`` or the ``LICTERM_DATASET``
-environment variable; an empty path given to either flag is a usage
-error. Each command walks its items once and gives ``_out`` each item's
-JSON record and table line, so ``--format records`` (one JSON object per
-line, for piping) emits the items of the human table in its order;
-headers are table-only, and ``check`` writes its table-format warnings to
-stderr. Identical invocations produce byte-identical output.
+error, 141 (128 + SIGPIPE) when the reader of stdout closed it early,
+which ends the command quietly. The bundled dataset and alias table are
+used unless overridden with ``--dataset`` / ``--aliases`` or the
+``LICTERM_DATASET`` environment variable; an empty path given to either
+flag is a usage error. Each command walks its items once and gives
+``_out`` each item's JSON record and table line, so ``--format records``
+(one JSON object per line, for piping) emits the items of the human
+table in its order; headers are table-only, and ``check`` writes its
+table-format warnings to stderr. Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ EXIT_USAGE = 2
 EXIT_UNRESOLVABLE = 3
 EXIT_CONFLICTS = 4
 EXIT_DATA = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command killed by it
 
 DATASET_ENV = "LICTERM_DATASET"
 
@@ -424,6 +427,14 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (``licterm matrix | head``): stop quietly, and
+        # point stdout at devnull so the flush at exit has nowhere to fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
     except (ExpressionTooComplex, LictermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_UNRESOLVABLE if isinstance(exc, ExpressionTooComplex) else EXIT_DATA

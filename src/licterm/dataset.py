@@ -11,6 +11,8 @@ unknown attitude spellings are format errors, and a profile whose id
 is empty or not made of letters, digits, ``.``, ``-`` and ``+``, that
 lacks a term, or whose term takes an attitude its kind does not allow
 (:data:`licterm.model.ALLOWED_ATTITUDES`) is a validation error.
+Records are read one at a time, and loading stops at the end of the
+first faulty record, or at once at a line without a colon.
 ``Dataset.profiles`` maps each exact, case-sensitive id to its profile.
 
 The alias table maps irregular raw spellings to canonical ids, one
@@ -81,14 +83,36 @@ class AliasTable(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def _profile(
-    fields: dict[str, str],
-    terms: dict[Term, Attitude],
-    wrong_kind: list[str],
-    source: str,
-    line: int,
-) -> LicenseProfile:
-    """The profile of a record whose lines all parsed, or its first record-level fault."""
+def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
+    """The profile of a record's ``(line, key, value)`` triples, or its first fault.
+
+    The first unknown key, duplicate key or unknown attitude spelling
+    raises at its own line. Then, at the record's first line, a missing
+    field or unknown copyleft class, then the id, totality and kind
+    violations together.
+    """
+    fields: dict[str, str] = {}
+    terms: dict[Term, Attitude] = {}
+    wrong_kind: list[str] = []
+    for lineno, key, value in record:
+        if key in fields:
+            raise FormatError(f"duplicate key {key!r}", source=source, line=lineno)
+        fields[key] = value
+        entry = _TERM_LINES.get(key)
+        if entry is None:
+            if key not in _HEADER_KEYS:
+                raise FormatError(f"unknown key {key!r}", source=source, line=lineno)
+            continue
+        term, allowed = entry
+        attitude = allowed.get(value)
+        if attitude is None:
+            attitude = _ATTITUDE_BY_KEY.get(value)
+            if attitude is None:
+                message = f"unknown attitude {value!r} for {key}"
+                raise FormatError(message, source=source, line=lineno)
+            wrong_kind.append(f"{key}: {term.kind.value} cannot be {value!r}")
+        terms[term] = attitude
+    line = record[0][0]
     for required in ("spdx-id", "copyleft"):
         if required not in fields:
             raise FormatError(f"record missing {required!r}", source=source, line=line)
@@ -120,86 +144,46 @@ def _profile(
 
 
 def loads_dataset(text: str, source: str = "<string>") -> Dataset:
-    """Parse dataset text in one pass; strict format, every profile checked.
+    """Parse dataset text one record at a time; strict format, every profile checked.
 
-    A line without a colon is a format error at once. Any other fault
-    is kept and raised when its record ends: the first faulty line of
-    the record, then a missing field or unknown copyleft class, then
-    the id, totality and kind violations together, then a duplicate id;
-    the last three at the record's first line.
+    A line without a colon is a format error at once; a record's other
+    lines are kept as ``(line, key, value)`` triples until it ends. A
+    first record of metadata keys alone is the metadata record (a repeated
+    key is a format error); any other goes to :func:`_profile`, and then
+    an id used before is a validation error at the record's first line.
     """
     version = "0"
     provenance = "unknown"
     profiles: dict[str, LicenseProfile] = {}
-    meta: dict[str, str] | None = {}  # the first record, while its keys are all metadata
-    first = 0  # the open record's first line; 0 between records
-    fields: dict[str, str] = {}
-    terms: dict[Term, Attitude] = {}
-    wrong_kind: list[str] = []
-    fault: FormatError | None = None
+    record: list[tuple[int, str, str]] = []
+    leading = True  # no record has ended yet
     lines = split_lines(text)
     lines.append("")  # a blank line ends the last record
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if not stripped:
-            if not first:
-                continue
-            if fault is not None:
-                raise fault
-            if meta is not None:
+        if stripped and stripped[0] != "#":
+            key, colon, value = stripped.partition(":")
+            if not colon:
+                message = f"expected 'key: value', got {stripped!r}"
+                raise FormatError(message, source=source, line=lineno)
+            record.append((lineno, key.strip(), value.strip()))
+        elif not stripped and record:
+            if leading and all(key in _META_KEYS for _, key, _ in record):
+                meta: dict[str, str] = {}
+                for at, key, value in record:
+                    if key in meta:
+                        raise FormatError(f"duplicate key {key!r}", source=source, line=at)
+                    meta[key] = value
                 version = meta.get("dataset-version", version)
                 provenance = meta.get("provenance", provenance)
-                meta = None
             else:
-                profile = _profile(fields, terms, wrong_kind, source, first)
+                profile = _profile(record, source)
                 if profile.spdx_id in profiles:
                     message = f"duplicate spdx-id {profile.spdx_id!r}"
-                    raise ValidationError(message, source=source, line=first)
+                    raise ValidationError(message, source=source, line=record[0][0])
                 profiles[profile.spdx_id] = profile
-            first = 0
-            fields, terms, wrong_kind = {}, {}, []
-            continue
-        if stripped[0] == "#":
-            continue
-        key, colon, value = stripped.partition(":")
-        if not colon:
-            raise FormatError(
-                f"expected 'key: value', got {stripped!r}", source=source, line=lineno
-            )
-        if not first:
-            first = lineno
-        key = key.strip()
-        value = value.strip()
-        if meta is not None:
-            if key in _META_KEYS:
-                if key in meta and fault is None:
-                    fault = FormatError(f"duplicate key {key!r}", source=source, line=lineno)
-                meta[key] = value
-                continue
-            if meta:  # a profile record cannot hold the metadata key it began with
-                message = f"unknown key {next(iter(meta))!r}"
-                fault = FormatError(message, source=source, line=first)
-            meta = None
-        if fault is not None:
-            continue
-        if key in fields:
-            fault = FormatError(f"duplicate key {key!r}", source=source, line=lineno)
-            continue
-        fields[key] = value
-        entry = _TERM_LINES.get(key)
-        if entry is not None:
-            term, allowed = entry
-            attitude = allowed.get(value)
-            if attitude is None:
-                attitude = _ATTITUDE_BY_KEY.get(value)
-                if attitude is None:
-                    message = f"unknown attitude {value!r} for {key}"
-                    fault = FormatError(message, source=source, line=lineno)
-                    continue
-                wrong_kind.append(f"{key}: {term.kind.value} cannot be {value!r}")
-            terms[term] = attitude
-        elif key not in _HEADER_KEYS:
-            fault = FormatError(f"unknown key {key!r}", source=source, line=lineno)
+            leading = False
+            record = []
     return Dataset(profiles=profiles, version=version, provenance=provenance)
 
 

@@ -3,8 +3,11 @@ import gc
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -703,6 +706,44 @@ class TestDeterminismAndConfig:
         code, out, err = run(capsys, "matrix")
         assert (code, err) == (0, "")
         assert out.startswith("conflicting ordered pairs: C1=115 C2=361 C3=101\n")
+
+
+def _piped_matrix(stdout, unbuffered: bool) -> subprocess.Popen:
+    """``python -m licterm.cli matrix --format records`` from this checkout, into ``stdout``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, "-m", "licterm.cli", "matrix", "--format", "records"]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the command quietly, with exit 141."""
+
+    def test_reader_gone_before_the_first_write(self, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = _piped_matrix(write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (141, b"")
+
+    def test_reader_closes_after_the_first_line(self, unbuffered):
+        child = _piped_matrix(subprocess.PIPE, unbuffered)
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        child.wait(timeout=60)
+        child.stderr.close()
+        assert json.loads(first)["c1_pairs"] == 115
+        assert err == b""
+        # Whether the rest was written before the close is up to the scheduler.
+        assert child.returncode in (0, 141)
 
 
 MUTATION_SNAPSHOT = [

@@ -127,11 +127,12 @@ class TestFileFormat:
         assert loads_dataset(dumps_dataset(ds)) == ds
 
     def test_metadata_block(self):
-        text = "dataset-version: 7\nprovenance: somewhere\n\n" + MINIMAL_RECORD
-        ds = loads_dataset(text)
-        assert ds.version == "7"
-        assert ds.provenance == "somewhere"
-        assert len(ds) == 1
+        meta = "dataset-version: 7\nprovenance: somewhere\n\n"
+        for head in ("", "# comment lines alone are no record\n\n"):
+            ds = loads_dataset(head + meta + MINIMAL_RECORD)
+            assert ds.version == "7"
+            assert ds.provenance == "somewhere"
+            assert len(ds) == 1
 
     @pytest.mark.parametrize(
         "meta, line",
@@ -154,6 +155,20 @@ class TestFileFormat:
         with pytest.raises(FormatError) as exc:
             loads_dataset(text, source="test.dat")
         assert str(exc.value) == "test.dat:1: unknown key 'dataset-version'"
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            (MINIMAL_RECORD + "\ndataset-version: 8\n", "27: unknown key 'dataset-version'"),
+            ("dataset-version: 7\n\nprovenance: x\n\n" + MINIMAL_RECORD,
+             "3: unknown key 'provenance'"),
+        ],
+        ids=["after-a-profile", "after-the-metadata"],
+    )
+    def test_only_the_first_record_holds_metadata(self, text, where):
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(text, source="test.dat")
+        assert str(exc.value) == f"test.dat:{where}"
 
     def test_comments_and_extra_blank_lines_tolerated(self):
         text = "# comment\n\n\n" + MINIMAL_RECORD + "\n\n"
@@ -235,6 +250,12 @@ class TestProfileRules:
         with pytest.raises(FormatError) as exc:
             loads_dataset(bad.replace("distribute: must", "distribute: maybe") + "no colon\n")
         assert str(exc.value) == "<string>:26: expected 'key: value', got 'no colon'"
+        # A fault in an earlier record wins over a line without a colon in a later one.
+        first = MINIMAL_RECORD.replace("rename:", "renamed:")
+        second = MINIMAL_RECORD.replace("Test-1.0", "Test-2.0") + "no colon\n"
+        with pytest.raises(FormatError) as exc:
+            loads_dataset(first + "\n" + second, source="t")
+        assert str(exc.value) == "t:23: unknown key 'renamed'"
 
 
 _RIGHT_KEYS = {t.value for t in RIGHT_TERMS}
