@@ -25,11 +25,14 @@ an edge holds the list indexes of its two nodes, an unresolved entry
 the index of its one node. The graph file written by ``ingest``
 repeats the node metadata so a scan can run from the graph file alone.
 
-Snapshot lines and graph node lines are read by one line generator
-(``_lines``) and checked by one record parser (``_RecordParser``), so
-both are validated alike and every error carries its ``file:line``
-locator. Within one file each distinct version text, date and
-dependency entry is parsed once.
+Snapshot lines and graph node lines skip blank and comment lines by one
+test (``_skipped``) and are checked by one record parser
+(``_RecordParser``), so both are validated alike and every error carries
+its ``file:line`` locator. Within one file each distinct version text,
+date and dependency entry is parsed once. The graph reader tests each
+line's kind before that skip test, since no blank or comment line has a
+kind, and looks an edge's parent up only when its text differs from the
+previous edge's, as ``write_graph`` groups edges by parent.
 """
 
 from __future__ import annotations
@@ -99,15 +102,17 @@ class _Parsed(dict):
         return value
 
 
+def _skipped(line: str) -> bool:
+    """Whether a line is blank or, after leading whitespace, a ``#`` comment."""
+    rest = line.lstrip()
+    return not rest or rest[0] == "#"
+
+
 def _lines(text: str):
     """(line number, tab-split fields) of each line that is not blank or ``#``."""
     for lineno, line in enumerate(split_lines(text), start=1):
-        first = line[:1]
-        if not first or first == "#" or first.isspace():
-            rest = line.lstrip()
-            if not rest or rest[0] == "#":
-                continue
-        yield lineno, line.split("\t")
+        if not _skipped(line):
+            yield lineno, line.split("\t")
 
 
 # Python 3.11+ ``fromisoformat`` also takes "20200101" and week dates such
@@ -220,8 +225,13 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     outcomes: dict[tuple[str, str], int | str] = {}
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
+    new_edge = tuple.__new__  # Edge's own __new__ is a Python-level call
     for i in order:
-        for entry in records[i].dependencies:
+        dependencies = records[i].dependencies
+        if not dependencies:
+            continue
+        found = []  # (dependency rank, range, dependency) of each of this node's edges
+        for entry in dependencies:
             outcome = outcomes.get(entry)
             if outcome is None:
                 name, range_str = entry
@@ -244,9 +254,13 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
             if isinstance(outcome, str):
                 unresolved.append(Unresolved(i, entry[0], entry[1], outcome))
             else:
-                edges.append(Edge(i, outcome, entry[1]))
-    # Ranks are unique per node, so this is the (package, version) order of both ends.
-    edges.sort(key=lambda e: (rank[e.parent], rank[e.dep], e.range))
+                found.append((rank[outcome], entry[1], outcome))
+        # Nodes come in rank order and ranks are unique per node, so sorting
+        # each node's edges puts all of them in (package, version) order of both ends.
+        if len(found) > 1:
+            found.sort()
+        for _, range_str, dep in found:
+            edges.append(new_edge(Edge, (i, dep, range_str)))
     unresolved.sort(key=lambda u: (rank[u.node], u.dep_name, u.range))
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved))
 
@@ -367,18 +381,26 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     index: dict[tuple[str, str], int] = {}  # (package, version text) of each node line -> index
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
+    new_edge = tuple.__new__  # Edge's own __new__ is a Python-level call
+    # write_graph groups edges by parent: the last edge's parent texts and index.
+    # A node line's texts never map to another index later, as that would be a duplicate.
+    last_package = last_version = None
     lineno = 0
     try:
-        for lineno, fields in _lines(text):
+        for lineno, line in enumerate(split_lines(text), start=1):
+            fields = line.split("\t")
             kind = fields[0]
             if kind == "edge" and len(fields) == 6:
-                parent = index.get((fields[1], fields[2]))
-                if parent is None:
-                    raise _no_node(fields[1], fields[2])
-                dep = index.get((fields[3], fields[4]))
+                _, package, version_text, dep_package, dep_version, range_str = fields
+                if package != last_package or version_text != last_version:
+                    parent = index.get((package, version_text))
+                    if parent is None:
+                        raise _no_node(package, version_text)
+                    last_package, last_version = package, version_text
+                dep = index.get((dep_package, dep_version))
                 if dep is None:
-                    raise _no_node(fields[3], fields[4])
-                edges.append(Edge(parent, dep, fields[5]))
+                    raise _no_node(dep_package, dep_version)
+                edges.append(new_edge(Edge, (parent, dep, range_str)))
             elif kind == "node" and len(fields) == 5:
                 _, package, version_text, published_text, license_raw = fields
                 records.append(record(package, version_text, published_text, license_raw))
@@ -390,7 +412,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
                 if node is None:
                     raise _no_node(fields[1], fields[2])
                 unresolved.append(Unresolved(node, *fields[3:]))
-            else:
+            elif not _skipped(line):  # no blank or comment line has one of the kinds above
                 raise FormatError(f"unrecognized line kind {kind!r}")
     except FormatError as exc:
         raise type(exc)(exc.message, source=source, line=lineno) from None

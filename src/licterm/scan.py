@@ -10,17 +10,20 @@ per-edge checking produces.
 Each distinct raw license is normalized once, and its outcome is
 interned by its rendered text (unresolvable outcomes apart from
 resolved ones) as an integer outcome id. Every node maps to its
-outcome id and every edge to a pair of ids, so edges whose licenses
+outcome id and every edge to its pair of ids, coded as one int
+(parent id * number of ids + dependency id), so edges whose licenses
 normalize to the same pair of expressions share one check, whose
 verdict counts once per edge. No version or expression tree is hashed.
 The scan reads only each verdict's ``conflict_types``, so it builds no
 finding, and it takes each pair's spelling from the intern table.
+Per-type counts are kept by rule number and keyed by ``ConflictType``
+only in the returned report.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .conflicts import ConflictType, check_expressions
@@ -36,6 +39,10 @@ from .registry import DependencyGraph, VersionRecord
 
 #: Usage bucket for packages that declare no license at all.
 NO_LICENSE_BUCKET = "no-license"
+
+# The conflict types by rule number. ``tuple.index`` finds a member by
+# identity, where a dict would call the Python-level ``Enum.__hash__``.
+_TYPES = tuple(ConflictType)
 
 
 class ScanReport(NamedTuple):
@@ -61,13 +68,16 @@ def _yearly_usage(
     for record in records:
         key = (record.package, record.published.year)
         cur = latest.get(key)
-        if cur is None or (
-            (record.published, record.version.key) > (cur.published, cur.version.key)
+        if (
+            cur is None
+            or record.published > cur.published
+            or (record.published == cur.published and record.version.key > cur.version.key)
         ):
             latest[key] = record
+    bucket = {raw: _usage_bucket(outcome) for raw, outcome in outcome_of.items()}
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for (package, year), record in latest.items():
-        usage[(year, _usage_bucket(outcome_of[record.license_raw]))] += 1
+        usage[(year, bucket[record.license_raw])] += 1
     return dict(usage)
 
 
@@ -94,18 +104,26 @@ def scan(
     # By outcome id. Trees that share an id are equal: render is one-to-one.
     outcomes = {i: outcome_of[raw] for raw, i in id_of.items()}
     text = [rendered for _, rendered in ids]  # ids were handed out in insertion order
+    # Edges per (parent, dependency) outcome id pair, in first-seen edge order,
+    # each pair coded as parent id * width + dependency id so no tuple is hashed.
+    width = len(ids)
     outcome_id = [id_of[record.license_raw] for record in records]  # by node
-    # Edges per (parent, dependency) outcome id pair, in first-seen edge order.
-    at = outcome_id.__getitem__
+    scaled = [i * width for i in outcome_id]
     edges_of_pair = Counter(
-        zip(map(at, map(itemgetter(0), graph.edges)), map(at, map(itemgetter(1), graph.edges)))
+        map(
+            add,
+            map(scaled.__getitem__, map(itemgetter(0), graph.edges)),
+            map(outcome_id.__getitem__, map(itemgetter(1), graph.edges)),
+        )
     )
 
-    edges_with = {ctype: 0 for ctype in ConflictType}
-    top_pairs: dict[ConflictType, Counter] = {ctype: Counter() for ctype in ConflictType}
+    # Per rule number k, the k-th ConflictType: its edge total and its pair counts.
+    edges_with = [0] * len(_TYPES)
+    top_pairs: list[Counter] = [Counter() for _ in _TYPES]
     conflicted = 0
     unknown_edges = 0
-    for (parent_id, dep_id), edges in edges_of_pair.items():
+    for code, edges in edges_of_pair.items():
+        parent_id, dep_id = divmod(code, width)
         parent, dep = outcomes[parent_id], outcomes[dep_id]
         if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
             unknown_edges += edges
@@ -115,15 +133,15 @@ def scan(
             continue
         conflicted += edges
         pair = (text[parent_id], text[dep_id])
-        for ctype in verdict.conflict_types:
-            edges_with[ctype] += edges
-            top_pairs[ctype][pair] += edges
+        for k in map(_TYPES.index, verdict.conflict_types):
+            edges_with[k] += edges
+            top_pairs[k][pair] += edges
     return ScanReport(
         total_edges=len(graph.edges),
-        edges_with_findings=edges_with,
+        edges_with_findings=dict(zip(_TYPES, edges_with)),
         conflicted_edges=conflicted,
         unknown_license_edges=unknown_edges,
-        top_pairs=top_pairs,
+        top_pairs=dict(zip(_TYPES, top_pairs)),
         usage=_yearly_usage(records, outcome_of),
     )
 

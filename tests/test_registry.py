@@ -758,7 +758,19 @@ def _graph_lines(rng: random.Random, bad: float) -> list[str]:
         if rng.random() < bad:
             package = rng.choice([package.strip(), f" {package}", "c"])
         if rng.random() < 0.8:
-            rows.append(f"edge\t{package}\t{version}\t{dep[0]}\t{dep[1]}\t^1.0.0")
+            # A run of edges from one parent, as write_graph writes them. The
+            # run may go on from a parent that differs only in its version
+            # text, or only in the padding of its package.
+            parents = [(package, version)]
+            if rng.random() < 0.5:
+                versions = [v for p, v in spellings if p == package and v != version]
+                parents.append((package, rng.choice(versions or [f"{version} "])))
+            if rng.random() < 0.1:
+                parents.append((rng.choice([f" {package}", f"{package} "]), version))
+            for package, version in parents:
+                for _ in range(rng.randrange(1, 4)):
+                    rows.append(f"edge\t{package}\t{version}\t{dep[0]}\t{dep[1]}\t^1.0.0")
+                    dep = rng.choice(spellings)
         else:
             reason = "no-match"
             if rng.random() < bad:

@@ -235,6 +235,28 @@ def test_scan_hashes_no_version_or_expression_tree(seed_dataset, aliases, known,
     assert scan(graph, records, seed_dataset, False, aliases, known) == expected
 
 
+def test_scan_hashes_conflict_types_a_fixed_number_of_times(
+    seed_dataset, aliases, known, monkeypatch
+):
+    # Per-type totals and top pairs are kept by rule number, and
+    # Enum.__hash__ is a Python-level call: only building the report's two
+    # ConflictType-keyed dicts may hash a type, however many pairs conflict.
+    raws = [raw for raw in _RAW_LICENSES if raw]
+    deps = ";".join(f"p{j}@*" for j in range(len(raws)))
+    text = "\n".join(
+        line(f"p{i}", "1.0.0", "2021-01-01", raw, deps) for i, raw in enumerate(raws)
+    )
+    records = parse_snapshot_text(text)
+    graph = build_graph(records)
+    calls = []
+    real = ConflictType.__hash__
+    monkeypatch.setattr(ConflictType, "__hash__", lambda self: calls.append(self) or real(self))
+    report = scan(graph, records, seed_dataset, False, aliases, known)
+    assert len(calls) <= 2 * len(ConflictType)
+    assert len({pair for pairs in report.top_pairs.values() for pair in pairs}) >= 40
+    assert all(report.edges_with_findings[ctype] for ctype in ConflictType)
+
+
 # Raw licenses for generated graphs: single ids, AND, OR and WITH, an id
 # that is known but has no profile (EPL-2.0), spellings that only an
 # alias resolves, and unresolvable ones.
