@@ -33,6 +33,15 @@ date and dependency entry is parsed once. The graph reader tests each
 line's kind before that skip test, since no blank or comment line has a
 kind, and looks an edge's parent up only when its text differs from the
 previous edge's, as ``write_graph`` groups edges by parent.
+
+On the write side, ``build_graph`` parses each distinct range text once
+and resolves each distinct (package, range) once. ``write_graph`` writes
+node lines in (package, version precedence) order, then the edge and
+unresolved lines in the graph's order; ``build_graph`` groups edges by
+parent in that node order and orders each parent's edges by dependency
+node and range. It renders each distinct version object's text once,
+keyed by the object and not by precedence, since ``1.0.0+a`` and
+``1.0.0+b`` are equal but print apart.
 """
 
 from __future__ import annotations
@@ -90,6 +99,11 @@ class DependencyGraph(NamedTuple):
     unresolved: tuple[Unresolved, ...]
 
 
+# Builds a named tuple from all of its fields without the class's own
+# ``__new__``, a Python-level call.
+_new = tuple.__new__
+
+
 class _Parsed(dict):
     """Text -> ``parse(text)``, parsed on first lookup; a text that raises is not stored."""
 
@@ -106,13 +120,6 @@ def _skipped(line: str) -> bool:
     """Whether a line is blank or, after leading whitespace, a ``#`` comment."""
     rest = line.lstrip()
     return not rest or rest[0] == "#"
-
-
-def _lines(text: str):
-    """(line number, tab-split fields) of each line that is not blank or ``#``."""
-    for lineno, line in enumerate(split_lines(text), start=1):
-        if not _skipped(line):
-            yield lineno, line.split("\t")
 
 
 # Python 3.11+ ``fromisoformat`` also takes "20200101" and week dates such
@@ -164,7 +171,7 @@ class _RecordParser:
         if node in self.seen:  # by precedence: build metadata is ignored
             raise DuplicateVersionError(f"duplicate record for {package}@{version}")
         self.seen.add(node)
-        return VersionRecord(package, version, published, license_raw.strip(), dependencies)
+        return _new(VersionRecord, (package, version, published, license_raw.strip(), dependencies))
 
 
 def parse_snapshot(path: str | Path) -> list[VersionRecord]:
@@ -177,12 +184,16 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
     entries = _Parsed(_parse_dependency)
     lineno = 0
     try:
-        for lineno, fields in _lines(text):
+        for lineno, line in enumerate(split_lines(text), start=1):
+            if _skipped(line):
+                continue
+            fields = line.split("\t")
             if len(fields) != 5:
                 raise FormatError(f"expected 5 tab-separated fields, got {len(fields)}")
             package, version_text, published_text, license_raw, deps_text = fields
+            # A blank entry parses to None; every other one to a non-empty tuple.
             dependencies = (
-                tuple([dep for dep in map(entries.__getitem__, deps_text.split(";")) if dep])
+                tuple(filter(None, map(entries.__getitem__, deps_text.split(";"))))
                 if deps_text
                 else ()
             )
@@ -200,67 +211,78 @@ def _node_order(records: list[VersionRecord]) -> list[int]:
     return sorted(range(len(records)), key=keys.__getitem__)
 
 
+def _parse_range_or_none(text: str) -> VersionRange | None:
+    """The range ``text`` parses to, or None if it is outside the range grammar."""
+    try:
+        return parse_range(text)
+    except RangeSyntaxError:
+        return None
+
+
 def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     """Resolve every dependency range against the snapshot's own versions.
 
     Edges and unresolved entries index into ``records`` and come out
     sorted by their nodes' (package, version), then dependency and range.
     Each range resolves against all versions of the target package in
-    the snapshot. Each distinct (package, range) is resolved once; every
-    entry naming it still yields its own edge or unresolved record.
+    the snapshot. Each distinct range text is parsed once and each
+    distinct (package, range) resolved once; every entry naming it still
+    yields its own edge or unresolved record.
     """
     order = _node_order(records)
     rank = [0] * len(records)  # position in (package, version) order
-    # Each list is in key order, as resolve_range requires.
-    versions_by_package: dict[str, list[Semver]] = defaultdict(list)
-    node_of: dict[tuple[str, tuple], int] = {}  # (package, version key) -> records index
+    # package -> its versions in key order, as resolve_range requires, and
+    # each version key's records index. A package's nodes are adjacent in order.
+    packages: dict[str, tuple[list[Semver], dict[tuple, int]]] = {}
+    last_package = None
     for position, i in enumerate(order):
         rank[i] = position
         record = records[i]
-        versions_by_package[record.package].append(record.version)
-        node_of[record.package, record.version.key] = i
+        if record.package != last_package:
+            last_package, available, nodes = record.package, [], {}
+            packages[last_package] = available, nodes
+        available.append(record.version)
+        nodes[record.version.key] = i
 
-    ranges: dict[str, VersionRange | None] = {}  # range text -> range, None if unparsable
-    # (package, range text) -> the target's records index, or the reason there is none
-    outcomes: dict[tuple[str, str], int | str] = {}
+    ranges = _Parsed(_parse_range_or_none)  # range text -> range, None if unparsable
+    # (package, range text) -> (the target's rank, range text, target's records
+    # index), the sort key and fields of an edge, or the reason there is none
+    outcomes: dict[tuple[str, str], tuple[int, str, int] | str] = {}
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    new_edge = tuple.__new__  # Edge's own __new__ is a Python-level call
     for i in order:
         dependencies = records[i].dependencies
         if not dependencies:
             continue
-        found = []  # (dependency rank, range, dependency) of each of this node's edges
+        found = []  # the outcome of each of this node's edges
         for entry in dependencies:
             outcome = outcomes.get(entry)
             if outcome is None:
                 name, range_str = entry
-                available = versions_by_package.get(name)
-                if available is None:
+                known = packages.get(name)
+                if known is None:
                     outcome = _UNKNOWN_PACKAGE
+                elif (rng := ranges[range_str]) is None:
+                    outcome = _UNPARSABLE_RANGE
                 else:
-                    if range_str not in ranges:
-                        try:
-                            ranges[range_str] = parse_range(range_str)
-                        except RangeSyntaxError:
-                            ranges[range_str] = None
-                    rng = ranges[range_str]
-                    if rng is None:
-                        outcome = _UNPARSABLE_RANGE
+                    available, nodes = known
+                    target = resolve_range(rng, available)
+                    if target is None:
+                        outcome = _NO_MATCH
                     else:
-                        target = resolve_range(rng, available)
-                        outcome = _NO_MATCH if target is None else node_of[name, target.key]
+                        dep = nodes[target.key]
+                        outcome = (rank[dep], range_str, dep)
                 outcomes[entry] = outcome
             if isinstance(outcome, str):
-                unresolved.append(Unresolved(i, entry[0], entry[1], outcome))
+                unresolved.append(_new(Unresolved, (i, *entry, outcome)))
             else:
-                found.append((rank[outcome], entry[1], outcome))
+                found.append(outcome)
         # Nodes come in rank order and ranks are unique per node, so sorting
         # each node's edges puts all of them in (package, version) order of both ends.
         if len(found) > 1:
             found.sort()
         for _, range_str, dep in found:
-            edges.append(new_edge(Edge, (i, dep, range_str)))
+            edges.append(_new(Edge, (i, dep, range_str)))
     unresolved.sort(key=lambda u: (rank[u.node], u.dep_name, u.range))
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved))
 
@@ -341,17 +363,32 @@ GRAPH_HEADER = "#% licterm-graph 1"
 
 
 def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
-    """Persist the graph, which indexes into ``records``, with node metadata to scan it later."""
-    texts = [f"{r.package}\t{r.version}" for r in records]  # each node's package and version
+    """Persist the graph, which indexes into ``records``, with node metadata to scan it later.
+
+    Node lines come in (package, version) order, edge and unresolved lines
+    in the order the graph gives them.
+    """
+    # Each distinct version object's text, rendered once. Keyed by object, not
+    # by precedence: 1.0.0+a and 1.0.0+b are equal but print apart.
+    version_texts: dict[int, str] = {}
+    texts = []  # each node's package and version
+    for r in records:
+        version_text = version_texts.get(id(r.version))
+        if version_text is None:
+            version_text = version_texts[id(r.version)] = str(r.version)
+        texts.append(f"{r.package}\t{version_text}")
     lines = [GRAPH_HEADER]
     for i in _node_order(records):
         r = records[i]
         lines.append(f"node\t{texts[i]}\t{r.published.isoformat()}\t{r.license_raw}")
-    lines.extend(f"edge\t{texts[e.parent]}\t{texts[e.dep]}\t{e.range}" for e in graph.edges)
-    lines.extend(
-        f"unresolved\t{texts[u.node]}\t{u.dep_name}\t{u.range}\t{u.reason}"
-        for u in graph.unresolved
-    )
+    lines += [
+        f"edge\t{texts[parent]}\t{texts[dep]}\t{range_str}"
+        for parent, dep, range_str in graph.edges
+    ]
+    lines += [
+        f"unresolved\t{texts[node]}\t{dep_name}\t{range_str}\t{reason}"
+        for node, dep_name, range_str, reason in graph.unresolved
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -381,7 +418,6 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     index: dict[tuple[str, str], int] = {}  # (package, version text) of each node line -> index
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    new_edge = tuple.__new__  # Edge's own __new__ is a Python-level call
     # write_graph groups edges by parent: the last edge's parent texts and index.
     # A node line's texts never map to another index later, as that would be a duplicate.
     last_package = last_version = None
@@ -400,7 +436,7 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
                 dep = index.get((dep_package, dep_version))
                 if dep is None:
                     raise _no_node(dep_package, dep_version)
-                edges.append(new_edge(Edge, (parent, dep, range_str)))
+                edges.append(_new(Edge, (parent, dep, range_str)))
             elif kind == "node" and len(fields) == 5:
                 _, package, version_text, published_text, license_raw = fields
                 records.append(record(package, version_text, published_text, license_raw))

@@ -304,6 +304,8 @@ def resolve_range(rng: VersionRange, available: list[Semver]) -> Semver | None:
                 break
             if not version.prerelease or rng.satisfies(version):
                 # Precedence-equal versions satisfy alike; take the first.
-                best = available[bisect_left(available, version.key, lo, i, key=_KEY)]
+                if i > lo and available[i - 1].key == version.key:
+                    i = bisect_left(available, version.key, lo, i, key=_KEY)
+                best = available[i]
                 break
     return best

@@ -11,11 +11,13 @@ file-reference pattern is written the direct way, the dataset file is
 split into records before each profile is parsed and checked against
 rules written out here, normalization is a flat list of rules tried in
 order, license changes diff each package's sorted records on their
-own, and expressions are parsed by a shunting-yard loop instead of
-recursive descent over tokens read one regex match at a time. They
-share only the data types, ``Semver.parse``, for parsing the token
-limit, for normalization the expression parser and the registry's and alias
-table's lookups, and, for scanning and license changes, ``normalize``.
+own, expressions are parsed by a shunting-yard loop instead of
+recursive descent over tokens read one regex match at a time, and the
+graph file is written record by record with its own version rendering
+and precedence sort. They share only the data types, ``Semver.parse``,
+for parsing the token limit, for normalization the expression parser
+and the registry's and alias table's lookups, and, for scanning and
+license changes, ``normalize``.
 """
 
 import datetime as dt
@@ -502,6 +504,39 @@ def oracle_read_graph(text, source="<string>"):
 
     _oracle_parse_lines(text, source, parse_line)
     return DependencyGraph(edges=tuple(edges), unresolved=tuple(unresolved)), records
+
+
+def _oracle_version_text(v: Semver) -> str:
+    text = f"{v.major}.{v.minor}.{v.patch}"
+    if v.prerelease:
+        text += "-" + ".".join(v.prerelease)
+    if v.build:
+        text += "+" + v.build
+    return text
+
+
+def oracle_write_graph(graph, records):
+    """The graph file's text: nodes sorted by package and precedence, then edges and unresolved."""
+    lines = [GRAPH_HEADER]
+    for r in sorted(records, key=lambda r: (r.package, _precedence_key(r.version))):
+        d = r.published
+        published = f"{d.year:04d}-{d.month:02d}-{d.day:02d}"
+        lines.append(
+            f"node\t{r.package}\t{_oracle_version_text(r.version)}\t{published}\t{r.license_raw}"
+        )
+    for edge in graph.edges:
+        parent, dep = records[edge.parent], records[edge.dep]
+        lines.append(
+            f"edge\t{parent.package}\t{_oracle_version_text(parent.version)}"
+            f"\t{dep.package}\t{_oracle_version_text(dep.version)}\t{edge.range}"
+        )
+    for u in graph.unresolved:
+        node = records[u.node]
+        lines.append(
+            f"unresolved\t{node.package}\t{_oracle_version_text(node.version)}"
+            f"\t{u.dep_name}\t{u.range}\t{u.reason}"
+        )
+    return "".join(line + "\n" for line in lines)
 
 
 _ORACLE_KIND_ATTITUDES = {
