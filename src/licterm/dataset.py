@@ -19,7 +19,8 @@ The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
 with whitespace collapsed, and a key listed twice must name the same
 id. The known-id list uses the same two-column layout
-(``spdx-id<TAB>full name``) and feeds expression normalization.
+(``spdx-id<TAB>full name``) and feeds expression normalization. Both
+skip blank and comment lines by ``errors.skipped``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from pathlib import Path
 
 from ._frozen import Frozen
-from .errors import FormatError, ValidationError, read_text, split_lines
+from .errors import FormatError, ValidationError, read_text, skipped, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
     ALLOWED_ATTITUDES,
@@ -225,9 +226,9 @@ def dumps_dataset(ds: Dataset) -> str:
 
 def _two_column_lines(text: str, source: str):
     for lineno, line in enumerate(split_lines(text), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if skipped(line):
             continue
+        stripped = line.strip()
         if "\t" not in stripped:
             raise FormatError(
                 "expected two tab-separated columns", source=source, line=lineno

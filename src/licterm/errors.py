@@ -1,4 +1,8 @@
-"""Shared exception types, line splitting and reading for data files."""
+"""Shared exception types, and line splitting, skipping and reading for data files.
+
+``skipped`` is the blank-or-comment rule of every line-oriented file but the
+dataset, where a blank line ends a record and a comment line does not.
+"""
 
 from pathlib import Path
 
@@ -32,6 +36,12 @@ def split_lines(text: str) -> list[str]:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text.split("\n")
+
+
+def skipped(line: str) -> bool:
+    """Whether a line is blank or, after leading whitespace, a ``#`` comment."""
+    rest = line.lstrip()
+    return not rest or rest[0] == "#"
 
 
 def read_text(path: str | Path) -> str:

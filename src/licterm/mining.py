@@ -17,7 +17,7 @@ patterns someone reads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, or_
 
 from ._frozen import Frozen
@@ -37,18 +37,16 @@ class FrequentPattern(Frozen):
     :func:`mine` call shares.
     """
 
-    _fields = ("items", "support", "licenses")
+    __slots__ = _fields = ("items", "support", "licenses")
 
     def __init__(self, items: frozenset[str], support: int, licenses: tuple[str, ...]):
-        vars(self).update(items=items, support=support, licenses=licenses)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "licenses", licenses)
 
     @property
     def support_count(self) -> int:
         return self.support.bit_count()
-
-    @cached_property
-    def supporting_ids(self) -> frozenset[str]:
-        return frozenset(self.sorted_ids())
 
     def sorted_items(self) -> tuple[str, ...]:
         return tuple(sorted(self.items))

@@ -25,14 +25,15 @@ an edge holds the list indexes of its two nodes, an unresolved entry
 the index of its one node. The graph file written by ``ingest``
 repeats the node metadata so a scan can run from the graph file alone.
 
-Snapshot lines and graph node lines skip blank and comment lines by one
-test (``_skipped``) and are checked by one record parser
+Both files skip blank and comment lines by ``errors.skipped``. Snapshot
+lines and graph node lines are checked by one record parser
 (``_RecordParser``), so both are validated alike and every error carries
 its ``file:line`` locator. Within one file each distinct version text,
 date and dependency entry is parsed once. The graph reader tests each
-line's kind before that skip test, since no blank or comment line has a
-kind, and looks an edge's parent up only when its text differs from the
-previous edge's, as ``write_graph`` groups edges by parent.
+line's kind and field count before the skip test, since no blank or
+comment line has a kind, and looks an edge's parent up only when its
+text differs from the previous edge's, as ``write_graph`` groups edges
+by parent.
 
 On the write side, ``build_graph`` parses each distinct range text once
 and resolves each distinct (package, range) once. ``write_graph`` writes
@@ -48,11 +49,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DuplicateVersionError, FormatError, read_text, split_lines
+from .errors import DuplicateVersionError, FormatError, read_text, skipped, split_lines
 from .expression import (
     KnownLicenses,
     LicenseExpression,
@@ -114,12 +114,6 @@ class _Parsed(dict):
     def __missing__(self, text: str):
         value = self[text] = self.parse(text)
         return value
-
-
-def _skipped(line: str) -> bool:
-    """Whether a line is blank or, after leading whitespace, a ``#`` comment."""
-    rest = line.lstrip()
-    return not rest or rest[0] == "#"
 
 
 # Python 3.11+ ``fromisoformat`` also takes "20200101" and week dates such
@@ -185,7 +179,7 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
     lineno = 0
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
-            if _skipped(line):
+            if skipped(line):
                 continue
             fields = line.split("\t")
             if len(fields) != 5:
@@ -318,14 +312,13 @@ def license_changes(
 ) -> list[LicenseChange]:
     """Changes of normalized license between consecutive versions.
 
-    Versions are ordered by semver precedence with publish date as the
-    tie breaker. Changes of statement only (raw text differs, same
-    normalized license) are suppressed; a change touching an
-    unresolvable license is emitted as involving-unresolvable.
+    Versions are taken in the graph file's node order, (package, semver
+    precedence), with no publish-date tie-break: ``parse_snapshot`` and
+    ``read_graph`` reject precedence-equal versions of one package.
+    Changes of statement only (raw text differs, same normalized license)
+    are suppressed; a change touching an unresolvable license is emitted
+    as involving-unresolvable.
     """
-    by_package: dict[str, list[VersionRecord]] = defaultdict(list)
-    for record in records:
-        by_package[record.package].append(record)
 
     def outcome_and_text(raw: str) -> tuple[NormalizationOutcome, str]:
         # The text is the canonical expression or the unresolvable reason:
@@ -336,22 +329,16 @@ def license_changes(
 
     normalized = _Parsed(outcome_and_text)  # by raw license
     changes: list[LicenseChange] = []
-    for package in sorted(by_package):
-        chain = sorted(by_package[package], key=lambda r: (r.version.key, r.published))
-        for prev, curr in zip(chain, chain[1:]):
-            before, before_text = normalized[prev.license_raw]
-            after, after_text = normalized[curr.license_raw]
-            if before_text == after_text:
-                continue
-            changes.append(
-                LicenseChange(
-                    package=package,
-                    from_outcome=before,
-                    to_outcome=after,
-                    at_version=curr.version,
-                    classification=_classify(before, after, known),
-                )
-            )
+    chain = [records[i] for i in _node_order(records)]
+    for prev, curr in zip(chain, chain[1:]):
+        if prev.package != curr.package:
+            continue
+        before, before_text = normalized[prev.license_raw]
+        after, after_text = normalized[curr.license_raw]
+        if before_text == after_text:
+            continue
+        classification = _classify(before, after, known)
+        changes.append(LicenseChange(curr.package, before, after, curr.version, classification))
     return changes
 
 
@@ -360,6 +347,7 @@ def license_changes(
 # ---------------------------------------------------------------------------
 
 GRAPH_HEADER = "#% licterm-graph 1"
+_FIELD_COUNTS = {"node": 5, "edge": 6, "unresolved": 6}
 
 
 def write_graph(graph: DependencyGraph, records: list[VersionRecord], path: str | Path) -> None:
@@ -448,7 +436,10 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
                 if node is None:
                     raise _no_node(fields[1], fields[2])
                 unresolved.append(Unresolved(node, *fields[3:]))
-            elif not _skipped(line):  # no blank or comment line has one of the kinds above
+            elif kind in _FIELD_COUNTS:
+                fault = f"expected {_FIELD_COUNTS[kind]} tab-separated fields, got {len(fields)}"
+                raise FormatError(f"{kind} line: {fault}")
+            elif not skipped(line):  # no blank or comment line has one of the kinds above
                 raise FormatError(f"unrecognized line kind {kind!r}")
     except FormatError as exc:
         raise type(exc)(exc.message, source=source, line=lineno) from None

@@ -7,17 +7,17 @@ first. An edge with an unresolvable license on either side lands in
 aggregation adds no findings of its own; counts are exactly what
 per-edge checking produces.
 
-Each distinct raw license is normalized once, and its outcome is
-interned by its rendered text (unresolvable outcomes apart from
-resolved ones) as an integer outcome id. Every node maps to its
-outcome id and every edge to its pair of ids, coded as one int
-(parent id * number of ids + dependency id), so edges whose licenses
-normalize to the same pair of expressions share one check, whose
-verdict counts once per edge. No version or expression tree is hashed.
-The scan reads only each verdict's ``conflict_types``, so it builds no
-finding, and it takes each pair's spelling from the intern table.
-Per-type counts are kept by rule number and keyed by ``ConflictType``
-only in the returned report.
+Each distinct raw license is normalized once and rendered once. That
+one text interns its outcome (unresolvable outcomes apart from resolved
+ones) as an integer outcome id, spells it in the top pairs and names
+its usage bucket. Every node maps to its outcome id and every edge to
+its pair of ids, coded as one int (parent id * number of ids +
+dependency id), so edges whose licenses normalize to the same pair of
+expressions share one check, whose verdict counts once per edge. No
+version or expression tree is hashed. The scan reads only each
+verdict's ``conflict_types``, so it builds no finding. Per-type counts
+are kept by position in ``ConflictType`` and keyed by the type only in
+the returned report.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .registry import DependencyGraph, VersionRecord
 #: Usage bucket for packages that declare no license at all.
 NO_LICENSE_BUCKET = "no-license"
 
-# The conflict types by rule number. ``tuple.index`` finds a member by
-# identity, where a dict would call the Python-level ``Enum.__hash__``.
+# The conflict types in ``ConflictType`` order. ``tuple.index`` finds a member
+# by identity, where a dict would call the Python-level ``Enum.__hash__``.
 _TYPES = tuple(ConflictType)
 
 
@@ -54,16 +54,10 @@ class ScanReport(NamedTuple):
     usage: dict[tuple[int, str], int]  # (year, license bucket) -> package count
 
 
-def _usage_bucket(outcome: NormalizationOutcome) -> str:
-    if isinstance(outcome, Unresolvable) and outcome.reason is UnresolvableReason.NO_LICENSE:
-        return NO_LICENSE_BUCKET
-    return str(outcome)
-
-
 def _yearly_usage(
-    records: list[VersionRecord], outcome_of: dict[str, NormalizationOutcome]
+    records: list[VersionRecord], bucket_of: dict[str, str]
 ) -> dict[tuple[int, str], int]:
-    """Count each package once per year via its latest version that year."""
+    """Count each package once per year via its latest version that year, by usage bucket."""
     latest: dict[tuple[str, int], VersionRecord] = {}
     for record in records:
         key = (record.package, record.published.year)
@@ -74,10 +68,9 @@ def _yearly_usage(
             or (record.published == cur.published and record.version.key > cur.version.key)
         ):
             latest[key] = record
-    bucket = {raw: _usage_bucket(outcome) for raw, outcome in outcome_of.items()}
     usage: dict[tuple[int, str], int] = defaultdict(int)
     for (package, year), record in latest.items():
-        usage[(year, bucket[record.license_raw])] += 1
+        usage[(year, bucket_of[record.license_raw])] += 1
     return dict(usage)
 
 
@@ -95,14 +88,20 @@ def scan(
     against the profiles of ``ds``; the caller builds all three, as the
     CLI does once per command.
     """
-    outcome_of: dict[str, NormalizationOutcome] = {}  # by raw license
     id_of: dict[str, int] = {}  # outcome id by raw license
+    bucket_of: dict[str, str] = {}  # usage bucket by raw license
     ids: dict[tuple[bool, str], int] = {}  # (unresolvable, rendered text) -> outcome id
-    for raw in dict.fromkeys(record.license_raw for record in records):
-        outcome = outcome_of[raw] = normalize(raw, aliases, known)
-        id_of[raw] = ids.setdefault((isinstance(outcome, Unresolvable), str(outcome)), len(ids))
     # By outcome id. Trees that share an id are equal: render is one-to-one.
-    outcomes = {i: outcome_of[raw] for raw, i in id_of.items()}
+    interned: list[NormalizationOutcome] = []
+    for raw in dict.fromkeys(record.license_raw for record in records):
+        outcome = normalize(raw, aliases, known)
+        rendered = str(outcome)
+        unresolvable = isinstance(outcome, Unresolvable)
+        id_of[raw] = ids.setdefault((unresolvable, rendered), len(ids))
+        if len(interned) < len(ids):
+            interned.append(outcome)
+        no_license = unresolvable and outcome.reason is UnresolvableReason.NO_LICENSE
+        bucket_of[raw] = NO_LICENSE_BUCKET if no_license else rendered
     text = [rendered for _, rendered in ids]  # ids were handed out in insertion order
     # Edges per (parent, dependency) outcome id pair, in first-seen edge order,
     # each pair coded as parent id * width + dependency id so no tuple is hashed.
@@ -124,7 +123,7 @@ def scan(
     unknown_edges = 0
     for code, edges in edges_of_pair.items():
         parent_id, dep_id = divmod(code, width)
-        parent, dep = outcomes[parent_id], outcomes[dep_id]
+        parent, dep = interned[parent_id], interned[dep_id]
         if isinstance(parent, Unresolvable) or isinstance(dep, Unresolvable):
             unknown_edges += edges
             continue
@@ -142,7 +141,7 @@ def scan(
         conflicted_edges=conflicted,
         unknown_license_edges=unknown_edges,
         top_pairs=dict(zip(_TYPES, top_pairs)),
-        usage=_yearly_usage(records, outcome_of),
+        usage=_yearly_usage(records, bucket_of),
     )
 
 

@@ -270,6 +270,15 @@ def oracle_mine(transactions, min_support):
     return result
 
 
+def oracle_supporters(pattern):
+    """A pattern's supporting ids: each of ``licenses`` whose bit of ``support`` is set."""
+    ids = set()
+    for i, spdx_id in enumerate(pattern.licenses):
+        if pattern.support >> i & 1:
+            ids.add(spdx_id)
+    return frozenset(ids)
+
+
 def oracle_check_mined(transactions, min_support, patterns):
     """Assert that ``patterns`` is exactly the family of frequent itemsets.
 
@@ -291,16 +300,17 @@ def oracle_check_mined(transactions, min_support, patterns):
     for pattern in patterns:
         ids = support(pattern.items)
         assert pattern.items, "the empty itemset is reported"
-        assert pattern.supporting_ids == ids, f"wrong ids for {sorted(pattern.items)}"
+        assert oracle_supporters(pattern) == ids, f"wrong ids for {sorted(pattern.items)}"
         assert pattern.support_count == len(ids) >= min_support
     for item in universe:
         single = frozenset([item])
         frequent = len(support(single)) >= min_support
         assert (single in reported) == frequent, f"single {item} misreported"
     for itemset, pattern in reported.items():
+        supporters = oracle_supporters(pattern)
         for item in universe - itemset:
             grown = itemset | {item}
-            count = sum(item in transactions[tid] for tid in pattern.supporting_ids)
+            count = sum(item in transactions[tid] for tid in supporters)
             assert (grown in reported) == (count >= min_support), (
                 f"extension {sorted(grown)} misreported"
             )
@@ -320,13 +330,14 @@ def oracle_dedup_similar(patterns, jaccard_min):
             return 1.0
         return len(a & b) / len(a | b)
 
+    ids = {id(p): oracle_supporters(p) for p in patterns}
     kept = []
     for pattern in patterns:
         similars = [
             k
             for k in kept
             if (k.items <= pattern.items or pattern.items <= k.items)
-            and jaccard(k.supporting_ids, pattern.supporting_ids) >= jaccard_min
+            and jaccard(ids[id(k)], ids[id(pattern)]) >= jaccard_min
         ]
         if not similars:
             kept.append(pattern)
@@ -499,6 +510,11 @@ def oracle_read_graph(text, source="<string>"):
             if fields[5] not in UNRESOLVED_REASONS:
                 raise FormatError(f"unknown unresolved reason {fields[5]!r}")
             unresolved.append(Unresolved(node(fields[1], fields[2]), *fields[3:]))
+        elif kind in ("node", "edge", "unresolved"):
+            expected = 5 if kind == "node" else 6
+            raise FormatError(
+                f"{kind} line: expected {expected} tab-separated fields, got {len(fields)}"
+            )
         else:
             raise FormatError(f"unrecognized line kind {kind!r}")
 
@@ -851,7 +867,8 @@ def _oracle_side(expr, known):
 def oracle_license_changes(records, aliases, known):
     """Each package's records, picked out by a scan of all records, sorted and diffed pairwise.
 
-    Records sort by a precedence key computed here, then by publish date.
+    Records sort by a precedence key computed here, stably: the parsers reject
+    precedence-equal versions of one package, so no publish date breaks ties.
     Neighbours whose normalized texts differ make a change; it involves an
     unresolvable license when either side is one, and otherwise each side
     is copyleft or permissive by ``_oracle_side``.
@@ -860,7 +877,7 @@ def oracle_license_changes(records, aliases, known):
     for package in sorted({r.package for r in records}):
         chain = sorted(
             (r for r in records if r.package == package),
-            key=lambda r: (_precedence_key(r.version), r.published),
+            key=lambda r: _precedence_key(r.version),
         )
         for prev, curr in zip(chain, chain[1:]):
             before = normalize(prev.license_raw, aliases, known)

@@ -37,6 +37,7 @@ from oracles import (
     oracle_matrix,
     oracle_mine,
     oracle_resolve,
+    oracle_supporters,
 )
 from test_semver import _random_range, _random_version, by_key
 
@@ -201,7 +202,7 @@ def test_criterion_5_fp_growth_oracle_equivalence(seed_dataset):
         distinct = {item for items in transactions.values() for item in items}
         assert len(distinct) <= 12
         min_support = rng.randint(1, n_profiles)
-        got = {p.items: p.supporting_ids for p in mine(ds, min_support)}
+        got = {p.items: oracle_supporters(p) for p in mine(ds, min_support)}
         assert got == oracle_mine(transactions, min_support)
         fixtures += 1
 

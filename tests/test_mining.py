@@ -16,7 +16,7 @@ from licterm.mining import (
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER
 
 from conftest import make_terms
-from oracles import oracle_check_mined, oracle_dedup_similar, oracle_mine
+from oracles import oracle_check_mined, oracle_dedup_similar, oracle_mine, oracle_supporters
 from test_conflicts import _family_dataset
 
 
@@ -49,7 +49,7 @@ class TestMine:
         # Expected values enumerated by hand over the fixture.
         patterns = mine(THREE_PROFILE_FIXTURE, min_support=2)
         assert [
-            (p.sorted_items(), p.support_count, set(p.supporting_ids)) for p in patterns
+            (p.sorted_items(), p.support_count, oracle_supporters(p)) for p in patterns
         ] == [
             ((D_CAN,), 3, {"A", "B", "C"}),
             ((SUB_CAN,), 2, {"A", "B"}),
@@ -59,7 +59,7 @@ class TestMine:
     def test_min_support_one_equals_exhaustive_oracle(self):
         patterns = mine(THREE_PROFILE_FIXTURE, min_support=1)
         expected = oracle_mine(_as_oracle_input(THREE_PROFILE_FIXTURE), 1)
-        assert {p.items: p.supporting_ids for p in patterns} == expected
+        assert {p.items: oracle_supporters(p) for p in patterns} == expected
 
     def test_invalid_threshold(self):
         with pytest.raises(InvalidThreshold):
@@ -129,9 +129,7 @@ class TestMine:
                 }
             )
             min_support = rng.randint(1, max(1, n))
-            got = {
-                p.items: p.supporting_ids for p in mine(ds, min_support)
-            }
+            got = {p.items: oracle_supporters(p) for p in mine(ds, min_support)}
             assert got == oracle_mine(_as_oracle_input(ds), min_support)
 
     @settings(max_examples=40, deadline=None)
@@ -144,7 +142,7 @@ class TestMine:
             profiles={f"L{i}": _restricted_random_profile(rng, f"L{i}") for i in range(n)}
         )
         min_support = rng.randint(1, n)
-        got = {p.items: p.supporting_ids for p in mine(ds, min_support)}
+        got = {p.items: oracle_supporters(p) for p in mine(ds, min_support)}
         assert got == oracle_mine(_as_oracle_input(ds), min_support)
 
     @pytest.mark.parametrize("min_support", [5, 10, 17])
@@ -354,7 +352,7 @@ _WIDE = 4_000  # bits: wider than any catalog's license count
 
 
 class TestBits:
-    """``mining._bits`` serves ``sorted_ids``, ``supporting_ids`` and ``dedup_similar``."""
+    """``mining._bits`` serves ``sorted_ids`` and ``dedup_similar``."""
 
     @given(
         st.one_of(
@@ -374,8 +372,8 @@ class TestBits:
         patterns = mine(seed_dataset, min_support)
         patterns += mine(_family_dataset(random.Random(62), 200), 50)
         for p in patterns:
-            assert list(p.sorted_ids()) == sorted(p.supporting_ids)
-            assert len(p.supporting_ids) == p.support_count
+            assert list(p.sorted_ids()) == sorted(oracle_supporters(p))
+            assert len(oracle_supporters(p)) == p.support_count
 
 
 class TestCommonTermReport:

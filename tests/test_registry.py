@@ -5,8 +5,8 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from licterm.dataset import AliasTable
-from licterm.errors import DuplicateVersionError, FormatError
+from licterm.dataset import AliasTable, loads_aliases, loads_known_ids
+from licterm.errors import DuplicateVersionError, FormatError, LictermError
 from licterm.expression import Unresolvable, UnresolvableReason, render
 from licterm.registry import (
     GRAPH_HEADER,
@@ -539,6 +539,21 @@ class TestLicenseChangesOracle:
         )
 
 
+def test_changes_of_shuffled_parsed_records_equal_oracle(aliases, known):
+    # The records come from the parser, in shuffled order, with prereleases
+    # and build metadata: the order license_changes walks is their node order.
+    changes = 0
+    for seed in range(30):
+        records = parse_snapshot_text(_seeded_snapshot(random.Random(seed)))
+        got = license_changes(records, aliases, known)
+        expected = oracle_license_changes(records, aliases, known)
+        assert got == expected, seed
+        # == on versions ignores build metadata; their texts do not.
+        assert [str(c.at_version) for c in got] == [str(c.at_version) for c in expected]
+        changes += len(got)
+    assert changes
+
+
 def _seeded_snapshot(rng: random.Random) -> str:
     """Shuffled records with scoped names, prereleases, build metadata and bad ranges."""
     packages = ["app", "lib", "@scope/pkg", "@scope/util"]
@@ -702,6 +717,31 @@ class TestGraphFile:
         assert graph.edges == (Edge(0, 1, "^1"),)
         assert [u.node for u in graph.unresolved] == [0]
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ("node\tb\t1.0.0\t2020-01-01", "node line: expected 5 tab-separated fields, got 4"),
+            ("node\tb\t1.0.0\t2020-01-01\tMIT\tx", "node line: expected 5 tab-separated fields, got 6"),
+            ("edge\ta\t1.0.0", "edge line: expected 6 tab-separated fields, got 3"),
+            ("edge\ta\t1.0.0\ta\t1.0.0\t^1\tx", "edge line: expected 6 tab-separated fields, got 7"),
+            ("unresolved\ta\t1.0.0\tq\t^1", "unresolved line: expected 6 tab-separated fields, got 5"),
+            (
+                "unresolved\ta\t1.0.0\tq\t^1\tno-match\tx",
+                "unresolved line: expected 6 tab-separated fields, got 7",
+            ),
+            ("edges\ta\t1.0.0\ta\t1.0.0\t^1", "unrecognized line kind 'edges'"),
+        ],
+        ids=[f"{kind}-{size}" for kind in ("node", "edge", "unresolved") for size in ("short", "long")]
+        + ["unknown-kind"],
+    )
+    def test_line_of_a_known_kind_with_wrong_field_count(self, tmp_path, row, expected):
+        path = tmp_path / "fields.dat"
+        path.write_text(f"{GRAPH_HEADER}\nnode\ta\t1.0.0\t2020-01-01\tMIT\n{row}\n", "utf-8")
+        with pytest.raises(FormatError) as excinfo:
+            read_graph(path)
+        assert str(excinfo.value) == f"{path}:3: {expected}"
+        assert _result(oracle_read_graph, path.read_text("utf-8"), str(path))[3] == expected
+
     def test_duplicate_node_is_duplicate_version_error(self, tmp_path):
         path = tmp_path / "dup.dat"
         lines = [GRAPH_HEADER, "node\ta\t1.0.0\t2020-01-01\tMIT", "node\ta\t1.0.0\t2020-02-01\tISC"]
@@ -857,7 +897,11 @@ def _graph_lines(rng: random.Random, bad: float) -> list[str]:
                 reason = rng.choice(["no-match", "unparsable-range", "bogus"])
             rows.append(f"unresolved\t{package}\t{version}\tq\t^1\t{reason}")
     for _ in range(rng.randrange(4)):
-        junk = _SKIPPED if rng.random() > bad else [rows[0], "what\tis\tthis", "edge\ta\t1.0.0"]
+        if rng.random() > bad:
+            junk = _SKIPPED
+        else:  # a repeated node, an unknown kind, or a line of a known kind one field short or over
+            short = ["node\ta\t1.0.0\t2020-01-01", "edge\ta\t1.0.0", "unresolved\ta\t1.0.0\tq\t^1"]
+            junk = [rows[0], "what\tis\tthis", *short, rng.choice(rows) + "\tx"]
         rows.insert(rng.randrange(len(rows) + 1), rng.choice(junk))
     if rng.random() < bad:
         rng.shuffle(rows)
@@ -882,6 +926,40 @@ def _texts(records):  # str(version) keeps the build metadata that == ignores
     return [
         (r.package, str(r.version), r.published, r.license_raw, r.dependencies) for r in records
     ]
+
+
+# Lines that no reader may skip: text, padded text, and a "#" after a
+# character that is no whitespace ("\u200b", the zero-width space).
+_KEPT = ["a", " a", "a\tb", "MIT\tMIT License", "node\ta", "x # y", "-#", "\u200b# zero-width"]
+# More whitespace that is no line break, alone or before a comment.
+_MORE_SKIPPED = ["\x1c", "\u2028# line separator", " \t # tab"]
+
+
+def _reads(parse, text) -> bool:
+    """Whether ``parse`` takes ``text`` as content: it fails or returns something."""
+    try:
+        return bool(parse(text))
+    except LictermError:
+        return True
+
+
+@pytest.mark.parametrize("line", _SKIPPED + _MORE_SKIPPED + _KEPT)
+def test_every_line_reader_skips_the_same_lines(tmp_path, known, line):
+    path = tmp_path / "g.dat"
+
+    def graph(text):
+        path.write_text(f"{GRAPH_HEADER}\n{text}\n", "utf-8")
+        graph, records = read_graph(path)
+        return records or graph.edges or graph.unresolved
+
+    readers = {
+        "snapshot": parse_snapshot_text,
+        "graph": graph,
+        "alias table": lambda text: loads_aliases(text, known).entries,
+        "known-id list": loads_known_ids,
+    }
+    reads = {name: _reads(parse, line) for name, parse in readers.items()}
+    assert reads == dict.fromkeys(readers, line in _KEPT)
 
 
 class TestParserOracles:
@@ -926,9 +1004,13 @@ class TestParserOracles:
         for _ in range(500):  # about 1 in 20 inputs at bad=0.2 parses
             expected = self._check_graph(path, _join(rng, _graph_lines(rng, bad)))
             outcomes["ok" if isinstance(expected[1], list) else expected[0].__name__] += 1
-        # Inputs both parse and fail with each error class: the comparison is not vacuous.
+            if not isinstance(expected[1], list) and " line: expected " in expected[3]:
+                outcomes[expected[3].partition(" ")[0]] += 1
+        # Inputs both parse and fail with each error class, and a line of each
+        # kind has the wrong field count: the comparison is not vacuous.
         assert outcomes["ok"] >= 20
         assert not bad or (outcomes["FormatError"] and outcomes["DuplicateVersionError"])
+        assert not bad or all(outcomes[kind] for kind in ("node", "edge", "unresolved"))
 
     def test_written_graphs_match_oracle(self, tmp_path):
         rng = random.Random(5)

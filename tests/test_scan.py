@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import licterm.conflicts
+import licterm.expression
 import licterm.scan
 from licterm.conflicts import ConflictType, check_expressions
 from licterm.expression import And, Or, Unresolvable, normalize
@@ -327,6 +328,27 @@ class TestScanOracle:
     ):
         text = _random_snapshot(random.Random(seed), packages)
         _assert_scan_matches_oracle(text, strict, seed_dataset, aliases, known)
+
+
+def test_scan_renders_each_distinct_raw_license_once(seed_dataset, aliases, known, monkeypatch):
+    # One text gives a license its outcome id, its pair spelling and its usage
+    # bucket. str() is counted, not render, which calls itself on subtrees.
+    raws = _RAW_LICENSES * 2
+    text = "\n".join(
+        line(f"p{i}", "1.0.0", "2021-01-01", raw, f"p{(i + 1) % len(raws)}@*;p{i // 2}@*")
+        for i, raw in enumerate(raws)
+    )
+    records = parse_snapshot_text(text)
+    graph = build_graph(records)
+    calls = []
+    for cls in (licterm.expression._Node, Unresolvable):
+        monkeypatch.setattr(
+            cls, "__str__", lambda outcome, real=cls.__str__: calls.append(outcome) or real(outcome)
+        )
+    report = scan(graph, records, seed_dataset, False, aliases, known)
+    assert len(calls) == len(set(_RAW_LICENSES))
+    assert report.conflicted_edges and report.unknown_license_edges
+    assert NO_LICENSE_BUCKET in {bucket for _, bucket in report.usage}
 
 
 def test_scan_builds_no_finding(seed_dataset, aliases, known, monkeypatch):

@@ -162,17 +162,21 @@ class TestComputedOnce:
         verdict = check_expressions(MIT, LicenseRef("GPL-3.0-only"), seed_dataset)
         self._check(verdict, name)
 
-    def test_pattern_supporting_ids(self):
-        pattern = FrequentPattern(*dict(CASES)[FrequentPattern])
-        self._check(pattern, "supporting_ids")
-        assert pattern.supporting_ids == {"A", "C"}
-
     def test_semver_key_and_range_bounds_are_set_at_construction(self):
         version = Semver(1, 2, 3, ("rc", "1"))
         assert version.key == (1, 2, 3, False, ((1, 0, "rc"), (0, 1, "")))
         assert version.key is version.key
         rng = parse_range(">=1.0.0 <2.0.0")
         assert rng.bounds is rng.bounds and len(rng.bounds) == 1
+
+
+# The classes that are not named tuples and have no cached view: they take slots.
+SLOTTED = [Dataset, AliasTable, LicenseRef, And, Or, Unresolvable, FrequentPattern, Semver, VersionRange]
+
+
+@pytest.mark.parametrize("cls", SLOTTED, ids=[cls.__name__ for cls in SLOTTED])
+def test_value_types_without_a_cached_view_have_no_dict(cls):
+    assert not hasattr(cls(*dict(CASES)[cls]), "__dict__")
 
 
 def test_version_range_satisfies_can_be_patched_on_the_class(monkeypatch):
