@@ -217,6 +217,8 @@ def _cmd_mine(args) -> int:
     _load(args, ".mining")
     ctx = _Context(args)
     try:
+        if not args.no_dedup:
+            dedup_similar([], args.jaccard)  # checks --jaccard alone, before mining
         patterns = mine(ctx.dataset, args.min_support)
         if not args.no_dedup:
             patterns = dedup_similar(patterns, args.jaccard)

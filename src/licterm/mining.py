@@ -17,8 +17,6 @@ patterns someone reads.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import reduce
-from operator import and_, or_
 
 from ._frozen import Frozen
 from .dataset import Dataset
@@ -83,28 +81,26 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
     for i, spdx_id in enumerate(licenses):
         for item in profile_items(ds.profiles[spdx_id]):
             inverted[item] = inverted.get(item, 0) | 1 << i
-    patterns: list[FrequentPattern] = []
-
-    def extend(prefix: frozenset[str], candidates: list[tuple[str, int]]) -> None:
-        # Each candidate pairs a later item with the bitset of prefix + item.
-        for k, (item, support) in enumerate(candidates):
-            itemset = prefix | {item}
-            patterns.append(FrequentPattern(itemset, support, licenses))
-            extend(
-                itemset,
-                [
-                    (other, both)
-                    for other, other_support in candidates[k + 1:]
-                    if (both := support & other_support).bit_count() >= min_support
-                ],
-            )
-
     frequent = [
         (item, support)
         for item, support in sorted(inverted.items())
         if support.bit_count() >= min_support
     ]
-    extend(frozenset(), frequent)
+    patterns: list[FrequentPattern] = []
+    # Each candidate pairs a later item with the bitset of prefix + item. A
+    # recursive closure would be a reference cycle holding ``patterns``
+    # until the cyclic collector runs, which cli.main turns off.
+    stack = [(frozenset(), frequent)]
+    while stack:
+        prefix, candidates = stack.pop()
+        for k, (item, support) in enumerate(candidates):
+            itemset = prefix | {item}
+            patterns.append(FrequentPattern(itemset, support, licenses))
+            stack.append((itemset, [
+                (other, both)
+                for other, other_support in candidates[k + 1:]
+                if (both := support & other_support).bit_count() >= min_support
+            ]))
     patterns.sort(
         key=lambda p: (-p.support_count, len(p.items), p.sorted_items())
     )
@@ -114,64 +110,41 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
 def dedup_similar(
     patterns: list[FrequentPattern], jaccard_min: float = 0.9
 ) -> list[FrequentPattern]:
-    """Collapse nested patterns whose supporting sets nearly coincide.
+    """Drop each pattern that a similar pattern one item larger contains.
 
-    Scans in input order (the mine() sort order from the CLI). A
-    pattern is folded into an already kept one when their supporting
-    sets have Jaccard similarity at or above ``jaccard_min`` (inclusive)
-    and one itemset contains the other; the larger itemset survives, so
-    a kept pattern can be replaced by a later superset.
+    A pattern P is dropped when the list also holds P plus one item and
+    the two supporting sets have Jaccard similarity at or above
+    ``jaccard_min`` (inclusive). The rest are returned in input order,
+    so every order of one list keeps the same patterns.
 
-    Kept patterns hold slots, and an item index maps each item to the
-    mask of the slots whose itemsets hold it. The kept supersets of a
-    pattern are the ``&`` of its items' masks; its kept subsets are the
-    slots in no mask of an item outside it. Of these, only the ones
-    whose supporting-set size lies in [j*n, n/j] for a pattern with n
-    supporters (widened by one on each side against rounding) get their
-    Jaccard computed, from popcounts: Jaccard(A, B) <= min(|A|, |B|) /
-    max(|A|, |B|), the length filter of Bayardo, Ma and Srikant (WWW
-    2007). The result equals that of comparing with every kept pattern,
-    for any input order.
+    On a whole :func:`mine` result this keeps exactly the patterns that
+    no similar larger pattern of the result contains, as a greedy scan
+    in :func:`mine`'s order that folds the smaller of two nested similar
+    patterns into the larger does: :func:`mine` lists every frequent
+    itemset, and a supporting set only shrinks as items are added, so
+    for a similar superset Q of P and any x in Q - P, P + {x} is listed
+    and is at least as similar to P as Q is.
 
-    Raises ``ValueError`` unless every pattern has the same ``licenses``
-    tuple: bitsets over different id tuples cannot be compared.
+    Raises ``ValueError`` when two patterns have one itemset, or unless
+    every pattern has the same ``licenses`` tuple: bitsets over
+    different id tuples cannot be compared.
     """
     if not 0 < jaccard_min <= 1:
         raise InvalidThreshold(f"jaccard_min must be in (0, 1], got {jaccard_min}")
     licenses = patterns[0].licenses if patterns else ()
     if any(p.licenses is not licenses and p.licenses != licenses for p in patterns):
         raise ValueError("patterns over different licenses tuples cannot be compared")
-    kept: dict[int, FrequentPattern] = {}  # slot -> pattern, in keeping order
-    free: list[int] = []  # slots of dropped patterns, reused so masks stay narrow
-    postings: dict[str, int] = {}  # item -> mask of the kept slots holding it
-    live = 0  # mask of every kept slot
+    by_items = {p.items: p for p in patterns}
+    if len(by_items) < len(patterns):
+        raise ValueError("patterns repeat an itemset")
+    folded = set()
     for pattern in patterns:
         items, support = pattern.items, pattern.support
-        n = support.bit_count()
-        lo, hi = jaccard_min * n - 1, n / jaccard_min + 1
-        supersets = reduce(and_, [postings.get(item, 0) for item in items], live)
-        outside = reduce(or_, map(postings.__getitem__, postings.keys() - items), 0)
-        similars = [
-            slot
-            for slot in _bits(supersets | live & ~outside)
-            if lo <= (k := kept[slot].support).bit_count() <= hi
-            and _jaccard(k, support) >= jaccard_min
-        ]
-        if any(supersets >> slot & 1 for slot in similars):
-            continue  # a similar pattern at least as large: drop this one
-        for slot in similars:
-            bit = 1 << slot
-            live ^= bit
-            for item in kept.pop(slot).items:
-                postings[item] ^= bit
-            free.append(slot)
-        slot = free.pop() if free else len(kept)
-        bit = 1 << slot
-        live |= bit
         for item in items:
-            postings[item] = postings.get(item, 0) | bit
-        kept[slot] = pattern
-    return list(kept.values())
+            smaller = by_items.get(items - {item})
+            if smaller is not None and _jaccard(smaller.support, support) >= jaccard_min:
+                folded.add(smaller.items)
+    return [p for p in patterns if p.items not in folded]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -179,8 +152,8 @@ def _bits(mask: int) -> Iterator[int]:
 
     Reads them off the reversed digits of ``bin(mask)``, one pass, where
     clearing one bit at a time, as ``conflicts._bits`` does on its narrow
-    term masks, would copy a mask thousands of bits wide once per bit: on
-    a dense 3,000-bit mask this scan is about 1.7 times as fast.
+    term masks, would copy a support mask as wide as the catalog once per
+    bit: on a dense 3,000-bit mask this scan is about 1.7 times as fast.
     """
     digits = bin(mask)[:1:-1]
     position = digits.find("1")

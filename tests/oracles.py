@@ -3,8 +3,9 @@
 These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
 exhaustive subset enumeration, dedup compares each pattern with every
-kept one, expression checking tries every left/right assignment of
-every OR node, scanning checks every edge on its own that way, range
+kept one or, for the one-item rule, with every pattern of the list,
+expression checking tries every left/right assignment of every OR
+node, scanning checks every edge on its own that way, range
 satisfaction re-implements semver precedence from scratch, snapshot
 and graph files are parsed line by line with no memo, the
 file-reference pattern is written the direct way, the dataset file is
@@ -316,20 +317,21 @@ def oracle_check_mined(transactions, min_support, patterns):
             )
 
 
+def _set_jaccard(a, b):
+    if not a and not b:
+        return 1.0
+    return len(a & b) / len(a | b)
+
+
 def oracle_dedup_similar(patterns, jaccard_min):
     """The linear scan: each pattern against every kept pattern.
 
-    Same rule as ``mining.dedup_similar``: a pattern is folded into a
-    kept one when one itemset contains the other and their supporting
-    sets have Jaccard similarity at or above ``jaccard_min``; the larger
-    itemset survives.
+    A pattern is folded into a kept one when one itemset contains the
+    other and their supporting sets have Jaccard similarity at or above
+    ``jaccard_min``; the larger itemset survives. On a whole
+    ``mine()`` result, in its order, ``mining.dedup_similar`` must equal
+    this scan.
     """
-
-    def jaccard(a, b):
-        if not a and not b:
-            return 1.0
-        return len(a & b) / len(a | b)
-
     ids = {id(p): oracle_supporters(p) for p in patterns}
     kept = []
     for pattern in patterns:
@@ -337,7 +339,7 @@ def oracle_dedup_similar(patterns, jaccard_min):
             k
             for k in kept
             if (k.items <= pattern.items or pattern.items <= k.items)
-            and jaccard(ids[id(k)], ids[id(pattern)]) >= jaccard_min
+            and _set_jaccard(ids[id(k)], ids[id(pattern)]) >= jaccard_min
         ]
         if not similars:
             kept.append(pattern)
@@ -346,6 +348,26 @@ def oracle_dedup_similar(patterns, jaccard_min):
             kept = [k for k in kept if k not in similars]
             kept.append(pattern)
     return kept
+
+
+def oracle_dedup_one_item(patterns, jaccard_min):
+    """The one-item rule of ``mining.dedup_similar``, by a double loop.
+
+    A pattern is dropped when some pattern of the list has its itemset
+    plus one item and a supporting set with Jaccard similarity at or
+    above ``jaccard_min`` to its own; the rest keep their input order.
+    """
+    ids = {id(p): oracle_supporters(p) for p in patterns}
+    return [
+        p
+        for p in patterns
+        if not any(
+            q.items > p.items
+            and len(q.items) == len(p.items) + 1
+            and _set_jaccard(ids[id(p)], ids[id(q)]) >= jaccard_min
+            for q in patterns
+        )
+    ]
 
 
 def _precedence_key(v: Semver):

@@ -22,6 +22,7 @@ from licterm.model import TERM_ORDER, Attitude, Term
 from licterm.registry import GRAPH_HEADER, read_graph
 
 from conftest import random_profile
+from test_conflicts import _family_dataset
 
 
 # 2**13 OR choices against one: past the cap on choice pairs.
@@ -284,6 +285,30 @@ MINE_DIGESTS = {
 }
 
 
+# sha256 of `mine --dataset` stdout on a 300-profile family catalog
+# (_family_dataset(random.Random(3), 300): 8,161 patterns at support 20,
+# 1,322 at 70), keyed by (--min-support, --jaccard or None for --no-dedup,
+# --format); recorded with the earlier greedy-scan dedup. _family_dataset
+# draws only with Random.choice and Random.sample, whose output is the
+# same on every supported Python.
+FAMILY_MINE_DIGESTS = {
+    (20, "1.0", "records"): "66df8944d940c4ccecec7e68b8323e24acfd052c5b094eebe6de3d53a089dd4f",
+    (20, "1.0", "table"): "474a38bcec3d160d81151224aa542725531b176d11d938308d67691475a52109",
+    (20, "0.9", "records"): "dc436371c54f90f9986920a64f49e0262d3138f060e47e9827a73f6c0f8d000c",
+    (20, "0.9", "table"): "b24f6ff679dbdf1a3d6923ece363a4a495b214f1223b1cbf5c9f033ca1e5b7a8",
+    (20, "0.5", "records"): "c268507bdb818f6aa97b459c3b5cb3ab240896ceb61e85e16df25872b025c02f",
+    (20, "0.5", "table"): "1449de05bc2b74b70ba7c0f8505d98a8a8bc7842e5911c19fc0af0d82da2a905",
+    (70, "1.0", "records"): "d8c0425d0471a6a303ec43a4b9f53ac12771aee02c63cceaf82e0c1d3f03a719",
+    (70, "1.0", "table"): "42cc8679d455459793ea835c180aa155f6e81e8acb4aa21d735b76c389378da7",
+    (70, "0.9", "records"): "7136e77faa1b454ccaab9c193d5c54041fa9eae40e99a8140c308aa921e4d09e",
+    (70, "0.9", "table"): "1f571f7a152e899db2c0eaa78e9e6c7dacb048222499d2b71c79c230a681b91e",
+    (70, "0.5", "records"): "bb5423c1ef036136124aa75575d13432fc4c37c15331b0adc235c6ce448dc265",
+    (70, "0.5", "table"): "d1addd3bff376d3933051420031733cfff27889b2a61f3d70e4ef44e59c6fd79",
+    (70, None, "records"): "2efa4024dc04c6dcc3c1abaf8ffdc0feb2dae477fac1cb42da8e15f458c2abcf",
+    (70, None, "table"): "ccc935564fb0e2424e753a161fc3755c5a8f2336fb35bf7f1442d8db2b804cb5",
+}
+
+
 class TestMine:
     @pytest.mark.parametrize("min_support, fmt, no_dedup", sorted(MINE_DIGESTS))
     def test_stdout_pinned_on_bundled_dataset(self, capsys, min_support, fmt, no_dedup):
@@ -292,6 +317,20 @@ class TestMine:
         assert (code, err) == (0, "")
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == MINE_DIGESTS[min_support, fmt, no_dedup]
+
+    def test_stdout_pinned_on_family_catalog(self, capsys, tmp_path):
+        catalog = tmp_path / "catalog.dat"
+        catalog.write_text(
+            dumps_dataset(_family_dataset(random.Random(3), 300)), encoding="utf-8"
+        )
+        digests = {}
+        for min_support, jaccard, fmt in FAMILY_MINE_DIGESTS:
+            argv = ["mine", "--dataset", str(catalog), "--min-support", str(min_support)]
+            argv += ["--no-dedup"] if jaccard is None else ["--jaccard", jaccard]
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            digests[min_support, jaccard, fmt] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == FAMILY_MINE_DIGESTS
 
     def test_table(self, capsys):
         code, out, err = run(capsys, "mine", "--min-support", "20")
@@ -330,10 +369,22 @@ class TestMine:
         assert code == 2
 
     @pytest.mark.parametrize("jaccard", ["0", "1.5"])
-    def test_jaccard_outside_unit_interval_exits_2(self, capsys, jaccard):
+    def test_jaccard_outside_unit_interval_exits_2(self, capsys, monkeypatch, jaccard):
+        import licterm.cli as cli
+
+        def fail(*args):
+            raise AssertionError("mine ran before --jaccard was checked")
+
+        monkeypatch.setattr(cli, "mine", fail)
         code, out, err = run(capsys, "mine", "--jaccard", jaccard)
         assert (code, out) == (2, "")
         assert err == f"error: jaccard_min must be in (0, 1], got {float(jaccard)}\n"
+
+    def test_no_dedup_ignores_jaccard(self, capsys):
+        argv = ["mine", "--min-support", "20", "--no-dedup", "--format", "records"]
+        ignored = run(capsys, *argv, "--jaccard", "1.5")
+        assert ignored == run(capsys, *argv)
+        assert ignored[0] == 0
 
 
 class TestPipeline:

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -16,7 +17,13 @@ from licterm.mining import (
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER
 
 from conftest import make_terms
-from oracles import oracle_check_mined, oracle_dedup_similar, oracle_mine, oracle_supporters
+from oracles import (
+    oracle_check_mined,
+    oracle_dedup_one_item,
+    oracle_dedup_similar,
+    oracle_mine,
+    oracle_supporters,
+)
 from test_conflicts import _family_dataset
 
 
@@ -97,6 +104,21 @@ class TestMine:
             for attitude in (Attitude.CAN, Attitude.CANNOT, Attitude.MUST)
         ]
         assert sorted(f"{t}={a}" for t, a in pairs) == [f"{t}={a}" for t, a in sorted(pairs)]
+
+    def test_result_is_freed_without_the_collector(self, seed_dataset):
+        # cli.main turns the cyclic collector off: mine must leave no
+        # reference cycle that keeps its result alive once it is dropped.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            patterns = mine(seed_dataset, 2)
+            assert patterns
+            del patterns
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_order_independent(self):
         profiles = list(THREE_PROFILE_FIXTURE.profiles.values())
@@ -240,8 +262,8 @@ class TestDedup:
 
     def test_size_window_edges_survive_rounding(self):
         # 7/100 is 0.07 as a float, yet 0.07 * 100 is 7.000000000000001 and
-        # 7 / 0.07 is 99.99999999999999: without its one-size margin the
-        # window around either size would miss the other.
+        # 7 / 0.07 is 99.99999999999999: a test on the two supporting-set
+        # sizes alone would miss this pair, whose Jaccard is exactly 0.07.
         assert 0.07 * 100 > 7 and 7 / 0.07 < 100
         base = frozenset(f"L{i}" for i in range(7))
         small = _pattern([D_CAN], base | {f"X{i}" for i in range(93)})
@@ -256,18 +278,20 @@ class TestDedup:
     def test_equals_linear_scan_on_family_catalogs(self, seed, size, min_support, jaccard_min):
         patterns = mine(_family_dataset(random.Random(seed), size), min_support)
         assert len(patterns) > 50
-        _assert_dedup_matches_oracle(patterns, jaccard_min)
+        _assert_dedup_matches_oracles(patterns, jaccard_min)
 
     @pytest.mark.parametrize("jaccard_min", [0.3, 0.5, 0.9, 1.0])
     def test_equals_linear_scan_in_reverse_order(self, seed_dataset, jaccard_min):
-        _assert_dedup_matches_oracle(mine(seed_dataset, 5)[::-1], jaccard_min)
+        # The mine()-order scan's patterns, reversed.
+        patterns = mine(seed_dataset, 5)
+        _assert_dedup_matches_oracles(patterns, jaccard_min, patterns[::-1])
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_mined_patterns_equal_linear_scan_hypothesis(self, data):
         # Low support over a 6-term vocabulary: itemsets overlap heavily, so
-        # the subset and superset masks of the item index select many kept
-        # patterns, in mine() order, reversed and shuffled.
+        # many patterns have a similar pattern one item larger. In mine()
+        # order, reversed and shuffled.
         rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
         n = data.draw(st.integers(1, 8))
         ds = Dataset(
@@ -278,7 +302,7 @@ class TestDedup:
         rng.shuffle(shuffled)
         for jaccard_min in (0.3, 0.5, 2 / 3, 0.9, 1.0):
             for order in (patterns, patterns[::-1], shuffled):
-                _assert_dedup_matches_oracle(order, jaccard_min)
+                _assert_dedup_matches_oracles(patterns, jaccard_min, order)
 
     def test_patterns_over_different_licenses_raise(self):
         one = mine(THREE_PROFILE_FIXTURE, 1)
@@ -288,20 +312,32 @@ class TestDedup:
         # Equal tuples from two mine() calls are one universe.
         again = mine(THREE_PROFILE_FIXTURE, 1)
         assert again[0].licenses == one[0].licenses and again[0].licenses is not one[0].licenses
-        got = dedup_similar(one + again, 0.9)
-        assert list(map(id, got)) == list(map(id, dedup_similar(one, 0.9)))
+        mixed = [p if k % 2 else q for k, (p, q) in enumerate(zip(one, again))]
+        got = dedup_similar(mixed, 0.9)
+        kept = {p.items for p in dedup_similar(one, 0.9)}
+        assert list(map(id, got)) == [id(p) for p in mixed if p.items in kept]
+
+    def test_repeated_itemset_raises(self):
+        one = _pattern([D_CAN], {"A", "B"})
+        same_items = _pattern([D_CAN], {"C"})
+        for patterns in ([one, one], [one, same_items]):
+            with pytest.raises(ValueError, match="repeat an itemset"):
+                dedup_similar(patterns, 0.9)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_equals_linear_scan_hypothesis(self, data):
-        pool = data.draw(st.lists(_hand_built_patterns, min_size=1, max_size=12))
-        # Arbitrary order, with the same pattern object repeated at times.
-        order = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=24))
+    def test_equals_one_item_oracle_hypothesis(self, data):
+        # Any list, in any order, of patterns with distinct itemsets.
+        pool = data.draw(
+            st.lists(_hand_built_patterns, min_size=1, max_size=8, unique_by=lambda p: p.items)
+        )
+        order = data.draw(st.permutations(pool))
         jaccard_min = data.draw(
             st.sampled_from([0.3, 0.5, 0.9, 1.0, 0.07, 2 / 3])
             | st.floats(0, 1, exclude_min=True)
         )
-        _assert_dedup_matches_oracle([pool[i] for i in order], jaccard_min)
+        got = dedup_similar(order, jaccard_min)
+        assert list(map(id, got)) == list(map(id, oracle_dedup_one_item(order, jaccard_min)))
 
 
 _hand_built_patterns = st.builds(
@@ -312,27 +348,28 @@ _hand_built_patterns = st.builds(
 )
 
 
-def _assert_dedup_matches_oracle(patterns, jaccard_min):
-    got = dedup_similar(patterns, jaccard_min)
-    expected = oracle_dedup_similar(patterns, jaccard_min)
-    assert list(map(id, got)) == list(map(id, expected))
+def _assert_dedup_matches_oracles(patterns, jaccard_min, order=None):
+    """On a whole mine() result, dedup equals the linear scan in mine()
+    order; any permutation ``order`` keeps the same patterns, in its own
+    order, and equals the one-item oracle."""
+    kept = dedup_similar(patterns, jaccard_min)
+    assert list(map(id, kept)) == list(map(id, oracle_dedup_similar(patterns, jaccard_min)))
+    order = patterns if order is None else order
+    got = dedup_similar(order, jaccard_min)
+    kept_ids = set(map(id, kept))
+    assert list(map(id, got)) == [id(p) for p in order if id(p) in kept_ids]
+    assert list(map(id, got)) == list(map(id, oracle_dedup_one_item(order, jaccard_min)))
 
 
 class TestDedupWork:
     @pytest.mark.parametrize("jaccard_min", [0.9, 1.0])
-    def test_compares_only_within_the_size_window(self, monkeypatch, jaccard_min):
-        # A count, not a timing. 300 nested patterns in mine() order, with
-        # supporting sets of 300 distinct sizes from 1 to 672 ids, spread
-        # geometrically. The sets are disjoint, so nothing merges and each pattern passes
-        # the containment test against every kept one: a scan over every
-        # kept pattern calls _jaccard 44,850 times at any threshold.
-        items = [f"t{i:03d}=can" for i in range(300)]
-        sizes = [round(1.02**k) + k for k in range(300)]
-        starts = [sum(sizes[:k]) for k in range(300)]
-        patterns = [
-            _pattern(items[:n], [f"T{i:05d}" for i in range(starts[-n], starts[-n] + sizes[-n])])
-            for n in range(1, 301)
-        ]
+    def test_one_jaccard_per_pattern_item(self, monkeypatch, jaccard_min):
+        # A count, not a timing: at most one _jaccard per (pattern, item),
+        # against the pattern without that item. The 1,322 patterns of this
+        # catalog have 5,411 (pattern, item) pairs, and 165 to 724 of them
+        # are kept: comparing each pattern with every kept one would cost
+        # tens of times more.
+        patterns = mine(_family_dataset(random.Random(3), 300), 70)
         calls = 0
         jaccard = mining._jaccard
 
@@ -344,15 +381,15 @@ class TestDedupWork:
         monkeypatch.setattr(mining, "_jaccard", counted)
         got = dedup_similar(patterns, jaccard_min)
         monkeypatch.undo()
-        assert got == patterns
-        assert calls <= len(patterns) * len(got) // 10
+        assert got == oracle_dedup_similar(patterns, jaccard_min)
+        assert calls <= sum(len(p.items) for p in patterns)
 
 
 _WIDE = 4_000  # bits: wider than any catalog's license count
 
 
 class TestBits:
-    """``mining._bits`` serves ``sorted_ids`` and ``dedup_similar``."""
+    """``mining._bits`` serves ``sorted_ids``."""
 
     @given(
         st.one_of(
