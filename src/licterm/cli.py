@@ -22,31 +22,14 @@ import os
 import sys
 from functools import cached_property
 from importlib import import_module
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .dataset import (
-    AliasTable,
-    Dataset,
-    bundled_aliases,
-    bundled_dataset,
-    bundled_known_ids,
-    dumps_profile,
-    known_licenses,
-    load_aliases,
-    load_dataset,
-)
 from .errors import ExpressionTooComplex, LictermError
-from .expression import (
-    And,
-    ExpressionSyntaxError,
-    KnownLicenses,
-    LicenseRef,
-    Or,
-    Unresolvable,
-    normalize,
-    parse_expression,
-    render,
-)
+
+if TYPE_CHECKING:
+    from .dataset import AliasTable, Dataset
+    from .expression import KnownLicenses
 
 # The names handlers use from modules that not every command runs, by
 # module. A handler binds its modules' names on entry (``_load``), so each
@@ -55,10 +38,14 @@ from .expression import (
 # any command has run. A name that is already bound is never rebound.
 _LAZY = {
     ".conflicts": ("ConflictType", "build_matrix", "check_expressions", "explain"),
+    ".dataset": ("bundled_aliases", "bundled_dataset", "bundled_known_ids", "dumps_profile",
+                 "known_licenses", "load_aliases", "load_dataset"),
+    ".expression": ("And", "ExpressionSyntaxError", "LicenseRef", "Or", "Unresolvable",
+                    "normalize", "parse_expression", "render"),
     ".mining": ("InvalidThreshold", "dedup_similar", "mine"),
     ".registry": ("build_graph", "license_changes", "parse_snapshot", "read_graph", "write_graph"),
     ".scan": ("rank_pairs", "scan"),
-    "json": ("dumps",),
+    "json": ("JSONEncoder",),
 }
 
 
@@ -69,11 +56,13 @@ def _bind(module: str) -> None:
 
 
 def _load(args, *modules: str) -> None:
-    """Bind the names of ``modules``, and of ``json`` when ``args`` asks for records."""
-    if getattr(args, "format", None) == "records":
-        modules += ("json",)
+    """Bind the names of ``modules``. When ``args`` asks for records, bind
+    ``json``'s too and give ``args`` the one encoder all its records share."""
     for module in modules:
         _bind(module)
+    if getattr(args, "format", None) == "records":
+        _bind("json")
+        args.encode = JSONEncoder(sort_keys=True).encode
 
 
 def __getattr__(name: str):
@@ -120,7 +109,7 @@ def _out(args, record: dict | None, line: str | None) -> None:
     """Print an item as ``args.format`` asks; ``None`` means no form in that format."""
     if args.format == "records":
         if record is not None:
-            print(dumps(record, sort_keys=True))
+            print(args.encode(record))
     elif line is not None:
         print(line)
 
@@ -129,6 +118,7 @@ def _out(args, record: dict | None, line: str | None) -> None:
 
 
 def _cmd_normalize(args) -> int:
+    _load(args, ".dataset", ".expression")
     ctx = _Context(args)
     outcome = normalize(args.raw, ctx.aliases, ctx.known)
     print(outcome)
@@ -136,6 +126,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_parse_expr(args) -> int:
+    _load(args, ".expression")
     try:
         expr = parse_expression(args.expr)
     except ExpressionSyntaxError as exc:
@@ -153,7 +144,7 @@ def _parenthesized(expr) -> str:
 
 
 def _cmd_check(args) -> int:
-    _load(args, ".conflicts")
+    _load(args, ".conflicts", ".dataset", ".expression")
     ctx = _Context(args)
     sides = []
     for raw, role in ((args.parent, "parent"), (args.dep, "dependency")):
@@ -193,7 +184,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    _load(args, ".conflicts")
+    _load(args, ".conflicts", ".dataset")
     ctx = _Context(args)
     matrix = build_matrix(ctx.dataset, args.strict_not_mentioned)
     pairs = {ctype.value: matrix.pairs[ctype] for ctype in ConflictType}
@@ -214,7 +205,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_mine(args) -> int:
-    _load(args, ".mining")
+    _load(args, ".dataset", ".mining")
     ctx = _Context(args)
     try:
         if not args.no_dedup:
@@ -247,7 +238,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_changes(args) -> int:
-    _load(args, ".registry")
+    _load(args, ".dataset", ".registry")
     ctx = _Context(args)
     records = parse_snapshot(args.snapshot)
     changes = license_changes(records, ctx.aliases, ctx.known)
@@ -270,7 +261,7 @@ def _cmd_changes(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    _load(args, ".registry", ".scan", ".conflicts")
+    _load(args, ".dataset", ".registry", ".scan", ".conflicts")
     ctx = _Context(args)
     graph, records = read_graph(args.graph)
     report = scan(graph, records, ctx.dataset, args.strict_not_mentioned, ctx.aliases, ctx.known)
@@ -308,6 +299,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_explain(args) -> int:
+    _load(args, ".dataset", ".expression")
     ctx = _Context(args)
     outcome = normalize(args.license, ctx.aliases, ctx.known)
     if not isinstance(outcome, LicenseRef):

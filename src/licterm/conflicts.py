@@ -104,10 +104,10 @@ def _rule_masks(
 def _bits(mask: int) -> Iterator[int]:
     """The indexes of the set bits of ``mask``, lowest first.
 
-    Clears the lowest bit each step. On term masks of 11 bits or fewer this
-    is about twice as fast as ``mining._bits``'s ``bin()`` digit scan, which
-    wins on masks thousands of bits wide, where clearing copies the mask
-    once per bit.
+    Clears the lowest bit each step, which suits term masks of 11 bits or
+    fewer. On support masks thousands of bits wide, clearing would copy
+    the mask once per bit, so ``FrequentPattern.sorted_ids`` reads their
+    bits off ``bin()``'s digits in one pass instead.
     """
     while mask:
         low = mask & -mask

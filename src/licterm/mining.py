@@ -17,6 +17,7 @@ patterns someone reads.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import compress
 
 from ._frozen import Frozen
 from .dataset import Dataset
@@ -25,6 +26,9 @@ from .model import Attitude, LicenseProfile, TERM_ORDER, Term
 
 class InvalidThreshold(ValueError):
     pass
+
+
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
 
 
 class FrequentPattern(Frozen):
@@ -50,13 +54,18 @@ class FrequentPattern(Frozen):
         return tuple(sorted(self.items))
 
     def sorted_ids(self) -> Iterator[str]:
-        """The supporting ids in sorted order: ``licenses`` is sorted, so bit order."""
-        return map(self.licenses.__getitem__, _bits(self.support))
+        """The supporting ids in sorted order: ``licenses`` is sorted, so bit order.
+
+        The reversed binary digits of ``support``, as bytes 0 and 1, are the
+        selectors of one ``compress`` over ``licenses``, so the bits are read
+        in C, not one Python step per supporting license.
+        """
+        return compress(self.licenses, bin(self.support)[:1:-1].encode().translate(_SELECTORS))
 
 
 def profile_items(profile: LicenseProfile) -> frozenset[str]:
     return frozenset(
-        f"{term.value}={attitude.value}"
+        f"{term._value_}={attitude._value_}"  # ``_value_`` skips Enum's ``value`` property
         for term, attitude in profile.terms.items()
         if attitude is not Attitude.NOT_MENTIONED
     )
@@ -125,6 +134,9 @@ def dedup_similar(
     for a similar superset Q of P and any x in Q - P, P + {x} is listed
     and is at least as similar to P as Q is.
 
+    Each itemset is keyed by an ``int`` with one bit per item of the
+    list, so P minus one item is one ``^`` and one dict lookup away.
+
     Raises ``ValueError`` when two patterns have one itemset, or unless
     every pattern has the same ``licenses`` tuple: bitsets over
     different id tuples cannot be compared.
@@ -134,32 +146,19 @@ def dedup_similar(
     licenses = patterns[0].licenses if patterns else ()
     if any(p.licenses is not licenses and p.licenses != licenses for p in patterns):
         raise ValueError("patterns over different licenses tuples cannot be compared")
-    by_items = {p.items: p for p in patterns}
-    if len(by_items) < len(patterns):
+    bit_of = {item: 1 << i for i, item in enumerate(set().union(*(p.items for p in patterns)))}
+    support_of = {sum(map(bit_of.__getitem__, p.items)): p.support for p in patterns}
+    if len(support_of) < len(patterns):
         raise ValueError("patterns repeat an itemset")
+    # With no itemset repeated, the keys are in input order, one per pattern.
     folded = set()
-    for pattern in patterns:
-        items, support = pattern.items, pattern.support
-        for item in items:
-            smaller = by_items.get(items - {item})
-            if smaller is not None and _jaccard(smaller.support, support) >= jaccard_min:
-                folded.add(smaller.items)
-    return [p for p in patterns if p.items not in folded]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first.
-
-    Reads them off the reversed digits of ``bin(mask)``, one pass, where
-    clearing one bit at a time, as ``conflicts._bits`` does on its narrow
-    term masks, would copy a support mask as wide as the catalog once per
-    bit: on a dense 3,000-bit mask this scan is about 1.7 times as fast.
-    """
-    digits = bin(mask)[:1:-1]
-    position = digits.find("1")
-    while position != -1:
-        yield position
-        position = digits.find("1", position + 1)
+    for pattern, (mask, support) in zip(patterns, support_of.items()):
+        for item in pattern.items:
+            smaller = mask ^ bit_of[item]
+            smaller_support = support_of.get(smaller)
+            if smaller_support is not None and _jaccard(smaller_support, support) >= jaccard_min:
+                folded.add(smaller)
+    return [p for p, mask in zip(patterns, support_of) if mask not in folded]
 
 
 def _jaccard(a: int, b: int) -> float:

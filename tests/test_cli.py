@@ -22,6 +22,7 @@ from licterm.model import TERM_ORDER, Attitude, Term
 from licterm.registry import GRAPH_HEADER, read_graph
 
 from conftest import random_profile
+from test_acceptance import _synthetic_snapshot
 from test_conflicts import _family_dataset
 
 
@@ -385,6 +386,48 @@ class TestMine:
         ignored = run(capsys, *argv, "--jaccard", "1.5")
         assert ignored == run(capsys, *argv)
         assert ignored[0] == 0
+
+
+# sha256 of `--format records` stdout, recorded while each record was
+# written by its own json.dumps(record, sort_keys=True) call, so the one
+# encoder a command shares must write the same bytes. `matrix` is keyed by
+# (dataset, --strict-not-mentioned): the bundled one and
+# _family_dataset(random.Random(3), 300). `changes` reads
+# _synthetic_snapshot(random.Random(6), 300). Both draw only with
+# Random.random, choice, randint and sample, whose output is the same on
+# every supported Python.
+MATRIX_RECORDS_DIGESTS = {
+    ("bundled", False): "ff87db9c45035c30d02af6fffecf4df50ad80275db55cd1227a801126f34f4d4",
+    ("bundled", True): "dac88b8f3fee30ecc8788c7939b63670afc2d02f3306f291cafbb76602979d79",
+    ("family", False): "48c91892aa3917997c34d934beedacc3236d66390aa5d0f7f004369bfff66646",
+    ("family", True): "46772bc2552c38039708fe26594cb923c602d21ad128a7b1bb111fcb8c1c3110",
+}
+CHANGES_RECORDS_DIGEST = "66b723584c6e211b4d7dec5b5f89568cc5d5f3371c7943c7a027a5f035f44664"
+
+
+class TestRecordsPinned:
+    def test_matrix(self, capsys, tmp_path):
+        catalog = tmp_path / "catalog.dat"
+        catalog.write_text(
+            dumps_dataset(_family_dataset(random.Random(3), 300)), encoding="utf-8"
+        )
+        digests = {}
+        for dataset, strict in MATRIX_RECORDS_DIGESTS:
+            argv = ["matrix", "--format", "records"]
+            argv += ["--dataset", str(catalog)] if dataset == "family" else []
+            argv += ["--strict-not-mentioned"] if strict else []
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            digests[dataset, strict] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == MATRIX_RECORDS_DIGESTS
+
+    def test_changes(self, capsys, tmp_path):
+        snapshot = tmp_path / "snap.tsv"
+        snapshot.write_text(_synthetic_snapshot(random.Random(6), 300), encoding="utf-8")
+        code, out, err = run(capsys, "changes", str(snapshot), "--format", "records")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) > 10
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHANGES_RECORDS_DIGEST
 
 
 class TestPipeline:

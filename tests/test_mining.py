@@ -389,7 +389,7 @@ _WIDE = 4_000  # bits: wider than any catalog's license count
 
 
 class TestBits:
-    """``mining._bits`` serves ``sorted_ids``."""
+    """``sorted_ids`` reads the set bits of ``support`` off its binary digits."""
 
     @given(
         st.one_of(
@@ -400,8 +400,9 @@ class TestBits:
     @example(0)
     @example(1 << _WIDE | 2)
     def test_equals_brute_force_scan(self, mask):
-        assert list(mining._bits(mask)) == [
-            i for i in range(mask.bit_length()) if mask >> i & 1
+        pattern = FrequentPattern(frozenset(), mask, TEST_LICENSES)
+        assert list(pattern.sorted_ids()) == [
+            TEST_LICENSES[i] for i in range(mask.bit_length()) if mask >> i & 1
         ]
 
     @pytest.mark.parametrize("min_support", [5, 10])
