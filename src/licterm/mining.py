@@ -12,6 +12,12 @@ of the dataset's sorted license ids, a tuple that every pattern of one
 ``mine()`` call shares. Intersection is ``&`` and support is
 ``int.bit_count()``; the ids themselves are only spelled out for the
 patterns someone reads.
+
+Similarity dedup keeps only closed itemsets, by a test on each alone: a
+P that is not closed has some P + x with its supporting set, at Jaccard
+1; and P + x's supporting set is ``s & support(x)``, a subset of P's s,
+so only the largest popcount c of those decides P. Given a Jaccard
+threshold, ``mine()`` walks closed itemsets and applies the test there.
 """
 
 from __future__ import annotations
@@ -71,8 +77,9 @@ def profile_items(profile: LicenseProfile) -> frozenset[str]:
     )
 
 
-def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
-    """Every itemset supported by at least ``min_support`` licenses.
+def mine(ds: Dataset, min_support: int, jaccard: float | None = None) -> list[FrequentPattern]:
+    """Every itemset supported by at least ``min_support`` licenses, or with
+    ``jaccard`` only those that ``dedup_similar(..., jaccard)`` keeps.
 
     Output is sorted by descending support, ascending itemset size,
     then item spelling, and is independent of profile order. The search
@@ -82,7 +89,23 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
     time and kept while the ``&`` of its bitsets still has
     ``min_support`` bits set, so every supporting set is exact by
     construction. Every returned pattern shares one ``licenses`` tuple.
+
+    With ``jaccard``, the search lists far fewer sets. Let P have
+    supporting set s; for an item x outside P, P + x has the supporting
+    set ``s & support(x)``, a subset of s, whose popcount c(x) makes
+    ``_jaccard`` of the two the float ``c(x) / |s|``. So a P that is not
+    closed is always dropped: some x has c(x) = |s|, so P + x is
+    frequent at Jaccard 1. And dropping is a test on P alone: P + x is
+    listed exactly when c(x) >= ``min_support``, and ``c / |s|`` grows
+    with c, so P is dropped exactly when the largest c(x) passes
+    ``c >= min_support`` and ``c / |s| >= jaccard``. The search walks
+    closed itemsets only, as LCM does (Uno, Kiyomi and Arimura, FIMI
+    2004): it extends a closed set by one later item, adds every item
+    that all the new supporters hold, and keeps the result only when no
+    earlier item joined, so each closed set is reached once.
     """
+    if jaccard is not None:
+        _check_jaccard(jaccard)
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
     licenses = tuple(sorted(ds.profiles))
@@ -95,6 +118,17 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
         for item, support in sorted(inverted.items())
         if support.bit_count() >= min_support
     ]
+    if jaccard is None:
+        patterns = _frequent(frequent, min_support, licenses)
+    else:
+        patterns = _closed(frequent, min_support, jaccard, licenses)
+    patterns.sort(
+        key=lambda p: (-p.support_count, len(p.items), p.sorted_items())
+    )
+    return patterns
+
+
+def _frequent(frequent, min_support, licenses) -> list[FrequentPattern]:
     patterns: list[FrequentPattern] = []
     # Each candidate pairs a later item with the bitset of prefix + item. A
     # recursive closure would be a reference cycle holding ``patterns``
@@ -110,9 +144,53 @@ def mine(ds: Dataset, min_support: int) -> list[FrequentPattern]:
                 for other, other_support in candidates[k + 1:]
                 if (both := support & other_support).bit_count() >= min_support
             ]))
-    patterns.sort(
-        key=lambda p: (-p.support_count, len(p.items), p.sorted_items())
-    )
+    return patterns
+
+
+def _closed(frequent, min_support, jaccard, licenses) -> list[FrequentPattern]:
+    # A node is a closed itemset and the items still frequent under it, each
+    # with the bitset of itemset + item, which gives the closure, the prefix
+    # test and the largest c at once; it grows by the items from ``first``
+    # on. Rarest first: rare earlier items soon stop being carried down.
+    everyone = (1 << len(licenses)) - 1
+    root = tuple(item for item, support in frequent if support == everyone)
+    live = [(item, support) for item, support in frequent if support != everyone]
+    live.sort(key=lambda entry: entry[1].bit_count())
+    best = max((support.bit_count() for _, support in live), default=0)
+    patterns = []
+    if root and best / len(licenses) < jaccard:
+        patterns.append(FrequentPattern(frozenset(root), everyone, licenses))
+    stack = [(root, 0, live)]
+    while stack:
+        itemset, first, live = stack.pop()
+        for k in range(first, len(live)):
+            item, support = live[k]
+            size = support.bit_count()
+            grown, closure, best = [], [item], 0
+            for other, other_support in live[:k]:
+                if (count := (both := support & other_support).bit_count()) >= min_support:
+                    if count == size:
+                        # An earlier item joins, so this set is reached elsewhere.
+                        # (It would fail the test below anyway, at c = |s|.)
+                        break
+                    grown.append((other, both))
+                    if count > best:
+                        best = count
+            else:
+                start = len(grown)
+                for other, other_support in live[k + 1:]:
+                    if (count := (both := support & other_support).bit_count()) >= min_support:
+                        if count == size:
+                            closure.append(other)
+                        else:
+                            grown.append((other, both))
+                            if count > best:
+                                best = count
+                closed = itemset + tuple(closure)
+                if best / size < jaccard:  # best is 0 or at least min_support
+                    patterns.append(FrequentPattern(frozenset(closed), support, licenses))
+                if len(grown) > start:
+                    stack.append((closed, start, grown))
     return patterns
 
 
@@ -132,7 +210,9 @@ def dedup_similar(
     patterns into the larger does: :func:`mine` lists every frequent
     itemset, and a supporting set only shrinks as items are added, so
     for a similar superset Q of P and any x in Q - P, P + {x} is listed
-    and is at least as similar to P as Q is.
+    and is at least as similar to P as Q is. On a ``mine(ds, s, j)``
+    result at the same ``j`` it drops nothing: any P + x that list holds
+    is frequent, and P passed its own test against every frequent P + x.
 
     Each itemset is keyed by an ``int`` with one bit per item of the
     list, so P minus one item is one ``^`` and one dict lookup away.
@@ -141,8 +221,7 @@ def dedup_similar(
     every pattern has the same ``licenses`` tuple: bitsets over
     different id tuples cannot be compared.
     """
-    if not 0 < jaccard_min <= 1:
-        raise InvalidThreshold(f"jaccard_min must be in (0, 1], got {jaccard_min}")
+    _check_jaccard(jaccard_min)
     licenses = patterns[0].licenses if patterns else ()
     if any(p.licenses is not licenses and p.licenses != licenses for p in patterns):
         raise ValueError("patterns over different licenses tuples cannot be compared")
@@ -159,6 +238,11 @@ def dedup_similar(
             if smaller_support is not None and _jaccard(smaller_support, support) >= jaccard_min:
                 folded.add(smaller)
     return [p for p, mask in zip(patterns, support_of) if mask not in folded]
+
+
+def _check_jaccard(jaccard_min: float) -> None:
+    if not 0 < jaccard_min <= 1:
+        raise InvalidThreshold(f"jaccard_min must be in (0, 1], got {jaccard_min}")
 
 
 def _jaccard(a: int, b: int) -> float:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own computation paths: rule
 checking is a direct transcription over all 22 terms, mining is
-exhaustive subset enumeration, dedup compares each pattern with every
+exhaustive subset enumeration, closedness intersects each pattern's
+supporters' items, dedup compares each pattern with every
 kept one or, for the one-item rule, with every pattern of the list,
 expression checking tries every left/right assignment of every OR
 node, scanning checks every edge on its own that way, range
@@ -41,6 +42,7 @@ from licterm.expression import (
 )
 from licterm.dataset import Dataset
 from licterm.errors import DuplicateVersionError, FormatError, ValidationError
+from licterm.mining import FrequentPattern
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term, TermKind
 from licterm.registry import (
     GRAPH_HEADER,
@@ -278,6 +280,43 @@ def oracle_supporters(pattern):
         if pattern.support >> i & 1:
             ids.add(spdx_id)
     return frozenset(ids)
+
+
+def oracle_mined_patterns(transactions, min_support):
+    """``oracle_mine``'s itemsets as patterns in ``mine()``'s order.
+
+    Each support is a bitset over the sorted ids, as ``mine()`` gives it;
+    the order is descending support, ascending size, then item spelling.
+    """
+    licenses = tuple(sorted(transactions))
+    bit = {tid: 1 << i for i, tid in enumerate(licenses)}
+    frequent = oracle_mine(transactions, min_support)
+    return [
+        FrequentPattern(itemset, sum(bit[tid] for tid in ids), licenses)
+        for itemset, ids in sorted(
+            frequent.items(), key=lambda kv: (-len(kv[1]), len(kv[0]), sorted(kv[0]))
+        )
+    ]
+
+
+def oracle_check_closed(transactions, patterns):
+    """Assert that every pattern is closed, with its exact supporting set.
+
+    transactions: mapping id -> set of items. A pattern's supporters must
+    be exactly the ids whose items contain it, and no item outside the
+    pattern may be held by every one of them.
+    """
+    for pattern in patterns:
+        supporters = oracle_supporters(pattern)
+        assert supporters == {
+            tid for tid, items in transactions.items() if pattern.items <= items
+        }, f"wrong ids for {sorted(pattern.items)}"
+        assert supporters, f"{sorted(pattern.items)} has no supporter"
+        shared = set.intersection(*(set(transactions[tid]) for tid in supporters))
+        assert shared == pattern.items, (
+            f"{sorted(pattern.items)} is not closed: every supporter also holds "
+            f"{sorted(shared - pattern.items)}"
+        )
 
 
 def oracle_check_mined(transactions, min_support, patterns):

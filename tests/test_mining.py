@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from licterm import mining
-from licterm.dataset import Dataset
+from licterm.dataset import Dataset, loads_dataset
 from licterm.mining import (
     FrequentPattern,
     InvalidThreshold,
@@ -18,13 +18,16 @@ from licterm.model import Attitude, CopyleftClass, LicenseProfile, TERM_ORDER
 
 from conftest import make_terms
 from oracles import (
+    oracle_check_closed,
     oracle_check_mined,
     oracle_dedup_one_item,
     oracle_dedup_similar,
     oracle_mine,
+    oracle_mined_patterns,
     oracle_supporters,
 )
 from test_conflicts import _family_dataset
+from test_dataset import _catalog_text
 
 
 def _profile(spdx_id, **attitudes):
@@ -112,6 +115,10 @@ class TestMine:
         gc.disable()
         try:
             gc.collect()
+            closed = mine(seed_dataset, 2, 0.9)
+            assert closed
+            del closed
+            assert gc.collect() == 0
             patterns = mine(seed_dataset, 2)
             assert patterns
             del patterns
@@ -187,9 +194,10 @@ class TestMine:
                 oracle_check_mined(transactions, 10, broken)
 
 
-def _restricted_random_profile(rng, spdx_id):
+def _restricted_random_profile(rng, spdx_id, **held):
     """Random profile over a 6-term sub-vocabulary, so the itemset
-    universe stays within exhaustive-oracle reach (<= 12 items)."""
+    universe stays within exhaustive-oracle reach (<= 12 items); ``held``
+    sets some of its attitudes."""
     kwargs = {}
     for key, choices in (
         ("distribute", ("can", "cannot")),
@@ -201,7 +209,112 @@ def _restricted_random_profile(rng, spdx_id):
     ):
         if rng.random() < 0.6:
             kwargs[key] = rng.choice(choices)
-    return _profile(spdx_id, **kwargs)
+    return _profile(spdx_id, **{**kwargs, **held})
+
+
+# Jaccard thresholds for the closed search: 0.5 and 0.9 sit exactly on
+# many count ratios, and at 0.1 most ``j * |s|`` fall below min_support.
+CLOSED_JACCARDS = (1.0, 0.9, 0.5, 2 / 3, 0.1)
+
+
+def _assert_closed_search_matches(ds, min_support, expected_full=None):
+    """mine(ds, s, j) against the linear-scan dedup of the whole frequent
+    listing, pattern for pattern and in order, for each j. The listing is
+    the exhaustive oracle's, or ``expected_full`` checked by brute force."""
+    transactions = _as_oracle_input(ds)
+    if expected_full is None:
+        expected_full = oracle_mined_patterns(transactions, min_support)
+    else:
+        oracle_check_mined(transactions, min_support, expected_full)
+    for jaccard in CLOSED_JACCARDS:
+        got = mine(ds, min_support, jaccard)
+        expected = oracle_dedup_similar(expected_full, jaccard)
+        assert [(p.items, p.support) for p in got] == [(p.items, p.support) for p in expected]
+        assert all(p.licenses == tuple(sorted(ds.profiles)) for p in got)
+        oracle_check_closed(transactions, got)
+        # Any P + x of the list is frequent, so each listed P passed its own
+        # test against it already: dedup drops nothing.
+        assert list(map(id, dedup_similar(got, jaccard))) == list(map(id, got))
+
+
+@st.composite
+def _small_catalogs(draw):
+    """Up to 8 profiles over the 6-term sub-vocabulary, some items held by
+    every profile, and up to 3 copies of drawn profiles under new ids."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    held = draw(st.sampled_from([{}, {"include_copyright": "must"},
+                                 {"distribute": "can", "state_changes": "must"}]))
+    n = draw(st.integers(1, 8))
+    profiles = [_restricted_random_profile(rng, f"L{i}", **held) for i in range(n)]
+    for k, i in enumerate(draw(st.lists(st.integers(0, n - 1), max_size=3))):
+        profiles.append(LicenseProfile(f"D{k}", f"D{k}", profiles[i].terms, CopyleftClass.NONE))
+    return Dataset(profiles={p.spdx_id: p for p in profiles})
+
+
+class TestClosedMine:
+    """``mine(ds, s, j)``: the closed itemsets that dedup at ``j`` keeps."""
+
+    def test_three_profile_fixture(self):
+        # Both closed sets: {distribute} (A, B, C) and {distribute, sublicense}
+        # (A, B), at Jaccard 2/3 to it, so only j <= 2/3 drops the smaller.
+        expected = [((D_CAN,), 3), ((D_CAN, SUB_CAN), 2)]
+        for jaccard in (1.0, 0.9):
+            got = mine(THREE_PROFILE_FIXTURE, 2, jaccard)
+            assert [(p.sorted_items(), p.support_count) for p in got] == expected
+        got = mine(THREE_PROFILE_FIXTURE, 2, 0.5)
+        assert [(p.sorted_items(), p.support_count) for p in got] == [((D_CAN, SUB_CAN), 2)]
+
+    def test_random_datasets_equal_dedup_of_exhaustive_oracle_seeded(self):
+        rng = random.Random(1618)
+        for _ in range(25):
+            n = rng.randint(1, 9)
+            ds = Dataset(
+                profiles={f"L{i}": _restricted_random_profile(rng, f"L{i}") for i in range(n)}
+            )
+            _assert_closed_search_matches(ds, rng.randint(1, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_catalogs(), st.integers(1, 4))
+    def test_small_catalogs_equal_dedup_of_exhaustive_oracle_hypothesis(self, ds, min_support):
+        _assert_closed_search_matches(ds, min_support)
+
+    @pytest.mark.parametrize(
+        "seed, size, min_support", [(60, 60, 20), (60, 60, 30), (62, 200, 50)]
+    )
+    def test_family_catalogs_equal_dedup_of_full_listing(self, seed, size, min_support):
+        # Family catalogs hold equal profiles and items that most profiles share.
+        ds = _family_dataset(random.Random(seed), size)
+        _assert_closed_search_matches(ds, min_support, mine(ds, min_support))
+
+    @pytest.mark.parametrize(
+        "seed, size, min_support", [(1, 40, 6), (1, 40, 8), (2, 60, 8), (2, 60, 10)]
+    )
+    def test_random_catalogs_equal_dedup_of_full_listing(self, seed, size, min_support):
+        # Random profiles over all 22 terms: nearly every frequent set is closed.
+        ds = loads_dataset(_catalog_text(seed, size))
+        _assert_closed_search_matches(ds, min_support, mine(ds, min_support))
+
+    @pytest.mark.parametrize("min_support", [5, 10, 17, 25])
+    def test_bundled_dataset_equals_dedup_of_full_listing(self, seed_dataset, min_support):
+        # Every bundled license grants distribution: the closure of the
+        # empty itemset is not empty.
+        assert mine(seed_dataset, len(seed_dataset))[0].sorted_items() == ("distribute=can",)
+        _assert_closed_search_matches(seed_dataset, min_support, mine(seed_dataset, min_support))
+
+    def test_support_above_the_profile_count_finds_nothing(self, seed_dataset):
+        for jaccard in CLOSED_JACCARDS:
+            assert mine(seed_dataset, len(seed_dataset) + 1, jaccard) == []
+            assert mine(_ds(), 1, jaccard) == []
+
+    def test_order_independent(self, seed_dataset):
+        shuffled = Dataset(profiles=dict(reversed(seed_dataset.profiles.items())))
+        for jaccard in CLOSED_JACCARDS:
+            assert mine(shuffled, 3, jaccard) == mine(seed_dataset, 3, jaccard)
+
+    @pytest.mark.parametrize("jaccard", [0.0, -0.5, 1.5, float("nan")])
+    def test_invalid_jaccard(self, jaccard):
+        with pytest.raises(InvalidThreshold, match="jaccard_min"):
+            mine(THREE_PROFILE_FIXTURE, 2, jaccard)
 
 
 # The id universe of hand-built patterns: dedup_similar compares bitsets
