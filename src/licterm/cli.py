@@ -5,14 +5,14 @@ input or too many OR choices to check, 4 conflicts found, 5 data
 error, 141 (128 + SIGPIPE) when the reader of stdout closed it early,
 which ends the command quietly. The bundled dataset and alias table are
 used unless overridden with ``--dataset`` / ``--aliases`` or the
-``LICTERM_DATASET`` environment variable; an empty path given to either
-flag is a usage error. Each command walks its items once and gives
-``_out`` each item's JSON record and table line (``mine``, with up to
-hundreds of thousands of items, branches on the format once instead), so
-``--format records`` (one JSON object per line, for piping) emits the
-items of the human table in its order; headers are table-only, and
-``check`` writes its table-format warnings to stderr. Identical
-invocations produce byte-identical output.
+``LICTERM_DATASET`` environment variable. An empty path, given to either
+flag or as any other file argument, is a usage error. Each command
+walks its items once and gives ``_out`` each item's JSON record and
+table line (``mine``, with up to hundreds of thousands of items,
+branches on the format once instead), so ``--format records`` (one JSON
+object per line, for piping) emits the items of the human table in its
+order; headers are table-only, and ``check`` writes its table-format
+warnings to stderr. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def _positive_int(text: str) -> int:
 
 
 def _path(text: str) -> str:
-    if not text:  # would read as "not given" and fall back to other data
+    if not text:  # would read as "not given", or name the current directory
         raise argparse.ArgumentTypeError("expected a file path, got ''")
     return text
 
@@ -392,18 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mine)
 
     p = commands.add_parser("ingest", help="build a dependency graph from a snapshot")
-    p.add_argument("snapshot")
-    p.add_argument("-o", "--output", required=True)
+    p.add_argument("snapshot", type=_path)
+    p.add_argument("-o", "--output", type=_path, required=True)
     p.set_defaults(func=_cmd_ingest)
 
     p = commands.add_parser("changes", help="license changes across versions")
-    p.add_argument("snapshot")
+    p.add_argument("snapshot", type=_path)
     _add_data_flags(p)
     _add_format_flag(p)
     p.set_defaults(func=_cmd_changes)
 
     p = commands.add_parser("scan", help="scan a dependency graph for conflicts")
-    p.add_argument("graph")
+    p.add_argument("graph", type=_path)
     p.add_argument("--strict-not-mentioned", action="store_true")
     p.add_argument("--top", type=_positive_int, default=10)
     _add_data_flags(p)

@@ -4,6 +4,7 @@
 dataset, where a blank line ends a record and a comment line does not.
 """
 
+import codecs
 from pathlib import Path
 
 
@@ -45,8 +46,10 @@ def skipped(line: str) -> bool:
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of a data file; a byte that does not decode is a FormatError at its line."""
-    data = Path(path).read_bytes()
+    """The UTF-8 text of a data file less one leading byte-order mark; a byte
+    that does not decode is a FormatError at its line. The mark is cut from
+    the bytes, since ``utf-8-sig`` counts error offsets from after it."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -152,15 +152,14 @@ def _closed(frequent, min_support, jaccard, licenses) -> list[FrequentPattern]:
     # with the bitset of itemset + item, which gives the closure, the prefix
     # test and the largest c at once; it grows by the items from ``first``
     # on. Rarest first: rare earlier items soon stop being carried down.
-    everyone = (1 << len(licenses)) - 1
-    root = tuple(item for item, support in frequent if support == everyone)
-    live = [(item, support) for item, support in frequent if support != everyone]
-    live.sort(key=lambda entry: entry[1].bit_count())
-    best = max((support.bit_count() for _, support in live), default=0)
+    # The search starts from the empty itemset, never emitted. Extending it
+    # by the first item every license holds meets no earlier item at full
+    # count, so it yields exactly the set of those items, with c the largest
+    # count of the others; every other extension takes them into its closure
+    # when they come later and fails the prefix test when one comes earlier.
+    live = sorted(frequent, key=lambda entry: entry[1].bit_count())
     patterns = []
-    if root and best / len(licenses) < jaccard:
-        patterns.append(FrequentPattern(frozenset(root), everyone, licenses))
-    stack = [(root, 0, live)]
+    stack = [((), 0, live)]
     while stack:
         itemset, first, live = stack.pop()
         for k in range(first, len(live)):

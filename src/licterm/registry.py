@@ -28,12 +28,10 @@ repeats the node metadata so a scan can run from the graph file alone.
 Both files skip blank and comment lines by ``errors.skipped``. Snapshot
 lines and graph node lines are checked by one record parser
 (``_RecordParser``), so both are validated alike and every error carries
-its ``file:line`` locator. Within one file each distinct version text,
-date and dependency entry is parsed once. The graph reader tests each
-line's kind and field count before the skip test, since no blank or
-comment line has a kind, and looks an edge's parent up only when its
-text differs from the previous edge's, as ``write_graph`` groups edges
-by parent.
+its ``file:line`` locator. Within one file each distinct version text
+and date is parsed once. The graph reader tests each line's kind and
+field count before the skip test, since no blank or comment line has a
+kind.
 
 On the write side, ``build_graph`` parses each distinct range text once
 and resolves each distinct (package, range) once. ``write_graph`` writes
@@ -175,7 +173,6 @@ def parse_snapshot(path: str | Path) -> list[VersionRecord]:
 def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionRecord]:
     records: list[VersionRecord] = []
     record = _RecordParser().record
-    entries = _Parsed(_parse_dependency)
     lineno = 0
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
@@ -187,7 +184,7 @@ def parse_snapshot_text(text: str, source: str = "<string>") -> list[VersionReco
             package, version_text, published_text, license_raw, deps_text = fields
             # A blank entry parses to None; every other one to a non-empty tuple.
             dependencies = (
-                tuple(filter(None, map(entries.__getitem__, deps_text.split(";"))))
+                tuple(filter(None, map(_parse_dependency, deps_text.split(";"))))
                 if deps_text
                 else ()
             )
@@ -406,9 +403,6 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
     index: dict[tuple[str, str], int] = {}  # (package, version text) of each node line -> index
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
-    # write_graph groups edges by parent: the last edge's parent texts and index.
-    # A node line's texts never map to another index later, as that would be a duplicate.
-    last_package = last_version = None
     lineno = 0
     try:
         for lineno, line in enumerate(split_lines(text), start=1):
@@ -416,11 +410,9 @@ def read_graph(path: str | Path) -> tuple[DependencyGraph, list[VersionRecord]]:
             kind = fields[0]
             if kind == "edge" and len(fields) == 6:
                 _, package, version_text, dep_package, dep_version, range_str = fields
-                if package != last_package or version_text != last_version:
-                    parent = index.get((package, version_text))
-                    if parent is None:
-                        raise _no_node(package, version_text)
-                    last_package, last_version = package, version_text
+                parent = index.get((package, version_text))
+                if parent is None:
+                    raise _no_node(package, version_text)
                 dep = index.get((dep_package, dep_version))
                 if dep is None:
                     raise _no_node(dep_package, dep_version)

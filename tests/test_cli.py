@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import gc
 import hashlib
@@ -19,7 +20,7 @@ from licterm.cli import main
 from licterm.conflicts import ConflictFinding, ConflictType, explain
 from licterm.dataset import Dataset, dumps_dataset
 from licterm.model import TERM_ORDER, Attitude, Term
-from licterm.registry import GRAPH_HEADER, read_graph
+from licterm.registry import GRAPH_HEADER, parse_snapshot, read_graph
 
 from conftest import random_profile
 from test_acceptance import _synthetic_snapshot
@@ -406,6 +407,16 @@ MATRIX_RECORDS_DIGESTS = {
     ("family", True): "46772bc2552c38039708fe26594cb923c602d21ad128a7b1bb111fcb8c1c3110",
 }
 CHANGES_RECORDS_DIGEST = "66b723584c6e211b4d7dec5b5f89568cc5d5f3371c7943c7a027a5f035f44664"
+# sha256 of the graph file that `ingest` writes from that same snapshot, and
+# of `scan --format records` stdout over it, keyed by --strict-not-mentioned;
+# recorded while the snapshot reader still memoized dependency entries and
+# the graph reader reused an edge run's parent, so code without them must
+# write the same bytes.
+INGEST_GRAPH_DIGEST = "1c1dff11ef325380c3a25617ef704122d0a07485274c53d0153477b53f28ff99"
+SCAN_RECORDS_DIGESTS = {
+    False: "4f540e0727e82dac8bfb0d066080a5706cd6634498ce96d6f8a4e821522c02ec",
+    True: "b783fd550269def54a016609f8b2ea76c845681329bad43617123619b639e185",
+}
 
 
 class TestRecordsPinned:
@@ -431,6 +442,21 @@ class TestRecordsPinned:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) > 10
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHANGES_RECORDS_DIGEST
+
+    def test_ingest_and_scan(self, capsys, tmp_path):
+        snapshot, graph = tmp_path / "snap.tsv", tmp_path / "graph.dat"
+        snapshot.write_text(_synthetic_snapshot(random.Random(6), 300), encoding="utf-8")
+        code, out, err = run(capsys, "ingest", str(snapshot), "-o", str(graph))
+        assert (code, out, err) == (0, "nodes=300 edges=211 unresolved=250\n", "")
+        assert hashlib.sha256(graph.read_bytes()).hexdigest() == INGEST_GRAPH_DIGEST
+        digests = {}
+        for strict in SCAN_RECORDS_DIGESTS:
+            argv = ["scan", str(graph), "--format", "records"]
+            argv += ["--strict-not-mentioned"] if strict else []
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (4, "")
+            digests[strict] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digests == SCAN_RECORDS_DIGESTS
 
 
 class TestPipeline:
@@ -707,6 +733,63 @@ class TestLineEnds:
         assert (code, out, err) == (5, "", f"error: {path}:2: invalid date '2020-13-01'\n")
 
 
+class TestByteOrderMark:
+    """One leading byte-order mark is dropped from every data file."""
+
+    @pytest.fixture()
+    def files(self, seed_dataset):
+        """Each kind of data file, whose first line a mark read as content
+        would break, the command that reads {path} as that kind, and its
+        exit code and start of stdout."""
+        snapshot = [
+            snapshot_line("a", "1.0.0", "2020-01-01", "MIT"),
+            snapshot_line("b", "1.0.0", "2020-01-01", "ISC", "a@^1"),
+        ]
+        graph = [
+            GRAPH_HEADER,
+            "node\ta\t1.0.0\t2020-01-01\tMIT",
+            "node\tb\t1.0.0\t2020-01-01\tCC-BY-4.0",
+            "edge\ta\t1.0.0\tb\t1.0.0\t^1",
+        ]
+        ingest = ["ingest", "{path}", "-o", "{tmp}/graph.dat"]
+        return {
+            "snapshot": ("\n".join(snapshot) + "\n", ingest, 0, "nodes=2 edges=1 unresolved=0\n"),
+            "graph": ("\n".join(graph) + "\n", ["scan", "{path}"], 4, "edges=1 conflicted=1 "),
+            "dataset": (
+                dumps_dataset(seed_dataset), ["explain", "--dataset", "{path}", "MIT"], 0,
+                "spdx-id: MIT\n",
+            ),
+            "aliases": ("expat\tMIT\n", ["normalize", "--aliases", "{path}", "expat"], 0, "MIT\n"),
+        }
+
+    @pytest.mark.parametrize("kind", ["snapshot", "graph", "dataset", "aliases"])
+    def test_marked_file_reads_as_unmarked(self, capsys, tmp_path, files, kind):
+        text, argv, expected_code, expected_start = files[kind]
+        path, graph = tmp_path / "input.dat", tmp_path / "graph.dat"
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text(text, encoding=encoding)
+            code, out, err = run(capsys, *(a.format(path=path, tmp=tmp_path) for a in argv))
+            assert (code, err) == (expected_code, "")
+            assert out.startswith(expected_start)
+            results.append((out, graph.read_bytes() if kind == "snapshot" else None))
+        assert results[0] == results[1]
+
+    @EACH_DATA_FILE
+    def test_bad_byte_after_a_mark_is_located_at_its_line(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.dat"
+        path.write_bytes(codecs.BOM_UTF8 + b"# line 1\n# line 2\nbad \xff byte\n")
+        code, out, err = run(capsys, *(a.format(path=path, tmp=tmp_path) for a in argv))
+        assert (code, out, err) == (5, "", f"error: {path}:3: byte 0xff is not valid UTF-8\n")
+
+    def test_only_the_first_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "snap.tsv"
+        lines = ["\ufeff" + snapshot_line("a", "1.0.0", "2020-01-01", "MIT \ufeff")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8-sig")
+        [record] = parse_snapshot(path)
+        assert (record.package, record.license_raw) == ("\ufeffa", "MIT \ufeff")
+
+
 class TestDeterminismAndConfig:
     def test_identical_invocations_byte_identical(self, capsys):
         first = [run(capsys, "matrix")[1] for _ in range(2)]
@@ -797,6 +880,27 @@ class TestDeterminismAndConfig:
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out) == (2, "")
         assert f"argument {flag}: expected a file path, got ''" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, argument",
+        [
+            (["ingest", "", "-o", "{tmp}/graph.dat"], "snapshot"),
+            (["ingest", "{tmp}/snap.dat", "-o", ""], "-o/--output"),
+            (["changes", ""], "snapshot"),
+            (["scan", ""], "graph"),
+        ],
+        ids=["ingest-snapshot", "ingest-output", "changes-snapshot", "scan-graph"],
+    )
+    def test_empty_file_argument_exits_2(self, capsys, tmp_path, argv, argument):
+        # An empty path would name the current directory, a data error (exit 5).
+        snapshot = snapshot_line("a", "1.0.0", "2020-01-01", "MIT")
+        (tmp_path / "snap.dat").write_text(snapshot + "\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert f"argument {argument}: expected a file path, got ''" in captured.err
+        assert not (tmp_path / "graph.dat").exists()
 
     def test_empty_dataset_env_counts_as_unset(self, capsys, monkeypatch):
         monkeypatch.setenv("LICTERM_DATASET", "")

@@ -251,6 +251,36 @@ def _small_catalogs(draw):
     return Dataset(profiles={p.spdx_id: p for p in profiles})
 
 
+_SAME = {"distribute": "can", "modify": "cannot", "include_license": "must"}
+# (catalog, min_support, jaccards that keep the set of the items every
+# license holds, jaccards that drop it). With no other item frequent,
+# nothing drops it.
+EVERYONE_CATALOGS = [
+    pytest.param(_ds(*(_profile(f"L{i}", **_SAME) for i in range(4))), 2, (1.0, 0.5, 0.1), (),
+                 id="identical-profiles"),
+    pytest.param(_ds(_profile("L0", **_SAME)), 1, (1.0, 0.1), (), id="single-profile"),
+    pytest.param(
+        _ds(
+            _profile("A", distribute="can", modify="can", include_copyright="must"),
+            _profile("B", distribute="can", modify="can"),
+            _profile("C", distribute="can", include_copyright="must"),
+            _profile("D", distribute="can"),
+        ),
+        2, (1.0, 0.9, 2 / 3), (0.5, 0.1), id="one-item",
+    ),
+    pytest.param(
+        _ds(
+            _profile("A", distribute="can", state_changes="must", modify="can", sublicense="can"),
+            _profile("B", distribute="can", state_changes="must", modify="can", sublicense="can"),
+            _profile("C", distribute="can", state_changes="must", modify="can"),
+            _profile("D", distribute="can", state_changes="must", modify="can"),
+            _profile("E", distribute="can", state_changes="must", sublicense="cannot"),
+        ),
+        1, (1.0, 0.9), (2 / 3, 0.5, 0.1), id="two-items",
+    ),
+]
+
+
 class TestClosedMine:
     """``mine(ds, s, j)``: the closed itemsets that dedup at ``j`` keeps."""
 
@@ -300,6 +330,22 @@ class TestClosedMine:
         # empty itemset is not empty.
         assert mine(seed_dataset, len(seed_dataset))[0].sorted_items() == ("distribute=can",)
         _assert_closed_search_matches(seed_dataset, min_support, mine(seed_dataset, min_support))
+
+    @pytest.mark.parametrize("ds, min_support, keeps, drops", EVERYONE_CATALOGS)
+    def test_items_every_license_holds(self, ds, min_support, keeps, drops):
+        # Their set is the closure of the empty itemset, kept at the
+        # jaccards in ``keeps`` and dropped at those in ``drops``.
+        transactions = _as_oracle_input(ds)
+        everyone = frozenset.intersection(*map(frozenset, transactions.values()))
+        assert everyone
+        full = oracle_mined_patterns(transactions, min_support)
+        for jaccard in keeps + drops:
+            got = [(p.items, p.support) for p in mine(ds, min_support, jaccard)]
+            expected = oracle_dedup_similar(full, jaccard)
+            assert got == [(p.items, p.support) for p in expected]
+            assert ((everyone, (1 << len(ds)) - 1) in got) == (jaccard in keeps)
+        for support in range(1, len(ds) + 1):
+            _assert_closed_search_matches(ds, support)
 
     def test_support_above_the_profile_count_finds_nothing(self, seed_dataset):
         for jaccard in CLOSED_JACCARDS:
