@@ -22,14 +22,14 @@ catalog order (:attr:`licterm.model.LicenseProfile.masks`):
 :func:`_rule_masks` gives each profile one mask per rule for the parent
 side and one for the dependency side, and a rule fires where the two
 intersect. :func:`check_profiles` decodes the intersecting bits into
-findings. :func:`check_expressions` scores OR choices by the popcounts
-of the intersections alone, in one flat loop: it derives each distinct
-leaf id's masks once per call, and stops at the first choice pair with
-no findings, which no later pair can beat. Its verdict names the
-conflict types that fired and decodes the winning choice's findings
-only when they are read. :func:`build_matrix` inverts the masks into
-term-holder bitsets, one license bitset per rule, side and term, and
-unions the holders of a license's term bits to get its conflict
+findings. :func:`check_expressions` reads the rules that fired for two
+single licenses off their one pair of intersections, and scores other OR
+choices by the popcounts alone, in one flat loop that stops at the first
+choice pair with no findings, which no later pair can beat. Its verdict
+names the conflict types that fired and decodes the winning choice's
+findings only when they are read. :func:`build_matrix` inverts the masks
+into term-holder bitsets, one license bitset per rule, side and term,
+and unions the holders of a license's term bits to get its conflict
 partners.
 """
 
@@ -138,28 +138,22 @@ def check_profiles(
     return findings
 
 
+#: Each conflict type's sentence about a finding, filled in by :func:`explain`.
+_EXPLANATIONS = {
+    ConflictType.C1: "parent {p} permits the right '{t}' ({pa}) "
+    "that dependency {d} does not grant ({da})",
+    ConflictType.C2: "parent {p} does not require the obligation '{t}' ({pa}) "
+    "that dependency {d} requires ({da})",
+    ConflictType.C3: "parent {p} fails to preserve the right '{t}' ({pa}) "
+    "granted by copyleft dependency {d} ({da})",
+}
+
+
 def explain(finding: ConflictFinding) -> str:
     """Deterministic one-sentence explanation of a finding."""
-    term = finding.term.value
-    if finding.ctype is ConflictType.C1:
-        detail = (
-            f"parent {finding.parent_id} permits the right '{term}' "
-            f"({finding.parent_attitude.value}) that dependency {finding.dep_id} "
-            f"does not grant ({finding.dep_attitude.value})"
-        )
-    elif finding.ctype is ConflictType.C2:
-        detail = (
-            f"parent {finding.parent_id} does not require the obligation '{term}' "
-            f"({finding.parent_attitude.value}) that dependency {finding.dep_id} "
-            f"requires ({finding.dep_attitude.value})"
-        )
-    else:
-        detail = (
-            f"parent {finding.parent_id} fails to preserve the right '{term}' "
-            f"({finding.parent_attitude.value}) granted by copyleft dependency "
-            f"{finding.dep_id} ({finding.dep_attitude.value})"
-        )
-    return f"{finding.ctype.value} conflict: {detail}."
+    ctype, term, p, d, pa, da = finding
+    detail = _EXPLANATIONS[ctype].format(p=p, d=d, t=term.value, pa=pa.value, da=da.value)
+    return f"{ctype.value} conflict: {detail}."
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +326,26 @@ def check_expressions(
     rule is the popcount of its :func:`_rule_masks` intersection (0 when
     either id has no profile), which is exactly the number of findings
     :func:`check_profiles` would return, so scoring builds no finding.
-    Each distinct leaf id's masks are derived once per call. The pair
+    Each distinct leaf id's masks are derived once per call, except that
+    two single licenses, one choice pair, take one call per side. The pair
     with the fewest findings wins; ties go to the first parent choice,
     then the first dependency choice, with left branches first, so the
     first pair with no findings ends the scoring. More than
     :data:`MAX_CHOICE_PAIRS` pairs raise :class:`ExpressionTooComplex`
     before they are built.
     """
+    profiles = ds.profiles
+    if type(parent) is LicenseRef and type(dep) is LicenseRef:
+        p_profile, d_profile = profiles.get(parent.id), profiles.get(dep.id)
+        fired = 0
+        if p_profile is not None and d_profile is not None:
+            p1, p2, p3 = _rule_masks(p_profile, strict_not_mentioned)[0]
+            d1, d2, d3 = _rule_masks(d_profile, strict_not_mentioned)[1]
+            fired = (p1 & d1 != 0) | (p2 & d2 != 0) << 1 | (p3 & d3 != 0) << 2
+        leaves = ((parent, p_profile),), ((dep, d_profile),)
+        return ExpressionVerdict(_FIRED[fired], parent, dep, *leaves, strict_not_mentioned)
     p_choices = _choices(parent, MAX_CHOICE_PAIRS)
     d_choices = _choices(dep, MAX_CHOICE_PAIRS // len(p_choices))
-    profiles = ds.profiles
     sides_of: dict[str, tuple[tuple[int, int, int], tuple[int, int, int]] | None] = {}
     rows: tuple[list, list] = ([], [])  # per side, per choice: its profiled leaves' masks
     for side, choices in enumerate((p_choices, d_choices)):

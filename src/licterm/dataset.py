@@ -13,7 +13,9 @@ lacks a term, or whose term takes an attitude its kind does not allow
 (:data:`licterm.model.ALLOWED_ATTITUDES`) is a validation error.
 Records are read one at a time, and loading stops at the end of the
 first faulty record, or at once at a line without a colon.
-``Dataset.profiles`` maps each exact, case-sensitive id to its profile.
+``Dataset.profiles`` maps each exact, case-sensitive id to its profile,
+built from the masks its term lines were read into; its ``terms`` mapping
+is derived when first read.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
@@ -32,21 +34,24 @@ from ._frozen import Frozen
 from .errors import FormatError, ValidationError, read_text, skipped, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
-    ALLOWED_ATTITUDES,
-    Attitude,
-    CopyleftClass,
-    LicenseProfile,
-    TERM_ORDER,
-    Term,
+    ALLOWED_ATTITUDES, MASK_SLOTS, RIGHT_TERMS, TERM_ORDER, Attitude, CopyleftClass, LicenseProfile
 )
 
 _META_KEYS = ("dataset-version", "provenance")
 _HEADER_KEYS = ("spdx-id", "full-name", "copyleft", "notes")
-_ATTITUDE_BY_KEY = {a.value: a for a in Attitude}
+_ATTITUDE_KEYS = frozenset(a.value for a in Attitude)
 _COPYLEFT_BY_KEY = {c.value: c for c in CopyleftClass}
-#: Each term's key -> (term, {spelling: attitude}) over the attitudes its kind allows.
+# A record's term lines are read into one int: the masks of MASK_SLOTS side by
+# side, _W bits each, then one bit per term in catalog order, set once it is read.
+_W = len(RIGHT_TERMS)  # as many as OBLIGATION_TERMS
+_SHIFT = {attitude: k * _W for k, (_, attitude) in enumerate(MASK_SLOTS)}
+#: Each term's key -> (term, its read bit, {spelling: bits}) over the attitudes its kind allows.
 _TERM_LINES = {
-    t.value: (t, {a.value: a for a in ALLOWED_ATTITUDES[t.kind]}) for t in TERM_ORDER
+    t.value: (t, 1 << 3 * _W + n, {
+        a.value: 1 << 3 * _W + n | (1 << _SHIFT[a] + n % _W if a in _SHIFT else 0)
+        for a in ALLOWED_ATTITUDES[t.kind]
+    })
+    for n, t in enumerate(TERM_ORDER)
 }
 _SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
 
@@ -93,7 +98,7 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
     violations together.
     """
     fields: dict[str, str] = {}
-    terms: dict[Term, Attitude] = {}
+    packed = 0
     wrong_kind: list[str] = []
     for lineno, key, value in record:
         if key in fields:
@@ -104,15 +109,15 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
             if key not in _HEADER_KEYS:
                 raise FormatError(f"unknown key {key!r}", source=source, line=lineno)
             continue
-        term, allowed = entry
-        attitude = allowed.get(value)
-        if attitude is None:
-            attitude = _ATTITUDE_BY_KEY.get(value)
-            if attitude is None:
+        term, read, allowed = entry
+        bits = allowed.get(value)
+        if bits is None:
+            if value not in _ATTITUDE_KEYS:
                 message = f"unknown attitude {value!r} for {key}"
                 raise FormatError(message, source=source, line=lineno)
             wrong_kind.append(f"{key}: {term.kind.value} cannot be {value!r}")
-        terms[term] = attitude
+            bits = read
+        packed |= bits
     line = record[0][0]
     for required in ("spdx-id", "copyleft"):
         if required not in fields:
@@ -129,18 +134,20 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
         violations.append(
             f"spdx_id: {spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
         )
-    if len(terms) < len(TERM_ORDER):
+    if packed >> 3 * _W != (1 << len(TERM_ORDER)) - 1:
         violations.extend(
             f"{t.value}: terms mapping not total (key missing)"
-            for t in TERM_ORDER
-            if t not in terms
+            for n, t in enumerate(TERM_ORDER)
+            if not packed >> 3 * _W + n & 1
         )
     violations.extend(wrong_kind)
     if violations:
         message = f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations)
         raise ValidationError(message, source=source, line=line)
-    return LicenseProfile(
-        spdx_id, fields.get("full-name", ""), terms, copyleft, fields.get("notes", "")
+    width = (1 << _W) - 1
+    masks = (packed & width, packed >> _W & width, packed >> 2 * _W & width)
+    return LicenseProfile._from_masks(
+        spdx_id, fields.get("full-name", ""), masks, copyleft, fields.get("notes", "")
     )
 
 
@@ -199,9 +206,7 @@ def dumps_profile(profile: LicenseProfile) -> str:
         f"full-name: {profile.full_name}",
         f"copyleft: {profile.copyleft.value}",
     ]
-    lines.extend(
-        f"{term.value}: {profile.terms[term].value}" for term in TERM_ORDER
-    )
+    lines.extend(f"{term.value}: {profile.terms[term].value}" for term in TERM_ORDER)
     if profile.notes:
         lines.append(f"notes: {profile.notes}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,7 @@ from itertools import compress
 
 from ._frozen import Frozen
 from .dataset import Dataset
-from .model import Attitude, LicenseProfile, TERM_ORDER, Term
+from .model import MASK_SLOTS, Attitude, LicenseProfile, TERM_ORDER, Term
 
 
 class InvalidThreshold(ValueError):
@@ -69,12 +69,17 @@ class FrequentPattern(Frozen):
         return compress(self.licenses, bin(self.support)[:1:-1].encode().translate(_SELECTORS))
 
 
+#: Per mask of :data:`licterm.model.MASK_SLOTS`, the item each of its bits stands for.
+_MASK_ITEMS = [[f"{term.value}={attitude.value}" for term in slot] for slot, attitude in MASK_SLOTS]
+
+
 def profile_items(profile: LicenseProfile) -> frozenset[str]:
-    return frozenset(
-        f"{term._value_}={attitude._value_}"  # ``_value_`` skips Enum's ``value`` property
-        for term, attitude in profile.terms.items()
-        if attitude is not Attitude.NOT_MENTIONED
-    )
+    """The profile's stances, read off its mask bits: not-mentioned sets none."""
+    return frozenset([
+        item
+        for items, mask in zip(_MASK_ITEMS, profile.masks)
+        for item in compress(items, bin(mask)[:1:-1].encode().translate(_SELECTORS))
+    ])
 
 
 def mine(ds: Dataset, min_support: int, jaccard: float | None = None) -> list[FrequentPattern]:
@@ -251,9 +256,7 @@ def _jaccard(a: int, b: int) -> float:
 
 def common_term_report(ds: Dataset) -> dict[Term, dict[Attitude, int]]:
     """Per-term attitude histogram across the dataset (rows sum to its size)."""
-    report = {
-        term: {attitude: 0 for attitude in Attitude} for term in TERM_ORDER
-    }
+    report = {term: dict.fromkeys(Attitude, 0) for term in TERM_ORDER}
     for profile in ds.profiles.values():
         for term in TERM_ORDER:
             report[term][profile.terms[term]] += 1

@@ -88,6 +88,13 @@ ALLOWED_ATTITUDES: dict[TermKind, frozenset[Attitude]] = {
 }
 
 
+#: Each of a profile's ``(can, cannot, must)`` masks: bit ``i`` is set when
+#: the mask's ``terms[i]`` takes its ``attitude``.
+MASK_SLOTS: tuple[tuple[tuple[Term, ...], Attitude], ...] = (
+    (RIGHT_TERMS, Attitude.CAN), (RIGHT_TERMS, Attitude.CANNOT), (OBLIGATION_TERMS, Attitude.MUST)
+)
+
+
 class CopyleftClass(Enum):
     """Copyleft reach: none (permissive), weak (file/module), strong (whole work)."""
 
@@ -129,7 +136,9 @@ class LicenseProfile(Frozen):
     text never addresses is stored explicitly as ``NOT_MENTIONED``, not
     omitted. Construction does not enforce this or the kind rules of
     :data:`ALLOWED_ATTITUDES`; :func:`licterm.dataset.loads_dataset`
-    checks both as it reads each record.
+    checks both as it reads each record, and builds the profile from its
+    ``masks`` alone. A profile derives the form it was not built from on
+    first read.
     """
 
     _fields = ("spdx_id", "full_name", "terms", "copyleft", "notes")
@@ -146,21 +155,30 @@ class LicenseProfile(Frozen):
             spdx_id=spdx_id, full_name=full_name, terms=terms, copyleft=copyleft, notes=notes
         )
 
+    @classmethod
+    def _from_masks(cls, spdx_id, full_name, masks, copyleft, notes) -> LicenseProfile:
+        profile = cls.__new__(cls)
+        vars(profile).update(
+            spdx_id=spdx_id, full_name=full_name, masks=masks, copyleft=copyleft, notes=notes
+        )
+        return profile
+
     @cached_property
     def masks(self) -> tuple[int, int, int]:
-        """The ``(can, cannot, must)`` bitmasks, computed once per profile.
+        """The ``(can, cannot, must)`` bitmasks, laid out as :data:`MASK_SLOTS` says.
 
-        Bit ``i`` of ``can`` and ``cannot`` stands for ``RIGHT_TERMS[i]``
-        and bit ``i`` of ``must`` for ``OBLIGATION_TERMS[i]``. A term whose
-        bit is clear in all of its masks counts as not mentioned.
+        A term whose bit is clear in all of its masks counts as not mentioned.
         """
-        can = cannot = must = 0
-        for i, term in enumerate(RIGHT_TERMS):
-            if self.terms[term] is Attitude.CAN:
-                can |= 1 << i
-            elif self.terms[term] is Attitude.CANNOT:
-                cannot |= 1 << i
-        for i, term in enumerate(OBLIGATION_TERMS):
-            if self.terms[term] is Attitude.MUST:
-                must |= 1 << i
-        return can, cannot, must
+        terms = self.terms
+        return tuple(
+            sum(1 << i for i, term in enumerate(slot) if terms[term] is attitude)
+            for slot, attitude in MASK_SLOTS
+        )
+
+    @cached_property
+    def terms(self) -> dict[Term, Attitude]:
+        """The total term mapping of a profile built from its masks, in catalog order."""
+        terms = dict.fromkeys(TERM_ORDER, Attitude.NOT_MENTIONED)
+        for (slot, attitude), mask in zip(MASK_SLOTS, self.masks):
+            terms.update((term, attitude) for i, term in enumerate(slot) if mask >> i & 1)
+        return terms

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from licterm.cli import main
 from licterm.conflicts import ConflictFinding, ConflictType, explain
 from licterm.dataset import Dataset, dumps_dataset
-from licterm.model import TERM_ORDER, Attitude, Term
+from licterm.model import TERM_ORDER, Attitude, LicenseProfile, Term
 from licterm.registry import GRAPH_HEADER, parse_snapshot, read_graph
 
 from conftest import random_profile
@@ -457,6 +458,52 @@ class TestRecordsPinned:
             assert (code, err) == (4, "")
             digests[strict] = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digests == SCAN_RECORDS_DIGESTS
+
+
+class TestHotPaths:
+    def test_scan_matrix_and_mine_derive_no_terms_on_a_loaded_catalog(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A loaded profile holds its masks and derives its term dict only when
+        # read. These commands read masks alone, so none derives the dict.
+        catalog, snapshot, graph = tmp_path / "c.dat", tmp_path / "s.tsv", tmp_path / "g.dat"
+        ds = _family_dataset(random.Random(3), 300)
+        catalog.write_text(dumps_dataset(ds), encoding="utf-8")
+        rng, ids = random.Random(4), list(ds.profiles)
+        lines = []
+        for i in range(200):
+            licensed = rng.choice(ids)
+            if rng.random() < 0.4:
+                licensed = f"{licensed} {rng.choice(('AND', 'OR'))} {rng.choice(ids)}"
+            deps = ";".join(f"p{rng.randrange(200)}@^1.0.0" for _ in range(rng.randint(0, 3)))
+            lines.append(snapshot_line(f"p{i}", "1.0.0", "2020-01-01", licensed, deps))
+        snapshot.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(capsys, "ingest", str(snapshot), "-o", str(graph))[0] == 0
+        derive = LicenseProfile.__dict__["terms"].func
+        derived = []
+
+        def counting(profile):
+            derived.append(profile.spdx_id)
+            return derive(profile)
+
+        terms = cached_property(counting)
+        terms.__set_name__(LicenseProfile, "terms")
+        monkeypatch.setattr(LicenseProfile, "terms", terms)
+        data = ("--dataset", str(catalog))
+        for argv in (
+            ("scan", str(graph)),
+            ("scan", str(graph), "--strict-not-mentioned", "--format", "records"),
+            ("matrix",),
+            ("matrix", "--strict-not-mentioned", "--format", "records"),
+            ("mine", "--min-support", "20"),
+            ("mine", "--min-support", "70", "--no-dedup", "--format", "records"),
+        ):
+            code, out, err = run(capsys, *argv, *data)
+            assert code in ((4,) if argv[0] == "scan" else (0,)) and out and not err, argv
+        assert derived == []
+        # The counter does see a derivation: explain prints the term dict.
+        assert run(capsys, "explain", "L7", *data)[0] == 0
+        assert derived == ["L7"]
 
 
 class TestPipeline:

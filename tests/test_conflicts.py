@@ -12,7 +12,7 @@ from licterm.conflicts import (
     check_profiles,
     explain,
 )
-from licterm.dataset import Dataset, bundled_dataset
+from licterm.dataset import Dataset, bundled_dataset, dumps_dataset, loads_dataset
 from licterm.expression import And, LicenseRef, Or, parse_expression, render
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term, TermKind, TERM_ORDER
 
@@ -335,6 +335,51 @@ class TestExpressionOracle:
         assert check_expressions(parse_expression("MIT"), dep, seed_dataset).findings == ()
         with pytest.raises(ExpressionTooComplex, match="has 4096, the limit is 2048"):
             check_expressions(parse_expression("MIT OR ISC"), dep, seed_dataset)
+
+
+# Bare refs for the single-license branch: every bundled id, ids with no
+# profile, and ids with an exception or "+", which are checked as the base id.
+_SINGLE_REFS = [LicenseRef(i) for i in _LEAF_IDS] + [
+    LicenseRef("EPL-2.0"),
+    LicenseRef("GPL-2.0-only", exception="Classpath-exception-2.0"),
+    LicenseRef("Apache-2.0", True, "LLVM-exception"),
+    LicenseRef("GPL-2.0", or_later=True),
+    LicenseRef("MIT", or_later=True),
+]
+
+
+def _assert_single_pair_matches_oracle(parent, dep, strict, ds):
+    _assert_matches_oracle(parent, dep, strict, ds)
+    verdict = check_expressions(parent, dep, ds, strict)
+    fired = {f[0] for f in oracle_best_choice(parent, dep, ds, strict)[2]}
+    assert verdict.conflict_types == tuple(t for t in ConflictType if t.value in fired)
+    assert (verdict.parent_choice, verdict.dep_choice) == (parent, dep)
+    profiles = ds.profiles
+    assert verdict.parent_leaves == ((parent, profiles.get(parent.id)),)
+    assert verdict.dep_leaves == ((dep, profiles.get(dep.id)),)
+    return verdict
+
+
+class TestSingleLicensePairs:
+    """Two bare license refs are scored without expanding OR choices."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_every_bundled_pair_equals_oracle(self, strict):
+        for parent in _SINGLE_REFS:
+            for dep in _SINGLE_REFS:
+                _assert_single_pair_matches_oracle(parent, dep, strict, _BUNDLED)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_loaded_family_catalog_sample_equals_oracle(self, strict):
+        # Loaded from its file, so each profile holds the masks it was read into.
+        ds = loads_dataset(dumps_dataset(_family_dataset(random.Random(453), 453)))
+        refs = [LicenseRef(i) for i in ds.profiles] + [LicenseRef("Xyz-1.0")]
+        rng = random.Random(strict)
+        fired = set()
+        for _ in range(1500):
+            parent, dep = rng.choice(refs), rng.choice(refs)
+            fired.add(_assert_single_pair_matches_oracle(parent, dep, strict, ds).conflict_types)
+        assert {(), (ConflictType.C1,), (ConflictType.C3,)} < fired, fired
 
 
 _SILENT = dict.fromkeys(TERM_ORDER, Attitude.NOT_MENTIONED)

@@ -18,7 +18,7 @@ from licterm.conflicts import (
     ExpressionVerdict,
     check_expressions,
 )
-from licterm.dataset import AliasTable, Dataset
+from licterm.dataset import AliasTable, Dataset, dumps_profile, loads_dataset
 from licterm.expression import And, LicenseRef, Or, Unresolvable, UnresolvableReason
 from licterm.mining import FrequentPattern
 from licterm.model import Attitude, CopyleftClass, LicenseProfile, Term
@@ -148,6 +148,39 @@ class TestTreesAreNotTuples:
         assert obj != list(args)
 
 
+def _loaded_profile() -> LicenseProfile:
+    """The positional ``CASES`` profile, read back from its record: a profile built from masks."""
+    return loads_dataset(dumps_profile(LicenseProfile(*dict(CASES)[LicenseProfile]))).profiles["X-1.0"]
+
+
+class TestLoadedProfile:
+    def test_equals_the_positional_profile_of_its_terms_view(self):
+        loaded = _loaded_profile()
+        assert "terms" not in vars(loaded)
+        positional = LicenseProfile(
+            loaded.spdx_id, loaded.full_name, loaded.terms, loaded.copyleft, loaded.notes
+        )
+        assert loaded == positional and positional == loaded and not loaded != positional
+        assert positional == LicenseProfile(*dict(CASES)[LicenseProfile])
+        assert loaded.masks == positional.masks
+        assert repr(loaded) == repr(positional)
+
+    def test_copy_and_pickle_round_trip(self):
+        loaded = _loaded_profile()
+        assert pickle.loads(pickle.dumps(loaded)) == loaded
+        assert copy.copy(loaded) == loaded and copy.deepcopy(loaded) == loaded
+
+    @pytest.mark.parametrize("name", LicenseProfile._fields + ("masks",))
+    def test_fields_and_views_cannot_be_assigned(self, name):
+        loaded = _loaded_profile()
+        with pytest.raises(AttributeError):
+            setattr(loaded, name, getattr(loaded, name))
+        with pytest.raises(AttributeError):
+            delattr(loaded, name)
+        with pytest.raises(AttributeError):
+            loaded.extra = 1
+
+
 class TestComputedOnce:
     def _check(self, obj, name):
         first = getattr(obj, name)
@@ -156,6 +189,10 @@ class TestComputedOnce:
 
     def test_profile_masks(self):
         self._check(LicenseProfile(*dict(CASES)[LicenseProfile]), "masks")
+
+    @pytest.mark.parametrize("name", ["masks", "terms"])
+    def test_loaded_profile_views(self, name):
+        self._check(_loaded_profile(), name)
 
     @pytest.mark.parametrize("name", ["findings", "warnings", "unknown_ids"])
     def test_verdict_properties(self, seed_dataset, name):
