@@ -213,9 +213,9 @@ def _cmd_mine(args) -> int:
         if args.no_dedup:
             patterns = mine(ctx.dataset, args.min_support)
         else:
-            dedup_similar([], args.jaccard)  # checks --jaccard alone, before mining
-            # mine ran the dedup test inside its search, so this pass drops nothing;
-            # bench/tracing.py still times the dedup layer through this name.
+            # mine checks --jaccard before it mines and runs the dedup test inside its
+            # search, so this pass drops nothing; bench/tracing.py still times the
+            # dedup layer through this name.
             patterns = dedup_similar(mine(ctx.dataset, args.min_support, args.jaccard), args.jaccard)
     except InvalidThreshold as exc:
         print(f"error: {exc}", file=sys.stderr)

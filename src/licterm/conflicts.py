@@ -19,10 +19,11 @@ take ``must`` and obligations never take ``cannot``.
 
 The rules are evaluated as per-profile bitmasks over the terms in
 catalog order (:attr:`licterm.model.LicenseProfile.masks`):
-:func:`_rule_masks` gives each profile one mask per rule for the parent
-side and one for the dependency side, and a rule fires where the two
-intersect. :func:`check_profiles` decodes the intersecting bits into
-findings. :func:`check_expressions` reads the rules that fired for two
+:func:`_parent_side` gives a profile one mask per rule as the parent,
+:func:`_dep_side` one as the dependency, and a rule fires where the
+parent's mask and the dependency's intersect. Each caller derives only
+the side it reads. :func:`check_profiles` decodes the intersecting bits
+into findings. :func:`check_expressions` reads the rules that fired for two
 single licenses off their one pair of intersections, and scores other OR
 choices by the popcounts alone, in one flat loop that stops at the first
 choice pair with no findings, which no later pair can beat. Its verdict
@@ -80,25 +81,26 @@ _RULE_TERMS = (
 )
 
 
-def _rule_masks(
-    profile: LicenseProfile, strict_not_mentioned: bool
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """The profile's (parent side, dependency side) masks for C1, C2, C3.
+def _parent_side(profile: LicenseProfile) -> tuple[int, int, int]:
+    """The profile's masks for C1, C2, C3 as the parent.
 
     Rule k fires for a parent depending on a dependency exactly when
-    ``parent_side[k] & dep_side[k]`` is non-zero, and each set bit is
-    one conflicting term of ``_RULE_TERMS[k]``. The rules are stated
-    here and nowhere else.
+    ``_parent_side(parent)[k] & _dep_side(dep, strict)[k]`` is non-zero,
+    and each set bit is one conflicting term of ``_RULE_TERMS[k]``. The
+    rules are stated in these two functions and nowhere else.
     """
+    can, _, must = profile.masks
+    return can, _ALL_OBLIGATIONS & ~must, _ALL_RIGHTS & ~can
+
+
+def _dep_side(profile: LicenseProfile, strict_not_mentioned: bool) -> tuple[int, int, int]:
+    """The profile's masks for C1, C2, C3 as the dependency; see :func:`_parent_side`."""
     can, cannot, must = profile.masks
-    not_can = _ALL_RIGHTS & ~can
-    parent_side = (can, _ALL_OBLIGATIONS & ~must, not_can)
-    dep_side = (
-        not_can if strict_not_mentioned else cannot,
+    return (
+        _ALL_RIGHTS & ~can if strict_not_mentioned else cannot,
         must,
         can if profile.copyleft is not CopyleftClass.NONE else 0,
     )
-    return parent_side, dep_side
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -127,8 +129,7 @@ def check_profiles(
     mentions; off by default because community opinion is split on
     whether silence denies a right.
     """
-    parent_side = _rule_masks(parent, strict_not_mentioned)[0]
-    dep_side = _rule_masks(dep, strict_not_mentioned)[1]
+    parent_side, dep_side = _parent_side(parent), _dep_side(dep, strict_not_mentioned)
     findings: list[ConflictFinding] = []
     for (ctype, terms), p, d in zip(_RULE_TERMS, parent_side, dep_side):
         for bit in _bits(p & d):
@@ -323,11 +324,12 @@ def check_expressions(
     each side is expanded into its OR choices and each (parent choice,
     dependency choice) pair is scored: the number of findings of every
     parent leaf against every dependency leaf. A leaf pair's count per
-    rule is the popcount of its :func:`_rule_masks` intersection (0 when
+    rule is the popcount of the parent leaf's :func:`_parent_side` mask
+    and the dependency leaf's :func:`_dep_side` mask intersected (0 when
     either id has no profile), which is exactly the number of findings
     :func:`check_profiles` would return, so scoring builds no finding.
-    Each distinct leaf id's masks are derived once per call, except that
-    two single licenses, one choice pair, take one call per side. The pair
+    Each leaf of each choice derives its own side's masks; two single
+    licenses, one choice pair, are scored without expanding choices. The pair
     with the fewest findings wins; ties go to the first parent choice,
     then the first dependency choice, with left branches first, so the
     first pair with no findings ends the scoring. More than
@@ -339,29 +341,23 @@ def check_expressions(
         p_profile, d_profile = profiles.get(parent.id), profiles.get(dep.id)
         fired = 0
         if p_profile is not None and d_profile is not None:
-            p1, p2, p3 = _rule_masks(p_profile, strict_not_mentioned)[0]
-            d1, d2, d3 = _rule_masks(d_profile, strict_not_mentioned)[1]
+            p1, p2, p3 = _parent_side(p_profile)
+            d1, d2, d3 = _dep_side(d_profile, strict_not_mentioned)
             fired = (p1 & d1 != 0) | (p2 & d2 != 0) << 1 | (p3 & d3 != 0) << 2
         leaves = ((parent, p_profile),), ((dep, d_profile),)
         return ExpressionVerdict(_FIRED[fired], parent, dep, *leaves, strict_not_mentioned)
     p_choices = _choices(parent, MAX_CHOICE_PAIRS)
     d_choices = _choices(dep, MAX_CHOICE_PAIRS // len(p_choices))
-    sides_of: dict[str, tuple[tuple[int, int, int], tuple[int, int, int]] | None] = {}
-    rows: tuple[list, list] = ([], [])  # per side, per choice: its profiled leaves' masks
-    for side, choices in enumerate((p_choices, d_choices)):
-        for _, leaves in choices:
-            row = []
-            for ref in leaves:
-                if ref.id not in sides_of:
-                    profile = profiles.get(ref.id)
-                    sides_of[ref.id] = (
-                        None if profile is None else _rule_masks(profile, strict_not_mentioned)
-                    )
-                sides = sides_of[ref.id]
-                if sides is not None:
-                    row.append(sides[side])
-            rows[side].append(row)
-    fired, i, j = _best_pair(*rows)
+    # Per side, per choice: the masks of those of its leaves that have a profile.
+    p_rows = [
+        [_parent_side(profiles[ref.id]) for ref in leaves if ref.id in profiles]
+        for _, leaves in p_choices
+    ]
+    d_rows = [
+        [_dep_side(profiles[ref.id], strict_not_mentioned) for ref in leaves if ref.id in profiles]
+        for _, leaves in d_choices
+    ]
+    fired, i, j = _best_pair(p_rows, d_rows)
     p_tree, p_leaves = p_choices[i]
     d_tree, d_leaves = d_choices[j]
     return ExpressionVerdict(
@@ -404,11 +400,12 @@ def build_matrix(ds: Dataset, strict_not_mentioned: bool = False) -> ConflictMat
     not n squared.
     """
     ids = list(ds.profiles)
-    sides = [_rule_masks(ds.profiles[i], strict_not_mentioned) for i in ids]
+    parent_sides = [_parent_side(profile) for profile in ds.profiles.values()]
+    dep_sides = [_dep_side(profile, strict_not_mentioned) for profile in ds.profiles.values()]
     pairs: dict[ConflictType, int] = {}
     degrees: list[list[int]] = [[] for _ in ids]
     for k, (ctype, terms) in enumerate(_RULE_TERMS):
-        masks = [(parent_side[k], dep_side[k]) for parent_side, dep_side in sides]
+        masks = [(parent[k], dep[k]) for parent, dep in zip(parent_sides, dep_sides)]
         parent_holders, dep_holders = [0] * len(terms), [0] * len(terms)
         for i, (p, d) in enumerate(masks):
             for bit in _bits(p):

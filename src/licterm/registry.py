@@ -242,11 +242,8 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
     edges: list[Edge] = []
     unresolved: list[Unresolved] = []
     for i in order:
-        dependencies = records[i].dependencies
-        if not dependencies:
-            continue
         found = []  # the outcome of each of this node's edges
-        for entry in dependencies:
+        for entry in records[i].dependencies:
             outcome = outcomes.get(entry)
             if outcome is None:
                 name, range_str = entry
@@ -270,8 +267,7 @@ def build_graph(records: list[VersionRecord]) -> DependencyGraph:
                 found.append(outcome)
         # Nodes come in rank order and ranks are unique per node, so sorting
         # each node's edges puts all of them in (package, version) order of both ends.
-        if len(found) > 1:
-            found.sort()
+        found.sort()
         for _, range_str, dep in found:
             edges.append(_new(Edge, (i, dep, range_str)))
     unresolved.sort(key=lambda u: (rank[u.node], u.dep_name, u.range))

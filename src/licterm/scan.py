@@ -23,7 +23,6 @@ the returned report.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from operator import add, itemgetter
 from typing import NamedTuple
 
 from .conflicts import ConflictType, check_expressions
@@ -108,13 +107,7 @@ def scan(
     width = len(ids)
     outcome_id = [id_of[record.license_raw] for record in records]  # by node
     scaled = [i * width for i in outcome_id]
-    edges_of_pair = Counter(
-        map(
-            add,
-            map(scaled.__getitem__, map(itemgetter(0), graph.edges)),
-            map(outcome_id.__getitem__, map(itemgetter(1), graph.edges)),
-        )
-    )
+    edges_of_pair = Counter(scaled[parent] + outcome_id[dep] for parent, dep, _ in graph.edges)
 
     # Per rule number k, the k-th ConflictType: its edge total and its pair counts.
     edges_with = [0] * len(_TYPES)

@@ -376,12 +376,13 @@ class TestMine:
 
     @pytest.mark.parametrize("jaccard", ["0", "1.5"])
     def test_jaccard_outside_unit_interval_exits_2(self, capsys, monkeypatch, jaccard):
-        import licterm.cli as cli
+        import licterm.mining as mining
 
         def fail(*args):
-            raise AssertionError("mine ran before --jaccard was checked")
+            raise AssertionError("mining ran before --jaccard was checked")
 
-        monkeypatch.setattr(cli, "mine", fail)
+        # mine reads every profile's items first, so no mining ran if none was read.
+        monkeypatch.setattr(mining, "profile_items", fail)
         code, out, err = run(capsys, "mine", "--jaccard", jaccard)
         assert (code, out) == (2, "")
         assert err == f"error: jaccard_min must be in (0, 1], got {float(jaccard)}\n"
@@ -417,6 +418,47 @@ INGEST_GRAPH_DIGEST = "1c1dff11ef325380c3a25617ef704122d0a07485274c53d0153477b53
 SCAN_RECORDS_DIGESTS = {
     False: "4f540e0727e82dac8bfb0d066080a5706cd6634498ce96d6f8a4e821522c02ec",
     True: "b783fd550269def54a016609f8b2ea76c845681329bad43617123619b639e185",
+}
+# `check` on the bundled data: bare ids, an id with no profile (BSL-1.0),
+# WITH and + forms, AND/OR pairs that repeat an id across choices, and the
+# over-limit pair above (exit 3). Keyed by (--format, --strict-not-mentioned):
+# each pair's exit code, then the sha256 of every pair's stdout, and of
+# every pair's stderr, written one after another in this order.
+CHECK_PAIRS = (
+    ("MIT", "CC-BY-4.0"),
+    ("GPL-3.0-only", "MIT"),
+    ("Apache-2.0", "GPL-2.0-only"),
+    ("MIT", "ISC"),
+    ("MIT", "BSL-1.0"),
+    ("Apache-2.0 WITH LLVM-exception", "GPL-2.0+"),
+    ("Apache-2.0+", "MPL-2.0"),
+    ("MIT OR ISC", "Apache-2.0"),
+    ("MIT AND ISC", "GPL-3.0-only"),
+    ("(MIT OR GPL-3.0-only) AND ISC", "(ISC OR Apache-2.0) AND MIT AND BSL-1.0"),
+    ("GPL-2.0-only OR MIT", "MIT AND (GPL-2.0-only OR LGPL-3.0-only) AND (MIT OR CC0-1.0)"),
+    ("MIT AND ISC", TOO_MANY_CHOICES),
+)
+CHECK_DIGESTS = {
+    ("table", False): (
+        (4, 0, 4, 0, 0, 4, 4, 4, 4, 0, 0, 3),
+        "645505091b2c7161da06ae958a99f4474509bd2b7d962a7f45f7dec525842a1c",
+        "c67b72c39a65e1d345bf041d848914c33af346376d40e803c983d10a1bea6001",
+    ),
+    ("table", True): (
+        (4, 4, 4, 4, 0, 4, 4, 4, 4, 4, 0, 3),
+        "98c409826902eb12538f8fc9ff9cb9c6ee50adc31fad9e0cf0d6ed2ed7aaf79c",
+        "c67b72c39a65e1d345bf041d848914c33af346376d40e803c983d10a1bea6001",
+    ),
+    ("records", False): (
+        (4, 0, 4, 0, 0, 4, 4, 4, 4, 0, 0, 3),
+        "f7d8e037f37044b2839fc41e037fa6ae9b00abd6e725de56ce45e643fb3279d6",
+        "eaa6441f8dce883b48748775b116ee8db81470119c3302cf99ebe7ebceef4d9a",
+    ),
+    ("records", True): (
+        (4, 4, 4, 4, 0, 4, 4, 4, 4, 4, 0, 3),
+        "03d00e9980a678cd08118e964d3a4b521074a536b58a3133770727e7ee97e9f4",
+        "eaa6441f8dce883b48748775b116ee8db81470119c3302cf99ebe7ebceef4d9a",
+    ),
 }
 
 
@@ -458,6 +500,20 @@ class TestRecordsPinned:
             assert (code, err) == (4, "")
             digests[strict] = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digests == SCAN_RECORDS_DIGESTS
+
+    def test_check(self, capsys):
+        digests = {}
+        for fmt, strict in CHECK_DIGESTS:
+            codes, out, err = [], hashlib.sha256(), hashlib.sha256()
+            for pair in CHECK_PAIRS:
+                argv = ["check", *pair, "--format", fmt]
+                argv += ["--strict-not-mentioned"] if strict else []
+                code, pair_out, pair_err = run(capsys, *argv)
+                codes.append(code)
+                out.update(pair_out.encode("utf-8"))
+                err.update(pair_err.encode("utf-8"))
+            digests[fmt, strict] = (tuple(codes), out.hexdigest(), err.hexdigest())
+        assert digests == CHECK_DIGESTS
 
 
 class TestHotPaths:

@@ -553,22 +553,37 @@ class TestVerdict:
         findings = verdict.findings
         assert len(calls) == 2 and verdict.findings is findings
 
-    def test_rule_masks_derived_once_per_leaf_id(self, seed_dataset, monkeypatch):
+    def test_each_leaf_derives_only_its_own_side(self, seed_dataset, monkeypatch):
         import licterm.conflicts as conflicts
 
-        calls = []
-        real = conflicts._rule_masks
+        parent_calls, dep_calls = [], []
+        parent_side, dep_side = conflicts._parent_side, conflicts._dep_side
         monkeypatch.setattr(
             conflicts,
-            "_rule_masks",
-            lambda profile, strict: calls.append(profile.spdx_id) or real(profile, strict),
+            "_parent_side",
+            lambda profile: parent_calls.append(profile.spdx_id) or parent_side(profile),
+        )
+        monkeypatch.setattr(
+            conflicts,
+            "_dep_side",
+            lambda profile, strict: dep_calls.append((profile.spdx_id, strict))
+            or dep_side(profile, strict),
         )
         # MIT and ISC sit on both sides and in several choices each;
         # Xyz-1.0 has no profile, so it has no masks.
         parent = parse_expression("(MIT OR GPL-3.0-only) AND ISC")
         dep = parse_expression("(ISC OR Apache-2.0) AND MIT AND Xyz-1.0")
-        check_expressions(parent, dep, seed_dataset)
-        assert sorted(calls) == ["Apache-2.0", "GPL-3.0-only", "ISC", "MIT"]
+        for strict in (False, True):
+            parent_calls.clear()
+            dep_calls.clear()
+            check_expressions(parent, dep, seed_dataset, strict)
+            assert sorted(set(parent_calls)) == ["GPL-3.0-only", "ISC", "MIT"]
+            assert sorted(set(dep_calls)) == [(i, strict) for i in ("Apache-2.0", "ISC", "MIT")]
+        # Two single licenses: one call per side.
+        parent_calls.clear()
+        dep_calls.clear()
+        check_expressions(LicenseRef("MIT"), LicenseRef("GPL-3.0-only"), seed_dataset, True)
+        assert (parent_calls, dep_calls) == (["MIT"], [("GPL-3.0-only", True)])
         monkeypatch.undo()
         _assert_matches_oracle(parent, dep, False)
-
+        _assert_matches_oracle(parent, dep, True)
