@@ -44,7 +44,7 @@ _LAZY = {
                  "known_licenses", "load_aliases", "load_dataset"),
     ".expression": ("And", "ExpressionSyntaxError", "LicenseRef", "Or", "Unresolvable",
                     "normalize", "parse_expression", "render"),
-    ".mining": ("InvalidThreshold", "dedup_similar", "mine"),
+    ".mining": ("InvalidThreshold", "check_thresholds", "dedup_similar", "mine"),
     ".registry": ("build_graph", "license_changes", "parse_snapshot", "read_graph", "write_graph"),
     ".scan": ("rank_pairs", "scan"),
     "json": ("JSONEncoder",),
@@ -208,18 +208,17 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_mine(args) -> int:
     _load(args, ".dataset", ".mining")
-    ctx = _Context(args)
+    jaccard = None if args.no_dedup else args.jaccard
     try:
-        if args.no_dedup:
-            patterns = mine(ctx.dataset, args.min_support)
-        else:
-            # mine checks --jaccard before it mines and runs the dedup test inside its
-            # search, so this pass drops nothing; bench/tracing.py still times the
-            # dedup layer through this name.
-            patterns = dedup_similar(mine(ctx.dataset, args.min_support, args.jaccard), args.jaccard)
+        check_thresholds(args.min_support, jaccard)
     except InvalidThreshold as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    patterns = mine(_Context(args).dataset, args.min_support, jaccard)
+    if jaccard is not None:
+        # mine runs the dedup test inside its search, so this pass drops nothing;
+        # bench/tracing.py still times the dedup layer through this name.
+        patterns = dedup_similar(patterns, jaccard)
     patterns = [p for p in patterns if len(p.items) >= args.min_size]
     # One branch per format, so each pattern is spelled only in the form printed.
     if args.format == "records":

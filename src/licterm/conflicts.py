@@ -52,6 +52,7 @@ from .model import (
     OBLIGATION_TERMS,
     RIGHT_TERMS,
     Term,
+    selected,
 )
 
 
@@ -103,20 +104,6 @@ def _dep_side(profile: LicenseProfile, strict_not_mentioned: bool) -> tuple[int,
     )
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The indexes of the set bits of ``mask``, lowest first.
-
-    Clears the lowest bit each step, which suits term masks of 11 bits or
-    fewer. On support masks thousands of bits wide, clearing would copy
-    the mask once per bit, so ``FrequentPattern.sorted_ids`` reads their
-    bits off ``bin()``'s digits in one pass instead.
-    """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def check_profiles(
     parent: LicenseProfile,
     dep: LicenseProfile,
@@ -132,8 +119,7 @@ def check_profiles(
     parent_side, dep_side = _parent_side(parent), _dep_side(dep, strict_not_mentioned)
     findings: list[ConflictFinding] = []
     for (ctype, terms), p, d in zip(_RULE_TERMS, parent_side, dep_side):
-        for bit in _bits(p & d):
-            term = terms[bit]
+        for term in selected(terms, p & d):
             pa, da = parent.terms[term], dep.terms[term]
             findings.append(ConflictFinding(ctype, term, parent.spdx_id, dep.spdx_id, pa, da))
     return findings
@@ -279,10 +265,7 @@ def _choices(
 
 
 #: The conflict types that fired, indexed by bit k set when rule k fired.
-_FIRED = tuple(
-    tuple(ctype for k, (ctype, _) in enumerate(_RULE_TERMS) if fired >> k & 1)
-    for fired in range(8)
-)
+_FIRED = tuple(tuple(selected([ctype for ctype, _ in _RULE_TERMS], fired)) for fired in range(8))
 
 
 def _best_pair(
@@ -406,18 +389,19 @@ def build_matrix(ds: Dataset, strict_not_mentioned: bool = False) -> ConflictMat
     degrees: list[list[int]] = [[] for _ in ids]
     for k, (ctype, terms) in enumerate(_RULE_TERMS):
         masks = [(parent[k], dep[k]) for parent, dep in zip(parent_sides, dep_sides)]
+        bits = range(len(terms))
         parent_holders, dep_holders = [0] * len(terms), [0] * len(terms)
         for i, (p, d) in enumerate(masks):
-            for bit in _bits(p):
+            for bit in selected(bits, p):
                 parent_holders[bit] |= 1 << i
-            for bit in _bits(d):
+            for bit in selected(bits, d):
                 dep_holders[bit] |= 1 << i
         count = 0
         for i, (p, d) in enumerate(masks):
             deps = parents = 0
-            for bit in _bits(p):
+            for bit in selected(bits, p):
                 deps |= dep_holders[bit]
-            for bit in _bits(d):
+            for bit in selected(bits, d):
                 parents |= parent_holders[bit]
             deps &= ~(1 << i)
             parents &= ~(1 << i)

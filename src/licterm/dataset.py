@@ -14,8 +14,7 @@ lacks a term, or whose term takes an attitude its kind does not allow
 Records are read one at a time, and loading stops at the end of the
 first faulty record, or at once at a line without a colon.
 ``Dataset.profiles`` maps each exact, case-sensitive id to its profile,
-built from the masks its term lines were read into; its ``terms`` mapping
-is derived when first read.
+built from the masks its term lines were read into.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
@@ -34,7 +33,8 @@ from ._frozen import Frozen
 from .errors import FormatError, ValidationError, read_text, skipped, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
-    ALLOWED_ATTITUDES, MASK_SLOTS, RIGHT_TERMS, TERM_ORDER, Attitude, CopyleftClass, LicenseProfile
+    ALLOWED_ATTITUDES, MASK_SLOTS, RIGHT_TERMS, TERM_ORDER, Attitude, CopyleftClass, LicenseProfile,
+    selected,
 )
 
 _META_KEYS = ("dataset-version", "provenance")
@@ -134,11 +134,10 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
         violations.append(
             f"spdx_id: {spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
         )
-    if packed >> 3 * _W != (1 << len(TERM_ORDER)) - 1:
+    unread = (packed >> 3 * _W) ^ ((1 << len(TERM_ORDER)) - 1)
+    if unread:
         violations.extend(
-            f"{t.value}: terms mapping not total (key missing)"
-            for n, t in enumerate(TERM_ORDER)
-            if not packed >> 3 * _W + n & 1
+            f"{t.value}: terms mapping not total (key missing)" for t in selected(TERM_ORDER, unread)
         )
     violations.extend(wrong_kind)
     if violations:

@@ -10,8 +10,8 @@ the support threshold, the exact set of licenses containing it.
 Supporting sets are Python ``int`` bitsets: bit i stands for the i-th id
 of the dataset's sorted license ids, a tuple that every pattern of one
 ``mine()`` call shares. Intersection is ``&`` and support is
-``int.bit_count()``; the ids themselves are only spelled out for the
-patterns someone reads.
+``int.bit_count()``; the ids themselves are only spelled out, by
+:func:`licterm.model.selected`, for the patterns someone reads.
 
 Similarity dedup keeps only closed itemsets, by a test on each alone: a
 P that is not closed has some P + x with its supporting set, at Jaccard
@@ -23,18 +23,14 @@ threshold, ``mine()`` walks closed itemsets and applies the test there.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import compress
 
 from ._frozen import Frozen
 from .dataset import Dataset
-from .model import MASK_SLOTS, Attitude, LicenseProfile, TERM_ORDER, Term
+from .model import MASK_SLOTS, Attitude, LicenseProfile, TERM_ORDER, Term, selected
 
 
 class InvalidThreshold(ValueError):
     pass
-
-
-_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
 
 
 class FrequentPattern(Frozen):
@@ -60,13 +56,8 @@ class FrequentPattern(Frozen):
         return tuple(sorted(self.items))
 
     def sorted_ids(self) -> Iterator[str]:
-        """The supporting ids in sorted order: ``licenses`` is sorted, so bit order.
-
-        The reversed binary digits of ``support``, as bytes 0 and 1, are the
-        selectors of one ``compress`` over ``licenses``, so the bits are read
-        in C, not one Python step per supporting license.
-        """
-        return compress(self.licenses, bin(self.support)[:1:-1].encode().translate(_SELECTORS))
+        """The supporting ids in bit order, which is sorted order, read by ``model.selected``."""
+        return selected(self.licenses, self.support)
 
 
 #: Per mask of :data:`licterm.model.MASK_SLOTS`, the item each of its bits stands for.
@@ -78,7 +69,7 @@ def profile_items(profile: LicenseProfile) -> frozenset[str]:
     return frozenset([
         item
         for items, mask in zip(_MASK_ITEMS, profile.masks)
-        for item in compress(items, bin(mask)[:1:-1].encode().translate(_SELECTORS))
+        for item in selected(items, mask)
     ])
 
 
@@ -109,10 +100,7 @@ def mine(ds: Dataset, min_support: int, jaccard: float | None = None) -> list[Fr
     that all the new supporters hold, and keeps the result only when no
     earlier item joined, so each closed set is reached once.
     """
-    if jaccard is not None:
-        _check_jaccard(jaccard)
-    if min_support < 1:
-        raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
+    check_thresholds(min_support, jaccard)
     licenses = tuple(sorted(ds.profiles))
     inverted: dict[str, int] = {}
     for i, spdx_id in enumerate(licenses):
@@ -242,6 +230,15 @@ def dedup_similar(
             if smaller_support is not None and _jaccard(smaller_support, support) >= jaccard_min:
                 folded.add(smaller)
     return [p for p, mask in zip(patterns, support_of) if mask not in folded]
+
+
+def check_thresholds(min_support: int, jaccard: float | None) -> None:
+    """Raise :class:`InvalidThreshold` for the first of ``jaccard``, then
+    ``min_support``, that :func:`mine` rejects."""
+    if jaccard is not None:
+        _check_jaccard(jaccard)
+    if min_support < 1:
+        raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
 
 
 def _check_jaccard(jaccard_min: float) -> None:

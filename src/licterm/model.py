@@ -19,8 +19,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import compress
 
 from ._frozen import Frozen
+from .errors import ValidationError
 
 
 class TermKind(Enum):
@@ -95,6 +97,17 @@ MASK_SLOTS: tuple[tuple[tuple[Term, ...], Attitude], ...] = (
 )
 
 
+_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits to compress() selectors
+
+
+def selected(items, mask: int):
+    """The ``items[i]`` whose bit ``i`` is set in ``mask``, lowest bit first, as an iterator.
+
+    One ``compress`` reads the bits in C: its selectors are ``mask``'s binary digits, reversed.
+    """
+    return compress(items, bin(mask)[:1:-1].encode().translate(_SELECTORS))
+
+
 class CopyleftClass(Enum):
     """Copyleft reach: none (permissive), weak (file/module), strong (whole work)."""
 
@@ -132,13 +145,13 @@ _TERM_DEFINITIONS: dict[Term, str] = {
 class LicenseProfile(Frozen):
     """One license's attitude over all 22 terms plus its copyleft class.
 
-    The ``terms`` mapping is expected to be total: a term the license
-    text never addresses is stored explicitly as ``NOT_MENTIONED``, not
-    omitted. Construction does not enforce this or the kind rules of
-    :data:`ALLOWED_ATTITUDES`; :func:`licterm.dataset.loads_dataset`
-    checks both as it reads each record, and builds the profile from its
-    ``masks`` alone. A profile derives the form it was not built from on
-    first read.
+    Every profile holds its ``(can, cannot, must)`` masks, laid out as
+    :data:`MASK_SLOTS` says (a term with no bit set is not mentioned), and
+    derives ``terms``, the total mapping in catalog order, on first read.
+    The constructor raises :class:`~licterm.errors.ValidationError` for a
+    ``terms`` the masks cannot give back: a term missing, a key not a Term,
+    a value not an Attitude, or an attitude its kind does not allow
+    (:data:`ALLOWED_ATTITUDES`).
     """
 
     _fields = ("spdx_id", "full_name", "terms", "copyleft", "notes")
@@ -151,8 +164,24 @@ class LicenseProfile(Frozen):
         copyleft: CopyleftClass,
         notes: str = "",
     ):
+        faults = [
+            f"{t.value}: terms mapping not total (key missing)" for t in TERM_ORDER if t not in terms
+        ]
+        for key, attitude in terms.items():
+            if not isinstance(key, Term):
+                faults.append(f"unknown key {key!r}")
+            elif not isinstance(attitude, Attitude):
+                faults.append(f"unknown attitude {attitude!r} for {key.value}")
+            elif attitude not in ALLOWED_ATTITUDES[key.kind]:
+                faults.append(f"{key.value}: {key.kind.value} cannot be {attitude.value!r}")
+        if faults:
+            raise ValidationError(f"profile {spdx_id}: " + "; ".join(faults))
+        masks = tuple(
+            sum(1 << i for i, term in enumerate(slot) if terms[term] is attitude)
+            for slot, attitude in MASK_SLOTS
+        )
         vars(self).update(
-            spdx_id=spdx_id, full_name=full_name, terms=terms, copyleft=copyleft, notes=notes
+            spdx_id=spdx_id, full_name=full_name, masks=masks, copyleft=copyleft, notes=notes
         )
 
     @classmethod
@@ -164,21 +193,9 @@ class LicenseProfile(Frozen):
         return profile
 
     @cached_property
-    def masks(self) -> tuple[int, int, int]:
-        """The ``(can, cannot, must)`` bitmasks, laid out as :data:`MASK_SLOTS` says.
-
-        A term whose bit is clear in all of its masks counts as not mentioned.
-        """
-        terms = self.terms
-        return tuple(
-            sum(1 << i for i, term in enumerate(slot) if terms[term] is attitude)
-            for slot, attitude in MASK_SLOTS
-        )
-
-    @cached_property
     def terms(self) -> dict[Term, Attitude]:
-        """The total term mapping of a profile built from its masks, in catalog order."""
+        """The total term mapping, in catalog order."""
         terms = dict.fromkeys(TERM_ORDER, Attitude.NOT_MENTIONED)
         for (slot, attitude), mask in zip(MASK_SLOTS, self.masks):
-            terms.update((term, attitude) for i, term in enumerate(slot) if mask >> i & 1)
+            terms.update(dict.fromkeys(selected(slot, mask), attitude))
         return terms

@@ -622,20 +622,20 @@ _ORACLE_KIND_ATTITUDES = {
 }
 
 
-def _oracle_profile_violations(profile):
+def _oracle_profile_violations(spdx_id, terms):
     """The profile rules, written out: an id of letters, digits, ``.-+``, all 22 terms, kinds."""
     violations = []
-    if not profile.spdx_id:
+    if not spdx_id:
         violations.append("spdx_id: must be non-empty")
-    elif re.fullmatch(r"[A-Za-z0-9.+-]+", profile.spdx_id) is None:
+    elif re.fullmatch(r"[A-Za-z0-9.+-]+", spdx_id) is None:
         violations.append(
-            f"spdx_id: {profile.spdx_id!r} contains characters outside letters, digits, "
+            f"spdx_id: {spdx_id!r} contains characters outside letters, digits, "
             "'.', '-', '+'"
         )
     for term in Term:
-        if term not in profile.terms:
+        if term not in terms:
             violations.append(f"{term.value}: terms mapping not total (key missing)")
-    for term, attitude in profile.terms.items():
+    for term, attitude in terms.items():
         if attitude not in _ORACLE_KIND_ATTITUDES[term.kind]:
             violations.append(f"{term.value}: {term.kind.value} cannot be {attitude.value!r}")
     return violations
@@ -691,12 +691,12 @@ def _oracle_parse_profile(block, source):
         for key, value in fields.items()
         if key in terms_by_key
     }
-    return LicenseProfile(
-        spdx_id=fields.get("spdx-id", ""),
-        full_name=fields.get("full-name", ""),
-        terms=terms,
-        copyleft=copylefts[copyleft_raw],
-        notes=fields.get("notes", ""),
+    return (
+        fields.get("spdx-id", ""),
+        fields.get("full-name", ""),
+        terms,
+        copylefts[copyleft_raw],
+        fields.get("notes", ""),
     )
 
 
@@ -704,8 +704,9 @@ def oracle_loads_dataset(text, source="<string>"):
     """``loads_dataset`` in two passes: split all records, then parse and check each in turn.
 
     A line without a colon ends the split at once. Each record is then
-    parsed line by line, and the finished profile is checked against the
-    profile rules written out in ``_oracle_profile_violations``.
+    parsed line by line, and its id and term dict are checked against the
+    profile rules written out in ``_oracle_profile_violations`` before the
+    profile is built.
     """
     version = "0"
     provenance = "unknown"
@@ -721,20 +722,20 @@ def oracle_loads_dataset(text, source="<string>"):
             version = meta.get("dataset-version", version)
             provenance = meta.get("provenance", provenance)
             continue
-        profile = _oracle_parse_profile(block, source)
+        spdx_id, full_name, terms, copyleft, notes = _oracle_parse_profile(block, source)
         first_line = block[0][0]
-        violations = _oracle_profile_violations(profile)
+        violations = _oracle_profile_violations(spdx_id, terms)
         if violations:
             raise ValidationError(
-                f"profile {profile.spdx_id or '<missing id>'}: " + "; ".join(violations),
+                f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations),
                 source=source,
                 line=first_line,
             )
-        if profile.spdx_id in profiles:
+        if spdx_id in profiles:
             raise ValidationError(
-                f"duplicate spdx-id {profile.spdx_id!r}", source=source, line=first_line
+                f"duplicate spdx-id {spdx_id!r}", source=source, line=first_line
             )
-        profiles[profile.spdx_id] = profile
+        profiles[spdx_id] = LicenseProfile(spdx_id, full_name, terms, copyleft, notes)
     return Dataset(profiles=profiles, version=version, provenance=provenance)
 
 

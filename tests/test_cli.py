@@ -370,12 +370,16 @@ class TestMine:
         _, deduped_out, _ = run(capsys, "mine", "--min-support", "20", "--format", "records")
         assert len(deduped_out.splitlines()) < len(raw_out.splitlines())
 
-    def test_invalid_threshold_exits_2(self, capsys):
+    def test_invalid_threshold_exits_2(self, capsys, tmp_path):
         code, out, err = run(capsys, "mine", "--min-support", "0")
         assert code == 2
+        # The threshold is checked before the dataset is read.
+        missing = str(tmp_path / "missing.dat")
+        code, out, err = run(capsys, "mine", "--min-support", "0", "--dataset", missing)
+        assert (code, out, err) == (2, "", "error: min_support must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("jaccard", ["0", "1.5"])
-    def test_jaccard_outside_unit_interval_exits_2(self, capsys, monkeypatch, jaccard):
+    def test_jaccard_outside_unit_interval_exits_2(self, capsys, monkeypatch, tmp_path, jaccard):
         import licterm.mining as mining
 
         def fail(*args):
@@ -383,9 +387,11 @@ class TestMine:
 
         # mine reads every profile's items first, so no mining ran if none was read.
         monkeypatch.setattr(mining, "profile_items", fail)
-        code, out, err = run(capsys, "mine", "--jaccard", jaccard)
-        assert (code, out) == (2, "")
-        assert err == f"error: jaccard_min must be in (0, 1], got {float(jaccard)}\n"
+        message = f"error: jaccard_min must be in (0, 1], got {float(jaccard)}\n"
+        assert run(capsys, "mine", "--jaccard", jaccard) == (2, "", message)
+        # --jaccard is checked before the dataset is read.
+        missing = str(tmp_path / "missing.dat")
+        assert run(capsys, "mine", "--jaccard", jaccard, "--dataset", missing) == (2, "", message)
 
     def test_no_dedup_ignores_jaccard(self, capsys):
         argv = ["mine", "--min-support", "20", "--no-dedup", "--format", "records"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from licterm.conflicts import (
     ConflictType,
     ExpressionTooComplex,
-    _bits,
     build_matrix,
     check_expressions,
     check_profiles,
@@ -437,11 +436,6 @@ def _assert_matrix_matches_oracle(ds, strict):
 
 
 class TestMatrix:
-    def test_bits_lowest_first(self):
-        assert list(_bits(0)) == []
-        assert list(_bits(0b1011_0000_0001)) == [0, 8, 9, 11]
-        assert list(_bits(1 << 100 | 2)) == [1, 100]
-
     @pytest.mark.parametrize("strict", [False, True])
     def test_matrix_equals_oracle_on_family_catalog(self, strict):
         ds = _family_dataset(random.Random(60), 60)

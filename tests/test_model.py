@@ -11,7 +11,9 @@ from licterm.model import (
     TERM_ORDER,
     Term,
     TermKind,
+    selected,
 )
+from licterm.errors import ValidationError
 
 from conftest import make_terms
 
@@ -104,13 +106,53 @@ def test_profile_built_positionally_reads_back_terms_and_masks():
     profile = LicenseProfile("Test-1.0", "Test License", terms, CopyleftClass.WEAK)
     assert (profile.spdx_id, profile.full_name, profile.notes) == ("Test-1.0", "Test License", "")
     assert profile.copyleft is CopyleftClass.WEAK
-    assert profile.terms is terms
+    assert profile.terms == terms
     assert profile.terms[Term.SUBLICENSE] is Attitude.CANNOT
     can = 1 << RIGHT_TERMS.index(Term.DISTRIBUTE) | 1 << RIGHT_TERMS.index(Term.STATICALLY_LINK)
     must = 1 << OBLIGATION_TERMS.index(Term.INCLUDE_LICENSE)
     assert profile.masks == (can, 1 << RIGHT_TERMS.index(Term.SUBLICENSE), must)
     assert profile.masks is profile.masks
     assert LicenseProfile("A", "B", terms, CopyleftClass.NONE, "n").notes == "n"
+
+
+@pytest.mark.parametrize("terms, fault", [
+    (
+        {t: a for t, a in make_terms().items() if t is not Term.MODIFY},
+        "modify: terms mapping not total (key missing)",
+    ),
+    (make_terms(distribute="must"), "distribute: right cannot be 'must'"),
+    ({**make_terms(), "network-use": Attitude.CAN}, "unknown key 'network-use'"),
+    ({**make_terms(), Term.MODIFY: "can"}, "unknown attitude 'can' for modify"),
+], ids=["missing-term", "right-must", "foreign-key", "foreign-value"])
+def test_profile_rejects_terms_its_masks_cannot_hold(terms, fault):
+    # The masks hold one attitude per term, of those its kind allows, so
+    # each of these dicts would be silently changed by storing them.
+    with pytest.raises(ValidationError) as caught:
+        LicenseProfile("X-1.0", "X License", terms, CopyleftClass.NONE)
+    assert caught.value.message == f"profile X-1.0: {fault}"
+
+
+def test_profile_rejection_names_every_offending_key_as_the_loader_does():
+    terms = make_terms(distribute="must", include_license="must")
+    del terms[Term.MODIFY], terms[Term.RENAME]
+    terms[Term.INCLUDE_NOTICE] = Attitude.CAN
+    with pytest.raises(ValidationError) as caught:
+        LicenseProfile("X-1.0", "X License", terms, CopyleftClass.NONE)
+    record = "spdx-id: X-1.0\ncopyleft: none\n" + "".join(
+        f"{term.value}: {attitude.value}\n" for term, attitude in terms.items()
+    )
+    with pytest.raises(ValidationError) as loaded:
+        loads_dataset(record)
+    assert caught.value.message == loaded.value.message
+    assert "distribute" in caught.value.message and "include-notice" in caught.value.message
+
+
+def test_selected_reads_set_bits_lowest_first():
+    assert list(selected(range(12), 0)) == []
+    assert list(selected(range(12), 0b1011_0000_0001)) == [0, 8, 9, 11]
+    assert list(selected("abcdefghijkl", 0b1011_0000_0001)) == ["a", "i", "j", "l"]
+    assert list(selected(range(200), 1 << 100)) == [100]
+    assert list(selected(range(200), 1 << 100 | 2)) == [1, 100]
 
 
 def test_make_terms_total_and_rejects_unknown():

@@ -85,7 +85,10 @@ class TestEveryClass:
         by_position, by_keyword = cls(*args), cls(**kwargs)
         assert by_position == by_keyword and not by_position != by_keyword
         for name, value in kwargs.items():
-            assert getattr(by_keyword, name) is value
+            if (cls, name) == (LicenseProfile, "terms"):  # a view of the stored masks
+                assert getattr(by_keyword, name) == value
+            else:
+                assert getattr(by_keyword, name) is value
 
     def test_equal_values_hash_alike(self, cls, args):
         one, other = cls(*args), cls(*copy.deepcopy(args))
