@@ -1,8 +1,8 @@
 """Base class of the package's immutable value types that are not named tuples.
 
-A subclass lists its fields in ``_fields`` and sets them in its own
-``__init__``, with ``object.__setattr__`` where the class has slots and
-into ``vars(self)`` where it needs a ``__dict__`` for a cached property.
+A subclass lists its fields in ``_fields`` and sets them when an
+instance is built, with ``object.__setattr__`` where the class has slots
+and into ``vars(self)`` where it needs a ``__dict__`` for a cached property.
 Instances of one class compare
 equal when their fields are equal, hash as the tuple of their fields,
 print as ``Name(field=value, ...)`` and refuse attribute assignment.

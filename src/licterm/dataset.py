@@ -7,14 +7,14 @@ may be a metadata record carrying ``dataset-version`` and
 ``provenance``. A profile record has ``spdx-id``, ``full-name``,
 ``copyleft``, one line for each of the 22 terms, and an optional
 ``notes`` line. Parsing is strict: unknown keys, duplicate keys, or
-unknown attitude spellings are format errors, and a profile whose id
-is empty or not made of letters, digits, ``.``, ``-`` and ``+``, that
-lacks a term, or whose term takes an attitude its kind does not allow
-(:data:`licterm.model.ALLOWED_ATTITUDES`) is a validation error.
-Records are read one at a time, and loading stops at the end of the
-first faulty record, or at once at a line without a colon.
-``Dataset.profiles`` maps each exact, case-sensitive id to its profile,
-built from the masks its term lines were read into.
+unknown attitude spellings are format errors. Each record's term lines
+are read into packed bits, and :func:`licterm.model.packed_profile`
+builds the profile, as the ``LicenseProfile`` constructor does; its
+validation errors (the id, totality and kind rules) are raised at the
+record's first line. Records are read one at a time, and loading stops
+at the end of the first faulty record, or at once at a line without a
+colon. ``Dataset.profiles`` maps each exact, case-sensitive id to its
+profile.
 
 The alias table maps irregular raw spellings to canonical ids, one
 ``raw form<TAB>spdx-id`` pair per line; keys are stored case-folded
@@ -26,34 +26,19 @@ skip blank and comment lines by ``errors.skipped``.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 from ._frozen import Frozen
 from .errors import FormatError, ValidationError, read_text, skipped, split_lines
 from .expression import KnownLicenses, fold_key
 from .model import (
-    ALLOWED_ATTITUDES, MASK_SLOTS, RIGHT_TERMS, TERM_ORDER, Attitude, CopyleftClass, LicenseProfile,
-    selected,
+    TERM_BITS, TERM_ORDER, Attitude, CopyleftClass, LicenseProfile, Term, packed_profile,
 )
 
 _META_KEYS = ("dataset-version", "provenance")
 _HEADER_KEYS = ("spdx-id", "full-name", "copyleft", "notes")
 _ATTITUDE_KEYS = frozenset(a.value for a in Attitude)
 _COPYLEFT_BY_KEY = {c.value: c for c in CopyleftClass}
-# A record's term lines are read into one int: the masks of MASK_SLOTS side by
-# side, _W bits each, then one bit per term in catalog order, set once it is read.
-_W = len(RIGHT_TERMS)  # as many as OBLIGATION_TERMS
-_SHIFT = {attitude: k * _W for k, (_, attitude) in enumerate(MASK_SLOTS)}
-#: Each term's key -> (term, its read bit, {spelling: bits}) over the attitudes its kind allows.
-_TERM_LINES = {
-    t.value: (t, 1 << 3 * _W + n, {
-        a.value: 1 << 3 * _W + n | (1 << _SHIFT[a] + n % _W if a in _SHIFT else 0)
-        for a in ALLOWED_ATTITUDES[t.kind]
-    })
-    for n, t in enumerate(TERM_ORDER)
-}
-_SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
 
 
 class Dataset(Frozen):
@@ -94,17 +79,18 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
 
     The first unknown key, duplicate key or unknown attitude spelling
     raises at its own line. Then, at the record's first line, a missing
-    field or unknown copyleft class, then the id, totality and kind
-    violations together.
+    field or unknown copyleft class, then the faults that
+    :func:`licterm.model.packed_profile` names.
     """
     fields: dict[str, str] = {}
     packed = 0
-    wrong_kind: list[str] = []
+    wrong_kind: list[tuple[Term, str]] = []
+    term_bits = TERM_BITS.get  # CPython 3.11 binds a method of an imported name per call
     for lineno, key, value in record:
         if key in fields:
             raise FormatError(f"duplicate key {key!r}", source=source, line=lineno)
         fields[key] = value
-        entry = _TERM_LINES.get(key)
+        entry = term_bits(key)
         if entry is None:
             if key not in _HEADER_KEYS:
                 raise FormatError(f"unknown key {key!r}", source=source, line=lineno)
@@ -115,7 +101,7 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
             if value not in _ATTITUDE_KEYS:
                 message = f"unknown attitude {value!r} for {key}"
                 raise FormatError(message, source=source, line=lineno)
-            wrong_kind.append(f"{key}: {term.kind.value} cannot be {value!r}")
+            wrong_kind.append((term, value))
             bits = read
         packed |= bits
     line = record[0][0]
@@ -126,28 +112,11 @@ def _profile(record: list[tuple[int, str, str]], source: str) -> LicenseProfile:
     if copyleft is None:
         message = f"unknown copyleft class {fields['copyleft']!r}"
         raise FormatError(message, source=source, line=line)
-    spdx_id = fields["spdx-id"]
-    violations = []
-    if not spdx_id:
-        violations.append("spdx_id: must be non-empty")
-    elif not _SPDX_ID_RE.fullmatch(spdx_id):
-        violations.append(
-            f"spdx_id: {spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
-        )
-    unread = (packed >> 3 * _W) ^ ((1 << len(TERM_ORDER)) - 1)
-    if unread:
-        violations.extend(
-            f"{t.value}: terms mapping not total (key missing)" for t in selected(TERM_ORDER, unread)
-        )
-    violations.extend(wrong_kind)
-    if violations:
-        message = f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations)
-        raise ValidationError(message, source=source, line=line)
-    width = (1 << _W) - 1
-    masks = (packed & width, packed >> _W & width, packed >> 2 * _W & width)
-    return LicenseProfile._from_masks(
-        spdx_id, fields.get("full-name", ""), masks, copyleft, fields.get("notes", "")
-    )
+    full_name, notes = fields.get("full-name", ""), fields.get("notes", "")
+    try:
+        return packed_profile(fields["spdx-id"], full_name, packed, wrong_kind, copyleft, notes)
+    except ValidationError as exc:
+        raise ValidationError(exc.message, source=source, line=line) from None
 
 
 def loads_dataset(text: str, source: str = "<string>") -> Dataset:

@@ -17,6 +17,7 @@ subsumed by distribution.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from functools import cached_property
 from itertools import compress
@@ -142,55 +143,58 @@ _TERM_DEFINITIONS: dict[Term, str] = {
 }
 
 
+_W = len(RIGHT_TERMS)  # as many as OBLIGATION_TERMS
+_SHIFT = {attitude: k * _W for k, (_, attitude) in enumerate(MASK_SLOTS)}
+#: Each term's key -> (term, its read bit, {spelling: bits}) over the attitudes its kind allows.
+#: A profile packs its terms into one int: the MASK_SLOTS masks, _W bits each, then the read bits.
+TERM_BITS = {
+    t.value: (t, 1 << 3 * _W + n, {
+        a.value: 1 << 3 * _W + n | (1 << _SHIFT[a] + n % _W if a in _SHIFT else 0)
+        for a in ALLOWED_ATTITUDES[t.kind]
+    })
+    for n, t in enumerate(TERM_ORDER)
+}
+_SPDX_ID_RE = re.compile(r"[A-Za-z0-9.+-]+")
+
+
 class LicenseProfile(Frozen):
     """One license's attitude over all 22 terms plus its copyleft class.
 
     Every profile holds its ``(can, cannot, must)`` masks, laid out as
     :data:`MASK_SLOTS` says (a term with no bit set is not mentioned), and
     derives ``terms``, the total mapping in catalog order, on first read.
-    The constructor raises :class:`~licterm.errors.ValidationError` for a
-    ``terms`` the masks cannot give back: a term missing, a key not a Term,
-    a value not an Attitude, or an attitude its kind does not allow
-    (:data:`ALLOWED_ATTITUDES`).
+    The constructor packs ``terms`` through :data:`TERM_BITS` and builds
+    through :func:`packed_profile`, as the dataset loader does, so every
+    profile passes the same checks; a key not a Term or a value not an
+    Attitude raises :class:`~licterm.errors.ValidationError` at once.
     """
 
     _fields = ("spdx_id", "full_name", "terms", "copyleft", "notes")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         spdx_id: str,
         full_name: str,
         terms: dict[Term, Attitude],
         copyleft: CopyleftClass,
         notes: str = "",
-    ):
-        faults = [
-            f"{t.value}: terms mapping not total (key missing)" for t in TERM_ORDER if t not in terms
-        ]
-        for key, attitude in terms.items():
-            if not isinstance(key, Term):
-                faults.append(f"unknown key {key!r}")
+    ) -> LicenseProfile:
+        packed, wrong_kind = 0, []
+        for term, attitude in terms.items():
+            if not isinstance(term, Term):
+                fault = f"unknown key {term!r}"
             elif not isinstance(attitude, Attitude):
-                faults.append(f"unknown attitude {attitude!r} for {key.value}")
-            elif attitude not in ALLOWED_ATTITUDES[key.kind]:
-                faults.append(f"{key.value}: {key.kind.value} cannot be {attitude.value!r}")
-        if faults:
-            raise ValidationError(f"profile {spdx_id}: " + "; ".join(faults))
-        masks = tuple(
-            sum(1 << i for i, term in enumerate(slot) if terms[term] is attitude)
-            for slot, attitude in MASK_SLOTS
-        )
-        vars(self).update(
-            spdx_id=spdx_id, full_name=full_name, masks=masks, copyleft=copyleft, notes=notes
-        )
-
-    @classmethod
-    def _from_masks(cls, spdx_id, full_name, masks, copyleft, notes) -> LicenseProfile:
-        profile = cls.__new__(cls)
-        vars(profile).update(
-            spdx_id=spdx_id, full_name=full_name, masks=masks, copyleft=copyleft, notes=notes
-        )
-        return profile
+                fault = f"unknown attitude {attitude!r} for {term.value}"
+            else:
+                _, read, allowed = TERM_BITS[term.value]
+                bits = allowed.get(attitude.value)
+                if bits is None:
+                    wrong_kind.append((term, attitude.value))
+                    bits = read
+                packed |= bits
+                continue
+            raise ValidationError(f"profile {spdx_id or '<missing id>'}: {fault}")
+        return packed_profile(spdx_id, full_name, packed, wrong_kind, copyleft, notes)
 
     @cached_property
     def terms(self) -> dict[Term, Attitude]:
@@ -199,3 +203,43 @@ class LicenseProfile(Frozen):
         for (slot, attitude), mask in zip(MASK_SLOTS, self.masks):
             terms.update(dict.fromkeys(selected(slot, mask), attitude))
         return terms
+
+
+def packed_profile(
+    spdx_id: str, full_name: str, packed: int, wrong_kind: list, copyleft: CopyleftClass, notes: str
+) -> LicenseProfile:
+    """The profile of ``packed``, one :data:`TERM_BITS` entry per term given, or its faults.
+
+    ``wrong_kind`` lists each ``(term, spelling)`` its kind does not allow, in order; ``packed``
+    holds only its read bit. One :class:`~licterm.errors.ValidationError` names every fault: the
+    id, each term not given, each of the wrong kind, a copyleft not a :class:`CopyleftClass`, and
+    a full name or notes with a CR, an LF or edge whitespace, which a dataset file cannot give back.
+    """
+    faults = []
+    if not spdx_id:
+        faults.append("spdx_id: must be non-empty")
+    elif not _SPDX_ID_RE.fullmatch(spdx_id):
+        faults.append(
+            f"spdx_id: {spdx_id!r} contains characters outside letters, digits, '.', '-', '+'"
+        )
+    unread = (packed >> 3 * _W) ^ ((1 << len(TERM_ORDER)) - 1)
+    if unread:
+        faults.extend(
+            f"{t.value}: terms mapping not total (key missing)" for t in selected(TERM_ORDER, unread)
+        )
+    if wrong_kind:
+        faults.extend(f"{t.value}: {t.kind.value} cannot be {value!r}" for t, value in wrong_kind)
+    if not isinstance(copyleft, CopyleftClass):
+        faults.append(f"copyleft: {copyleft!r} is not a CopyleftClass")
+    for name, text in (("full_name", full_name), ("notes", notes)):
+        if "\r" in text or "\n" in text or text != text.strip():
+            faults.append(f"{name}: {text!r} holds a line break or edge whitespace")
+    if faults:
+        raise ValidationError(f"profile {spdx_id or '<missing id>'}: " + "; ".join(faults))
+    width = (1 << _W) - 1
+    masks = (packed & width, packed >> _W & width, packed >> 2 * _W & width)
+    profile = object.__new__(LicenseProfile)
+    vars(profile).update(
+        spdx_id=spdx_id, full_name=full_name, masks=masks, copyleft=copyleft, notes=notes
+    )
+    return profile

@@ -622,8 +622,10 @@ _ORACLE_KIND_ATTITUDES = {
 }
 
 
-def _oracle_profile_violations(spdx_id, terms):
-    """The profile rules, written out: an id of letters, digits, ``.-+``, all 22 terms, kinds."""
+def oracle_profile_violations(spdx_id, full_name, terms, copyleft, notes):
+    """The profile rules, written out: an id of letters, digits, ``.-+``, all 22 terms, kinds,
+    a CopyleftClass, and a full name and notes that a dataset file gives back (one line,
+    no whitespace at either end)."""
     violations = []
     if not spdx_id:
         violations.append("spdx_id: must be non-empty")
@@ -638,6 +640,12 @@ def _oracle_profile_violations(spdx_id, terms):
     for term, attitude in terms.items():
         if attitude not in _ORACLE_KIND_ATTITUDES[term.kind]:
             violations.append(f"{term.value}: {term.kind.value} cannot be {attitude.value!r}")
+    if copyleft not in list(CopyleftClass):
+        violations.append(f"copyleft: {copyleft!r} is not a CopyleftClass")
+    for name, text in (("full_name", full_name), ("notes", notes)):
+        breaks = any(c in ("\r", "\n") for c in text)
+        if breaks or text[:1].isspace() or text[-1:].isspace():
+            violations.append(f"{name}: {text!r} holds a line break or edge whitespace")
     return violations
 
 
@@ -705,7 +713,7 @@ def oracle_loads_dataset(text, source="<string>"):
 
     A line without a colon ends the split at once. Each record is then
     parsed line by line, and its id and term dict are checked against the
-    profile rules written out in ``_oracle_profile_violations`` before the
+    profile rules written out in ``oracle_profile_violations`` before the
     profile is built.
     """
     version = "0"
@@ -724,7 +732,7 @@ def oracle_loads_dataset(text, source="<string>"):
             continue
         spdx_id, full_name, terms, copyleft, notes = _oracle_parse_profile(block, source)
         first_line = block[0][0]
-        violations = _oracle_profile_violations(spdx_id, terms)
+        violations = oracle_profile_violations(spdx_id, full_name, terms, copyleft, notes)
         if violations:
             raise ValidationError(
                 f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations),

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from licterm.dataset import dumps_profile, loads_dataset
 from licterm.model import (
@@ -16,6 +17,7 @@ from licterm.model import (
 from licterm.errors import ValidationError
 
 from conftest import make_terms
+from oracles import oracle_profile_violations
 
 
 def test_exactly_22_terms_partitioned_11_11():
@@ -87,8 +89,7 @@ def test_allowed_attitudes_per_kind():
 
 
 def test_validate_ok_for_well_formed_profile():
-    # The profile rules are checked where a record is read: a well-formed
-    # profile's record loads back unchanged, with no violation raised.
+    # A well-formed profile builds, and its record loads back unchanged.
     terms = make_terms(distribute="can", include_license="must")
     profile = LicenseProfile("Test-1.0", "Test License", terms, CopyleftClass.NONE)
     ds = loads_dataset(dumps_profile(profile))
@@ -137,14 +138,109 @@ def test_profile_rejection_names_every_offending_key_as_the_loader_does():
     del terms[Term.MODIFY], terms[Term.RENAME]
     terms[Term.INCLUDE_NOTICE] = Attitude.CAN
     with pytest.raises(ValidationError) as caught:
-        LicenseProfile("X-1.0", "X License", terms, CopyleftClass.NONE)
-    record = "spdx-id: X-1.0\ncopyleft: none\n" + "".join(
+        LicenseProfile("X 1.0", "X License", terms, CopyleftClass.NONE)
+    record = "spdx-id: X 1.0\ncopyleft: none\n" + "".join(
         f"{term.value}: {attitude.value}\n" for term, attitude in terms.items()
     )
     with pytest.raises(ValidationError) as loaded:
         loads_dataset(record)
     assert caught.value.message == loaded.value.message
+    assert caught.value.message.startswith("profile X 1.0: spdx_id: 'X 1.0' contains")
     assert "distribute" in caught.value.message and "include-notice" in caught.value.message
+
+
+@pytest.mark.parametrize("field, value, fault", [
+    ("spdx_id", "", "<missing id>: spdx_id: must be non-empty"),
+    (
+        "spdx_id",
+        "My License",
+        "My License: spdx_id: 'My License' contains characters outside letters, digits, "
+        "'.', '-', '+'",
+    ),
+    ("copyleft", "weak", "X-1.0: copyleft: 'weak' is not a CopyleftClass"),
+    (
+        "full_name",
+        "X\nspdx-id: B",
+        "X-1.0: full_name: 'X\\nspdx-id: B' holds a line break or edge whitespace",
+    ),
+    ("full_name", " X", "X-1.0: full_name: ' X' holds a line break or edge whitespace"),
+    (
+        "notes",
+        "line1\nline2",
+        "X-1.0: notes: 'line1\\nline2' holds a line break or edge whitespace",
+    ),
+    ("notes", "n\r", "X-1.0: notes: 'n\\r' holds a line break or edge whitespace"),
+], ids=[
+    "empty-id", "id-with-space", "copyleft-string", "name-with-a-record-line",
+    "name-with-a-leading-space", "two-line-notes", "notes-ending-in-cr",
+])
+def test_profile_rejects_a_field_a_dataset_file_cannot_give_back(field, value, fault):
+    # Each of these would build a profile that dumps_profile cannot write, or
+    # that loads_dataset rejects or reads back changed.
+    args = {
+        "spdx_id": "X-1.0", "full_name": "X License", "terms": make_terms(),
+        "copyleft": CopyleftClass.NONE, "notes": "", field: value,
+    }
+    with pytest.raises(ValidationError) as caught:
+        LicenseProfile(**args)
+    assert caught.value.message == f"profile {fault}"
+
+
+_HOSTILE = st.text(st.sampled_from("\t\r\n \x85\u2028\ufeff#:xé") | st.characters(), max_size=6)
+_GOOD_IDS = st.from_regex(r"[A-Za-z0-9.+-]{1,8}", fullmatch=True)
+
+
+@st.composite
+def _term_dicts(draw, faulty=st.booleans()):
+    """A terms dict in any order: each term takes an attitude its kind allows, or, in
+    a faulty dict, any attitude or none at all."""
+    faulty = draw(faulty)
+    terms = {}
+    for term in draw(st.permutations(TERM_ORDER)):
+        choices = [None, *Attitude] if faulty else sorted(ALLOWED_ATTITUDES[term.kind], key=str)
+        attitude = draw(st.sampled_from(choices))
+        if attitude is not None:
+            terms[term] = attitude
+    return terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _GOOD_IDS | _HOSTILE,
+    _HOSTILE,
+    _term_dicts(),
+    st.sampled_from([*CopyleftClass, "weak", None]),
+    _HOSTILE,
+)
+def test_constructor_raises_exactly_the_oracle_violations(
+    spdx_id, full_name, terms, copyleft, notes
+):
+    violations = oracle_profile_violations(spdx_id, full_name, terms, copyleft, notes)
+    try:
+        LicenseProfile(spdx_id, full_name, terms, copyleft, notes)
+    except ValidationError as exc:
+        assert exc.message == f"profile {spdx_id or '<missing id>'}: " + "; ".join(violations)
+    else:
+        assert violations == []
+
+
+_ONE_LINE = _HOSTILE.map(lambda text: text.replace("\r", "").replace("\n", "").strip())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _GOOD_IDS,
+    _HOSTILE | _ONE_LINE,
+    _term_dicts(faulty=st.just(False)),
+    st.sampled_from(CopyleftClass),
+    _HOSTILE | _ONE_LINE,
+)
+def test_every_profile_that_builds_reads_back_equal(spdx_id, full_name, terms, copyleft, notes):
+    try:
+        profile = LicenseProfile(spdx_id, full_name, terms, copyleft, notes)
+    except ValidationError:
+        return
+    assert loads_dataset(dumps_profile(profile)).profiles == {spdx_id: profile}
 
 
 def test_selected_reads_set_bits_lowest_first():
